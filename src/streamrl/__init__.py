@@ -90,11 +90,11 @@ from .training import (
     ReplayBuffer,
     RLBaseStrategy,
     Rollout,
-    Step,
     Steps,
     StrategyPlugin,
     TrainingBudget,
     TrainingReport,
+    Transitions,
     evaluate,
     train,
 )

@@ -43,13 +43,29 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     raw = Path(path).read_bytes()
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+    if len(raw) < 16:
+        raise CheckpointError(f"{path}: truncated header length")
     (header_len,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
+    except ValueError as err:  # JSONDecodeError and UnicodeDecodeError
+        raise CheckpointError(f"{path}: header is not valid JSON: {err}") from err
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != 1:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+    if "arch" not in header or not isinstance(header.get("sections"), list):
+        raise CheckpointError(f"{path}: header lacks 'arch' or a 'sections' list")
     sections = {}
     offset = 16 + header_len
     for entry in header["sections"]:
+        if not (
+            isinstance(entry, dict)
+            and "name" in entry
+            and isinstance(entry.get("shape"), list)
+            and all(isinstance(size, int) and size >= 0 for size in entry["shape"])
+        ):
+            raise CheckpointError(f"{path}: section entry {entry!r} needs a name and a shape")
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         nbytes = count * 8
         if offset + nbytes > len(raw):

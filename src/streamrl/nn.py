@@ -26,6 +26,10 @@ class NoCachedForward(RuntimeError):
     """backward() called without a preceding forward() on this network."""
 
 
+class NonFinite(FloatingPointError):
+    """A forward or backward pass produced inf or NaN."""
+
+
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
@@ -113,7 +117,8 @@ class Mlp:
             z = x @ w.T + b
             preacts.append(z)
             x = _activate(act, z)
-        assert np.all(np.isfinite(x)), "non-finite activations in forward pass"
+        if not np.all(np.isfinite(x)):
+            raise NonFinite("non-finite activations in forward pass")
         self._cache = (inputs, preacts)
         return {name: x[:, lo:hi] for name, lo, hi in self._head_slices}
 
@@ -150,7 +155,8 @@ class Mlp:
         flat = np.concatenate(
             [np.concatenate([dw.ravel(), db]) for dw, db in zip(d_weights, d_biases)]
         )
-        assert np.all(np.isfinite(flat)), "non-finite gradients in backward pass"
+        if not np.all(np.isfinite(flat)):
+            raise NonFinite("non-finite gradients in backward pass")
         return flat
 
     def flatten(self) -> np.ndarray:

@@ -10,13 +10,12 @@ against.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .nn import LengthMismatch
-from .training.base import Step, StrategyPlugin
+from .training.base import StrategyPlugin, Transitions
 from .training.dqn import ReplayBuffer
 
 
@@ -74,7 +73,7 @@ class EwcPlugin(StrategyPlugin):
         if fisher_sample_count < 1:
             raise ValueError("fisher_sample_count must be >= 1")
         self.state = EwcState(float(lam), fisher_sample_count)
-        self._recent: deque[Step] = deque(maxlen=fisher_sample_count)
+        self._recent = ReplayBuffer(fisher_sample_count)
 
     def before_training_exp(self, strategy) -> None:
         self._recent.clear()
@@ -90,7 +89,7 @@ class EwcPlugin(StrategyPlugin):
         strategy.grad_accum += grad
 
     def after_training_exp(self, strategy) -> None:
-        samples = list(self._recent)
+        samples = self._recent.oldest_first()
         if len(samples) < self.state.fisher_sample_count:
             warnings.warn(
                 f"EWC wanted {self.state.fisher_sample_count} transitions, "
@@ -124,19 +123,24 @@ class EwcPlugin(StrategyPlugin):
     def load_state_sections(self, sections: dict[str, np.ndarray]) -> None:
         meta = sections["ewc/meta"]
         self.state = EwcState(float(meta[0]), int(meta[1]))
-        self._recent = deque(maxlen=self.state.fisher_sample_count)
+        self._recent = ReplayBuffer(self.state.fisher_sample_count)
         for k in range(int(meta[2])):
             self.state.anchors.append(sections[f"ewc/anchor_{k}"])
             self.state.fishers.append(sections[f"ewc/fisher_{k}"])
 
 
+# checkpoint section name -> Transitions column, in the file's section order
+REPLAY_SECTIONS = {"obs": "obs", "next_obs": "next_obs", "actions": "action",
+                   "rewards": "reward", "dones": "done", "task_labels": "task_label"}
+
+
 class ReplayPlugin(StrategyPlugin):
     """Cross-experience replay: remember every gathered transition (FIFO ring
     of `capacity`) and, before each update, replace floor(mix_ratio * B) rows
-    of the size-B update batch with memory steps, preferring steps whose
-    task label differs from the experience being trained.
+    of the size-B update batch with memory rows, preferring rows whose task
+    label differs from the experience being trained.
 
-    Row replacement only applies to flat transition batches (lists of Steps,
+    Row replacement only applies to flat transition batches (Transitions,
     i.e. the DQN family). Strategies whose update consumes an ordered rollout
     (A2C) keep their batch untouched, since splicing foreign steps into an
     ordered sequence would corrupt the return computation.
@@ -154,55 +158,40 @@ class ReplayPlugin(StrategyPlugin):
 
     def before_update(self, strategy) -> None:
         batch = strategy.update_batch
-        if not isinstance(batch, list) or not batch or len(self.memory) == 0:
+        if not isinstance(batch, Transitions) or len(batch) == 0 or len(self.memory) == 0:
             return
         n_replace = int(self.mix_ratio * len(batch))
         if n_replace == 0:
             return
+        # Candidate slots in slot order: those of other tasks, else all.
         current_label = strategy.experience.task_label if strategy.experience else None
-        candidates = [s for s in self.memory.items() if s.task_label != current_label]
-        if not candidates:
-            candidates = self.memory.items()
+        candidates = np.flatnonzero(self.memory.task_labels != current_label)
+        if len(candidates) == 0:
+            candidates = np.arange(len(self.memory))
         rows = self._rng.choice(len(batch), size=n_replace, replace=False)
         picks = self._rng.integers(0, len(candidates), size=n_replace)
-        for row, pick in zip(rows, picks):
-            batch[row] = candidates[pick]
+        batch.put(rows, self.memory.rows(candidates[picks]))
 
     # -- checkpoint integration -------------------------------------------
 
     def state_sections(self) -> dict[str, np.ndarray]:
-        steps = self.memory.items()
-        sections = {
-            "replay/meta": np.array(
-                [self.memory.capacity, self.mix_ratio, len(steps)]
-            )
-        }
-        if steps:
-            sections["replay/obs"] = np.stack([s.obs for s in steps])
-            sections["replay/next_obs"] = np.stack([s.next_obs for s in steps])
-            sections["replay/actions"] = np.array([s.action for s in steps], dtype=np.float64)
-            sections["replay/rewards"] = np.array([s.reward for s in steps])
-            sections["replay/dones"] = np.array([float(s.done) for s in steps])
-            sections["replay/task_labels"] = np.array(
-                [s.task_label for s in steps], dtype=np.float64
-            )
+        n = len(self.memory)
+        sections = {"replay/meta": np.array([self.memory.capacity, self.mix_ratio, n])}
+        if n:
+            items = self.memory.items()
+            for section, column in REPLAY_SECTIONS.items():
+                sections[f"replay/{section}"] = np.asarray(getattr(items, column), dtype=np.float64)
         return sections
 
     def load_state_sections(self, sections: dict[str, np.ndarray]) -> None:
         meta = sections["replay/meta"]
         self.memory = ReplayBuffer(int(meta[0]), seed=0)
         self.mix_ratio = float(meta[1])
-        for i in range(int(meta[2])):
-            self.memory.append(
-                Step(
-                    obs=sections["replay/obs"][i],
-                    action=int(sections["replay/actions"][i]),
-                    reward=float(sections["replay/rewards"][i]),
-                    done=bool(sections["replay/dones"][i]),
-                    next_obs=sections["replay/next_obs"][i],
-                    task_label=int(sections["replay/task_labels"][i]),
-                )
-            )
+        n = int(meta[2])
+        if n:  # the ring's int and bool columns take the float64 sections
+            self.memory.extend(Transitions(**{
+                column: sections[f"replay/{section}"][:n] for section, column in REPLAY_SECTIONS.items()
+            }))
 
 
 class NaivePlugin(StrategyPlugin):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..nn import entropy_loss, mse_loss, policy_gradient_loss, softmax
-from .base import EmptyRollout, RLBaseStrategy, Rollout, Step, TrainingBudget
+from .base import EmptyRollout, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
 
 def compute_nstep_returns(
@@ -84,24 +84,14 @@ class A2cStrategy(RLBaseStrategy):
 
         # Bootstrap values for every actor's final step, before the main
         # forward pass (forward() caches activations for backward()).
-        last_next = np.stack([steps[-1].next_obs for steps in rollout.per_actor])
-        tail_values = self.model.forward(last_next)["value"][:, 0]
-
-        flat_steps: list[Step] = []
-        returns_chunks = []
-        for a, steps in enumerate(rollout.per_actor):
-            flat_steps.extend(steps)
-            returns_chunks.append(
-                compute_nstep_returns(
-                    [s.reward for s in steps],
-                    [s.done for s in steps],
-                    tail_values[a],
-                    self.gamma,
-                )
-            )
-        returns = np.concatenate(returns_chunks)
-        obs = np.stack([s.obs for s in flat_steps])
-        actions = np.array([s.action for s in flat_steps], dtype=np.int64)
+        per_actor = rollout.by_actor()
+        tail_values = self.model.forward(per_actor.next_obs[:, -1])["value"][:, 0]
+        returns = np.concatenate([
+            compute_nstep_returns(per_actor.reward[a], per_actor.done[a], tail_values[a], self.gamma)
+            for a in range(rollout.n_actors)
+        ])
+        obs = per_actor.obs.reshape(len(rollout), *per_actor.obs.shape[2:])
+        actions = per_actor.action.reshape(len(rollout))
 
         out = self.model.forward(obs)
         logits = out["policy_logits"]
@@ -127,7 +117,7 @@ class A2cStrategy(RLBaseStrategy):
         self._record("loss", self.loss)
         self._record("entropy", entropy)
 
-    def per_sample_loss_grad(self, step: Step) -> np.ndarray:
+    def per_sample_loss_grad(self, step: Transitions) -> np.ndarray:
         """One row: the gradient of -log pi(a|s) for the taken action
         (policy head only)."""
         logits = self.model.forward(step.obs[None, :])["policy_logits"]

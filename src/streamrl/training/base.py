@@ -61,7 +61,7 @@ class InvalidEpisodeCount(ValueError):
 
 
 class AppendAfterMaterialize(RuntimeError):
-    """Rollout batch views were built; the step lists are frozen."""
+    """Rollout views were taken; the rollout is frozen."""
 
 
 class InsufficientReplay(RuntimeError):
@@ -69,94 +69,99 @@ class InsufficientReplay(RuntimeError):
 
 
 @dataclass(eq=False)
-class Step:
-    """One transition. next_obs is the true successor state: when the
-    vectorized env auto-reset, this is the terminal observation rather than
-    the first observation of the following episode."""
+class Transitions:
+    """Transitions as columns, one row each. next_obs is the true successor
+    state: when the vectorized env auto-reset, this is the terminal
+    observation rather than the first observation of the following episode.
+    Indexing with an int, or iterating, gives single transitions (fields are
+    that row's entries); a slice or index array gives rows as Transitions."""
 
     obs: np.ndarray
-    action: int
-    reward: float
-    done: bool
+    action: np.ndarray
+    reward: np.ndarray
+    done: np.ndarray
     next_obs: np.ndarray
-    task_label: int
+    task_label: np.ndarray
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.reward):
+        if not np.isfinite(self.reward).all():
             raise ValueError(f"non-finite reward {self.reward!r}")
         if np.shape(self.obs) != np.shape(self.next_obs):
             raise ValueError(
                 f"obs shape {np.shape(self.obs)} != next_obs shape {np.shape(self.next_obs)}"
             )
 
+    @staticmethod
+    def zeros(shape: tuple, obs_shape: tuple) -> "Transitions":
+        """Zero-filled columns whose leading dimensions are `shape`."""
+        return Transitions(
+            obs=np.zeros((*shape, *obs_shape)),
+            action=np.zeros(shape, dtype=np.int64),
+            reward=np.zeros(shape),
+            done=np.zeros(shape, dtype=bool),
+            next_obs=np.zeros((*shape, *obs_shape)),
+            task_label=np.zeros(shape, dtype=np.int64),
+        )
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        return (self.obs, self.action, self.reward, self.done, self.next_obs, self.task_label)
+
+    def __len__(self) -> int:
+        return len(self.action)
+
+    def __getitem__(self, index) -> "Transitions":
+        rows = object.__new__(Transitions)  # rows of checked columns need no check
+        rows.obs, rows.action, rows.reward, rows.done, rows.next_obs, rows.task_label = (
+            column[index] for column in self.columns
+        )
+        return rows
+
+    def put(self, rows, source: "Transitions") -> None:
+        """Overwrites `rows` with the rows of source, column by column."""
+        for column, values in zip(self.columns, source.columns):
+            column[rows] = values
+
 
 class Rollout:
-    """Per-actor step lists, optimized for appends.
-
-    Batch views (obs_batch, actions, rewards, dones, next_obs_batch) are
-    built lazily on first access in time-major order (all actors at t=0, then
-    t=1, ...); once built, further appends raise AppendAfterMaterialize.
+    """The transitions of n_actors lockstep actors, appended one vectorized
+    step (a row per actor) at a time and joined, and checked, into time-major
+    columns when first viewed. Viewing freezes the rollout: further appends
+    raise AppendAfterMaterialize.
     """
 
-    def __init__(self, n_actors: int):
+    def __init__(self, n_actors: int, task_label: int = 0):
         if n_actors < 1:
             raise ValueError("n_actors must be >= 1")
         self.n_actors = n_actors
-        self.per_actor: list[list[Step]] = [[] for _ in range(n_actors)]
-        self._views: Optional[tuple] = None
+        self.task_label = task_label
+        self._rows: list[tuple] = []
+        self._steps: Optional[Transitions] = None
 
-    def append(self, actor_index: int, step: Step) -> None:
-        if self._views is not None:
+    def append(self, obs, action, reward, done, next_obs) -> None:
+        """One vectorized step; each argument holds one row per actor."""
+        if self._steps is not None:
             raise AppendAfterMaterialize("batch views already materialized")
-        self.per_actor[actor_index].append(step)
+        self._rows.append((obs, action, reward, done, next_obs))
 
     def __len__(self) -> int:
-        return sum(len(steps) for steps in self.per_actor)
+        return len(self._rows) * self.n_actors
 
-    @property
-    def n_steps(self) -> int:
-        """Vectorized steps taken (length of each per-actor list)."""
-        return len(self.per_actor[0])
-
-    def steps(self) -> list[Step]:
-        """Flat time-major list; does not freeze the rollout."""
-        return [
-            self.per_actor[a][t] for t in range(self.n_steps) for a in range(self.n_actors)
-        ]
-
-    def _materialize(self) -> tuple:
-        if self._views is None:
-            flat = self.steps()
-            if not flat:
+    def steps(self) -> Transitions:
+        """Time-major rows: all actors at t=0, then t=1, ..."""
+        if self._steps is None:
+            if not self._rows:
                 raise EmptyRollout("cannot materialize an empty rollout")
-            self._views = (
-                np.stack([s.obs for s in flat]),
-                np.array([s.action for s in flat], dtype=np.int64),
-                np.array([s.reward for s in flat], dtype=np.float64),
-                np.array([s.done for s in flat], dtype=bool),
-                np.stack([s.next_obs for s in flat]),
-            )
-        return self._views
+            columns = [np.concatenate(column) for column in zip(*self._rows)]
+            self._steps = Transitions(*columns, np.full(len(self), self.task_label))
+        return self._steps
 
-    @property
-    def obs_batch(self) -> np.ndarray:
-        return self._materialize()[0]
-
-    @property
-    def actions(self) -> np.ndarray:
-        return self._materialize()[1]
-
-    @property
-    def rewards(self) -> np.ndarray:
-        return self._materialize()[2]
-
-    @property
-    def dones(self) -> np.ndarray:
-        return self._materialize()[3]
-
-    @property
-    def next_obs_batch(self) -> np.ndarray:
-        return self._materialize()[4]
+    def by_actor(self) -> Transitions:
+        """Actor-major columns of shape [n_actors, T, ...]."""
+        return Transitions(*(
+            c.reshape(len(self._rows), self.n_actors, *c.shape[1:]).swapaxes(0, 1)
+            for c in self.steps().columns
+        ))
 
 
 @dataclass(frozen=True)
@@ -306,8 +311,8 @@ class RLBaseStrategy:
         self.total_env_steps = 0
         self.updates_applied_this_exp = 0
         self.updates_skipped_this_exp = 0
-        self._ep_return: Optional[np.ndarray] = None
-        self._ep_length: Optional[np.ndarray] = None
+        self._ep_return: list[float] = []
+        self._ep_length: list[int] = []
         self._exp_episode_returns: list[float] = []
 
     # ------------------------------------------------------------------
@@ -328,11 +333,12 @@ class RLBaseStrategy:
     def apply_update(self, batch) -> None:
         raise NotImplementedError
 
-    def per_sample_loss_grad(self, step: Step) -> np.ndarray:
-        """Per-sample log-likelihood gradients at the current params, one
-        flat row per model output, shape (k, param_count). The sum of their
-        squares is this transition's contribution to the diagonal Fisher that
-        regularization plugins (EwcPlugin) average over an experience."""
+    def per_sample_loss_grad(self, step: Transitions) -> np.ndarray:
+        """Log-likelihood gradients of one transition (an int-indexed row of
+        Transitions) at the current params, one flat row per model output,
+        shape (k, param_count). The sum of their squares is this transition's
+        contribution to the diagonal Fisher that regularization plugins
+        (EwcPlugin) average over an experience."""
         raise NotImplementedError
 
     def on_experience_start(self, experience: RLExperience) -> None:
@@ -357,36 +363,30 @@ class RLBaseStrategy:
         """Gathers transitions until the condition is met. The observation
         carried in self.current_obs persists across calls, so consecutive
         rollouts within an experience are seamless."""
-        rollout = Rollout(venv.n_actors)
+        rollout = Rollout(venv.n_actors, self.experience.task_label)
         vec_steps = 0
         episodes_finished = 0
         while True:
             actions = self.sample_rollout_action(self.current_obs)
             obs, rewards, dones, infos = venv.step([int(a) for a in actions])
-            for a in range(venv.n_actors):
-                next_obs = obs[a]
-                if dones[a]:
-                    next_obs = deserialize_obs(infos[a]["terminal_obs"])
-                rollout.append(
-                    a,
-                    Step(
-                        obs=np.array(self.current_obs[a]),
-                        action=int(actions[a]),
-                        reward=float(rewards[a]),
-                        done=bool(dones[a]),
-                        next_obs=next_obs,
-                        task_label=self.experience.task_label,
-                    ),
-                )
-                self._ep_return[a] += rewards[a]
+            done_list = dones.tolist()
+            next_obs = obs
+            if any(done_list):
+                next_obs = np.stack([
+                    deserialize_obs(infos[a]["terminal_obs"]) if done else obs[a]
+                    for a, done in enumerate(done_list)
+                ])
+            rollout.append(self.current_obs, actions, rewards, dones, next_obs)
+            for a, (reward, done) in enumerate(zip(rewards.tolist(), done_list)):
+                if not math.isfinite(reward):  # before it reaches a return or the metrics
+                    raise ValueError(f"non-finite reward {reward!r}")
+                self._ep_return[a] += reward
                 self._ep_length[a] += 1
-                if dones[a]:
+                if done:
                     episodes_finished += 1
-                    self._exp_episode_returns.append(float(self._ep_return[a]))
+                    self._exp_episode_returns.append(self._ep_return[a])
                     if self.metrics is not None:
-                        self.metrics.record_episode(
-                            float(self._ep_return[a]), int(self._ep_length[a])
-                        )
+                        self.metrics.record_episode(self._ep_return[a], self._ep_length[a])
                     self._ep_return[a] = 0.0
                     self._ep_length[a] = 0
             self.current_obs = obs
@@ -430,8 +430,8 @@ class RLBaseStrategy:
             self.venv = venv
             try:
                 self.current_obs = venv.reset()
-                self._ep_return = np.zeros(exp.n_envs)
-                self._ep_length = np.zeros(exp.n_envs, dtype=np.int64)
+                self._ep_return = [0.0] * exp.n_envs
+                self._ep_length = [0] * exp.n_envs
                 self._exp_episode_returns = []
                 self.env_steps_this_exp = 0
                 self.updates_applied_this_exp = 0

@@ -29,47 +29,69 @@ import numpy as np
 
 from ..benchmarks import RLExperience
 from ..nn import huber_loss
-from .base import InsufficientReplay, RLBaseStrategy, Rollout, Step, TrainingBudget
+from .base import InsufficientReplay, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of Steps with FIFO eviction and uniform sampling."""
+    """Fixed-capacity ring of transition columns with FIFO eviction and
+    uniform sampling. The k-th transition stored since the last clear() goes
+    to slot k % capacity, so once the ring is full each new transition
+    overwrites the oldest one."""
 
     def __init__(self, capacity: int, seed: int = 0):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._storage: list[Step] = []
+        self._slots = Transitions.zeros((0,), ())  # allocated by the first extend()
+        self._size = 0
         self._next = 0
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._size
 
-    def append(self, step: Step) -> None:
-        if len(self._storage) < self.capacity:
-            self._storage.append(step)
+    def extend(self, batch: Transitions) -> None:
+        n = len(batch)
+        if n > self.capacity:  # only the newest `capacity` rows would survive
+            self._next = (self._next + n - self.capacity) % self.capacity
+            batch = batch[n - self.capacity :]
+            n = self.capacity
+        if len(self._slots) != self.capacity:
+            self._slots = Transitions.zeros((self.capacity,), batch.obs.shape[1:])
+        end = self._next + n
+        if end <= self.capacity:
+            self._slots.put(slice(self._next, end), batch)
         else:
-            self._storage[self._next] = step
-            self._next = (self._next + 1) % self.capacity
+            self._slots.put(np.arange(self._next, end) % self.capacity, batch)
+        self._next = end % self.capacity
+        self._size = min(self._size + n, self.capacity)
 
-    def extend(self, steps) -> None:
-        for step in steps:
-            self.append(step)
-
-    def sample(self, batch_size: int) -> list[Step]:
-        if len(self._storage) < batch_size:
+    def sample(self, batch_size: int) -> Transitions:
+        if self._size < batch_size:
             raise InsufficientReplay(
-                f"buffer holds {len(self._storage)} < batch_size {batch_size}"
+                f"buffer holds {self._size} < batch_size {batch_size}"
             )
-        indices = self._rng.integers(0, len(self._storage), size=batch_size)
-        return [self._storage[i] for i in indices]
+        return self.rows(self._rng.integers(0, self._size, size=batch_size))
 
-    def items(self) -> list[Step]:
-        return list(self._storage)
+    def rows(self, slots: np.ndarray) -> Transitions:
+        """Copies of the transitions in the given slots."""
+        return self._slots[slots]
+
+    def items(self) -> Transitions:
+        """The stored transitions in slot order, as views into the ring."""
+        return self._slots[: self._size]
+
+    @property
+    def task_labels(self) -> np.ndarray:
+        """The task_label column of items()."""
+        return self._slots.task_label[: self._size]
+
+    def oldest_first(self) -> Transitions:
+        """Copies of the stored transitions in the order they were stored."""
+        return self.rows((self._next - self._size + np.arange(self._size)) % self.capacity)
 
     def clear(self) -> None:
-        self._storage.clear()
+        self._size = 0
         self._next = 0
 
 
@@ -172,22 +194,19 @@ class DqnStrategy(RLBaseStrategy):
         q = self.model.forward(obs_batch)["q_values"]
         return np.argmax(q, axis=1)
 
-    def prepare_update_batch(self, rollout: Rollout) -> Optional[list[Step]]:
+    def prepare_update_batch(self, rollout: Rollout) -> Optional[Transitions]:
         self.replay.extend(rollout.steps())
         if len(self.replay) < self.batch_size:
             return None
         return self.replay.sample(self.batch_size)
 
-    def apply_update(self, batch: Optional[list[Step]]) -> None:
+    def apply_update(self, batch: Optional[Transitions]) -> None:
         if batch is None:
             self.updates_skipped_this_exp += 1
             self._record("update_skipped", 1.0)
             return
-        obs = np.stack([s.obs for s in batch])
-        actions = np.array([s.action for s in batch], dtype=np.int64)
-        rewards = np.array([s.reward for s in batch], dtype=np.float64)
-        dones = np.array([s.done for s in batch], dtype=np.float64)
-        next_obs = np.stack([s.next_obs for s in batch])
+        obs, actions, next_obs = batch.obs, batch.action, batch.next_obs
+        rewards, dones = batch.reward, batch.done
 
         q_next_target = self.target_model.forward(next_obs)["q_values"]
         q_next_online = self.model.forward(next_obs)["q_values"] if self.double else None
@@ -212,7 +231,7 @@ class DqnStrategy(RLBaseStrategy):
         self._record("loss", self.loss)
         self._record("epsilon", self.epsilon)
 
-    def per_sample_loss_grad(self, step: Step) -> np.ndarray:
+    def per_sample_loss_grad(self, step: Transitions) -> np.ndarray:
         """One row per action a: dQ_a(s)/dtheta. Their squared sum is the
         Gauss-Newton diagonal of the whole q_values head, the Fisher of a
         unit-variance Gaussian likelihood around each Q value. It needs no

@@ -8,7 +8,9 @@ serialized under info["terminal_obs"].
 
 Serial mode steps the actors in-process; parallel mode gives each actor its
 own worker process behind a send-all/gather-all barrier. Both modes produce
-bitwise-identical results, with rows always ordered by actor index.
+bitwise-identical results, with rows always ordered by actor index. An error
+raised in a worker comes back to the parent as ActorCrashed, naming the
+actor; in serial mode the env's own exception propagates.
 """
 
 from __future__ import annotations
@@ -49,9 +51,20 @@ class _Actor:
         return obs, result.reward, result.done, info
 
 
+class ActorCrashed(RuntimeError):
+    """An actor's worker process raised; the message names the actor."""
+
+
+class _Failure:
+    """What a worker sends back instead of a result when its env raised."""
+
+    def __init__(self, message: str):
+        self.message = message
+
+
 def _worker(conn, factory, index, base_seed):
-    actor = _Actor(factory, index, base_seed)
     try:
+        actor = _Actor(factory, index, base_seed)
         while True:
             cmd, payload = conn.recv()
             if cmd == "reset":
@@ -62,6 +75,8 @@ def _worker(conn, factory, index, base_seed):
                 break
     except (EOFError, KeyboardInterrupt):
         pass
+    except Exception as err:  # report to the parent, which re-raises it
+        conn.send(_Failure(f"{type(err).__name__}: {err}"))
     finally:
         conn.close()
 
@@ -110,7 +125,7 @@ class VectorizedEnv:
         else:
             for conn in self._conns:
                 conn.send(("reset", None))
-            rows = [conn.recv() for conn in self._conns]
+            rows = self._gather()
         return np.stack(rows)
 
     def step(self, actions):
@@ -124,12 +139,20 @@ class VectorizedEnv:
         else:
             for conn, action in zip(self._conns, actions):
                 conn.send(("step", action))
-            results = [conn.recv() for conn in self._conns]
+            results = self._gather()
         obs = np.stack([r[0] for r in results])
         rewards = np.array([r[1] for r in results], dtype=np.float64)
         dones = np.array([r[2] for r in results], dtype=bool)
         infos = [r[3] for r in results]
         return obs, rewards, dones, infos
+
+    def _gather(self) -> list:
+        """One reply per worker, in actor order; re-raises a worker's error."""
+        replies = [conn.recv() for conn in self._conns]
+        for i, reply in enumerate(replies):
+            if isinstance(reply, _Failure):
+                raise ActorCrashed(f"actor {i}: {reply.message}")
+        return replies
 
     def close(self) -> None:
         if self._closed:

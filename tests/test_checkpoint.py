@@ -135,3 +135,36 @@ def test_plugin_sections_survive_file_round_trip(tmp_path):
     assert fresh.state.n_anchors == 1
     assert np.array_equal(fresh.state.anchors[0], plugin.state.anchors[0])
     assert np.array_equal(fresh.state.fishers[0], plugin.state.fishers[0])
+
+
+def write_raw(path, header_bytes: bytes) -> None:
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes)
+
+
+def test_truncated_length_field_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    path.write_bytes(MAGIC + b"\x10\x00\x00")  # cut inside the 8-byte length
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+
+
+def test_bad_json_header_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    write_raw(path, b'{"version": 1, "arch": ')
+    with pytest.raises(CheckpointError, match="JSON"):
+        load_checkpoint(path)
+
+
+def test_non_object_header_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    write_raw(path, json.dumps([1, "arch", []]).encode())
+    with pytest.raises(CheckpointError, match="object"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("entry", [{"shape": [2]}, {"name": "params"}, {"name": "p", "shape": "2"}])
+def test_section_entry_without_name_or_shape_rejected(tmp_path, entry):
+    path = tmp_path / "c.bin"
+    write_raw(path, json.dumps({"version": 1, "arch": {}, "sections": [entry]}).encode())
+    with pytest.raises(CheckpointError, match="name and a shape"):
+        load_checkpoint(path)

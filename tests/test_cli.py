@@ -1,13 +1,14 @@
 """End-to-end CLI behavior: run/eval/plot-data, artifacts, exit codes."""
 
 import copy
+import struct
 import subprocess
 import sys
 
 import pytest
 import yaml
 
-from streamrl.checkpoint import save_model
+from streamrl.checkpoint import MAGIC, save_model
 from streamrl.cli import main
 from streamrl.evaluation import read_metrics_jsonl
 from streamrl.nn import Mlp
@@ -270,6 +271,19 @@ def test_eval_wrong_shape_checkpoint_exit_2(tmp_path, capsys):
 def test_eval_missing_checkpoint_exit_2(tmp_path, capsys):
     cfg = run_ok(tmp_path, base_config(tmp_path / "out"))
     assert main(["eval", str(cfg), str(tmp_path / "ghost.bin")]) == 2
+
+
+@pytest.mark.parametrize("payload", [
+    MAGIC + b"\x10\x00\x00",  # cut inside the header length
+    MAGIC + struct.pack("<Q", 6) + b"{bad}\n",  # header is not JSON
+    MAGIC + struct.pack("<Q", 2) + b"[]",  # header is not an object
+], ids=["cut-length", "bad-json", "not-object"])
+def test_eval_malformed_checkpoint_exit_2(tmp_path, capsys, payload):
+    cfg = run_ok(tmp_path, base_config(tmp_path / "out"))
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(payload)
+    assert main(["eval", str(cfg), str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """MLP forward/backward, losses, optimizers, flat parameter views."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -90,6 +92,29 @@ def test_backward_linear_closed_form():
     d_b = grads[9:]
     assert np.array_equal(d_w, np.outer(np.ones(3), x[0]))
     assert np.array_equal(d_b, np.ones(3))
+
+
+def test_non_finite_guards_survive_python_O():
+    script = """
+import numpy as np
+from streamrl.nn import Mlp, NonFinite
+net = Mlp([2, 3, 1])
+def backward_nan():
+    net.forward(np.zeros((1, 2)))
+    net.backward({"out": np.array([[np.nan]])})
+for call in (lambda: net.forward(np.array([[np.inf, 0.0]])), backward_nan):
+    try:
+        call()
+    except NonFinite as err:
+        print(err)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "non-finite activations in forward pass",
+        "non-finite gradients in backward pass",
+    ]
 
 
 def test_backward_requires_forward():

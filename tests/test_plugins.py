@@ -13,10 +13,10 @@ from streamrl.plugins import EwcPlugin, EwcState, NaivePlugin, ReplayPlugin, ewc
 from streamrl.training import (
     DqnStrategy,
     Rollout,
-    Step,
     Steps,
     StrategyPlugin,
     TrainingBudget,
+    Transitions,
 )
 
 SPEC_A = EnvSpec("grid_a", lambda: GridWorld(GridScene(5, 5)))
@@ -29,10 +29,16 @@ def tiny_model(params=(1.0, 2.0)):
     return model
 
 
-def flat_step(value, label=0, action=0, done=False):
-    obs = np.array([float(value)])
-    return Step(obs=obs, action=action, reward=float(value), done=done,
-                next_obs=obs + 0.5, task_label=label)
+def flat_steps(values, label=0, action=0, done=False):
+    """One transition per value: obs [value], reward value, next_obs value + 0.5."""
+    obs = np.asarray(values, dtype=float).reshape(-1, 1)
+    n = len(obs)
+    return Transitions(obs=obs, action=np.full(n, action), reward=obs[:, 0].copy(),
+                       done=np.full(n, done), next_obs=obs + 0.5, task_label=np.full(n, label))
+
+
+def flat_step(value, **kwargs):
+    return flat_steps([value], **kwargs)
 
 
 class FakeStrategy:
@@ -134,7 +140,7 @@ def test_penalty_rejects_mismatched_state():
 def run_fisher(plugin, strat, rewards):
     rollout = Rollout(1)
     for r in rewards:
-        rollout.append(0, flat_step(r))
+        rollout.append(*flat_step(r).columns[:5])
     strat.rollout = rollout
     plugin.before_training_exp(strat)
     plugin.after_rollout(strat)
@@ -249,12 +255,12 @@ def test_ewc_state_sections_round_trip():
 def seeded_replay(n_memory=20, label=1, base=100.0, **kwargs):
     plugin = ReplayPlugin(capacity=1000, **kwargs)
     for i in range(n_memory):
-        plugin.memory.append(flat_step(base + i, label=label))
+        plugin.memory.extend(flat_step(base + i, label=label))
     return plugin
 
 
 def fresh_batch(n=10, label=0):
-    return [flat_step(float(i), label=label) for i in range(n)]
+    return flat_steps(np.arange(n), label=label)
 
 
 def test_replay_mixes_exact_fraction():
@@ -278,10 +284,10 @@ def test_replay_fraction_floors():
 def test_replay_zero_ratio_is_identity():
     plugin = seeded_replay(mix_ratio=0.0, seed=3)
     batch = fresh_batch(10)
-    originals = list(batch)
+    originals = batch[np.arange(len(batch))]
     strat = FakeStrategy(tiny_model(), batch=batch, task_label=0)
     plugin.before_update(strat)
-    assert all(a is b for a, b in zip(batch, originals))
+    assert all(np.array_equal(a, b) for a, b in zip(batch.columns, originals.columns))
 
 
 def test_replay_full_ratio_replaces_everything():
@@ -295,9 +301,9 @@ def test_replay_full_ratio_replaces_everything():
 def test_replay_prefers_other_task_labels():
     plugin = ReplayPlugin(capacity=1000, mix_ratio=1.0, seed=3)
     for i in range(10):
-        plugin.memory.append(flat_step(100.0 + i, label=0))
+        plugin.memory.extend(flat_step(100.0 + i, label=0))
     for i in range(3):
-        plugin.memory.append(flat_step(200.0 + i, label=1))
+        plugin.memory.extend(flat_step(200.0 + i, label=1))
     batch = fresh_batch(10, label=0)
     strat = FakeStrategy(tiny_model(), batch=batch, task_label=0)
     plugin.before_update(strat)
@@ -315,16 +321,16 @@ def test_replay_falls_back_to_own_task():
 def test_replay_empty_memory_is_identity():
     plugin = ReplayPlugin(capacity=10, mix_ratio=1.0, seed=0)
     batch = fresh_batch(4)
-    originals = list(batch)
+    originals = batch[np.arange(len(batch))]
     strat = FakeStrategy(tiny_model(), batch=batch, task_label=0)
     plugin.before_update(strat)
-    assert all(a is b for a, b in zip(batch, originals))
+    assert all(np.array_equal(a, b) for a, b in zip(batch.columns, originals.columns))
 
 
 def test_replay_leaves_rollout_batches_alone():
     plugin = seeded_replay(mix_ratio=1.0, seed=0)
     rollout = Rollout(1)
-    rollout.append(0, flat_step(7.0))
+    rollout.append(*flat_step(7.0).columns[:5])
     strat = FakeStrategy(tiny_model(), batch=rollout, task_label=0)
     plugin.before_update(strat)
     assert strat.update_batch is rollout
@@ -354,8 +360,7 @@ def test_replay_collects_rollouts():
     plugin = ReplayPlugin(capacity=100, mix_ratio=0.5, seed=0)
     rollout = Rollout(2)
     for t in range(3):
-        for a in range(2):
-            rollout.append(a, flat_step(10 * a + t))
+        rollout.append(*flat_steps([10 * a + t for a in range(2)]).columns[:5])
     strat = FakeStrategy(tiny_model(), task_label=0)
     strat.rollout = rollout
     plugin.after_rollout(strat)
@@ -373,8 +378,8 @@ def test_replay_ctor_validation():
 
 def test_replay_state_sections_round_trip():
     plugin = ReplayPlugin(capacity=50, mix_ratio=0.25, seed=0)
-    plugin.memory.append(flat_step(1.5, label=2, action=3, done=True))
-    plugin.memory.append(flat_step(-4.0, label=0, action=1))
+    plugin.memory.extend(flat_step(1.5, label=2, action=3, done=True))
+    plugin.memory.extend(flat_step(-4.0, label=0, action=1))
 
     fresh = ReplayPlugin()
     fresh.load_state_sections(plugin.state_sections())

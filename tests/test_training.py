@@ -16,10 +16,10 @@ from streamrl.training import (
     InsufficientReplay,
     InvalidEpisodeCount,
     Rollout,
-    Step,
     Steps,
     StrategyPlugin,
     TrainingBudget,
+    Transitions,
     compute_dqn_targets,
     compute_nstep_returns,
 )
@@ -29,9 +29,16 @@ SPEC_A = EnvSpec("grid_a", lambda: GridWorld(GridScene(5, 5)))
 SPEC_B = EnvSpec("grid_b", lambda: GridWorld(GridScene(5, 5, goal=(0, 4))))
 
 
-def make_step(value=0.0, action=0, reward=0.0, done=False, label=0, dim=2):
-    obs = np.full(dim, value)
-    return Step(obs=obs, action=action, reward=reward, done=done, next_obs=obs + 1, task_label=label)
+def make_steps(values, action=0, reward=0.0, done=False, label=0, dim=2):
+    """One transition per value, with obs filled with the value."""
+    obs = np.repeat(np.asarray(values, dtype=float)[:, None], dim, axis=1)
+    n = len(obs)
+    return Transitions(obs=obs, action=np.full(n, action), reward=np.full(n, reward),
+                       done=np.full(n, done), next_obs=obs + 1, task_label=np.full(n, label))
+
+
+def make_step(value=0.0, **kwargs):
+    return make_steps([value], **kwargs)
 
 
 def dqn_model(obs_dim=25, n_actions=4, hidden=(8,), seed=0):
@@ -152,32 +159,32 @@ def test_nstep_returns_brute_force():
 def test_rollout_time_major_layout():
     rollout = Rollout(2)
     for t in range(2):
-        for a in range(2):
-            rollout.append(a, make_step(value=10 * a + t))
+        rollout.append(*make_steps([10 * a + t for a in range(2)]).columns[:5])
     flat = rollout.steps()
     assert [s.obs[0] for s in flat] == [0.0, 10.0, 1.0, 11.0]
-    assert np.array_equal(rollout.obs_batch[:, 0], np.array([0.0, 10.0, 1.0, 11.0]))
+    assert np.array_equal(rollout.steps().obs[:, 0], np.array([0.0, 10.0, 1.0, 11.0]))
 
 
 def test_rollout_append_after_materialize():
     rollout = Rollout(1)
-    rollout.append(0, make_step())
-    _ = rollout.obs_batch
+    rollout.append(*make_step().columns[:5])
+    _ = rollout.steps()
     with pytest.raises(AppendAfterMaterialize):
-        rollout.append(0, make_step())
+        rollout.append(*make_step().columns[:5])
 
 
 def test_rollout_empty_materialize():
     with pytest.raises(EmptyRollout):
-        _ = Rollout(1).obs_batch
+        _ = Rollout(1).steps()
 
 
 def test_step_validation():
     with pytest.raises(ValueError):
         make_step(reward=float("nan"))
     with pytest.raises(ValueError):
-        Step(obs=np.zeros(2), action=0, reward=0.0, done=False,
-             next_obs=np.zeros(3), task_label=0)
+        Transitions(obs=np.zeros((1, 2)), action=np.zeros(1, dtype=int), reward=np.zeros(1),
+                    done=np.zeros(1, dtype=bool), next_obs=np.zeros((1, 3)),
+                    task_label=np.zeros(1, dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +195,7 @@ def test_step_validation():
 def test_replay_fifo_eviction():
     buf = ReplayBuffer(3, seed=0)
     for i in range(5):
-        buf.append(make_step(value=float(i)))
+        buf.extend(make_step(value=float(i)))
     assert len(buf) == 3
     # items 0 and 1 were evicted first-in-first-out
     assert sorted(s.obs[0] for s in buf.items()) == [2.0, 3.0, 4.0]
@@ -197,7 +204,7 @@ def test_replay_fifo_eviction():
 def test_replay_sample_uniform_with_replacement():
     buf = ReplayBuffer(4, seed=3)
     for i in range(4):
-        buf.append(make_step(value=float(i)))
+        buf.extend(make_step(value=float(i)))
     counts = np.zeros(4)
     for _ in range(400):
         for s in buf.sample(4):
@@ -209,7 +216,7 @@ def test_replay_sample_uniform_with_replacement():
 
 def test_replay_insufficient():
     buf = ReplayBuffer(10, seed=0)
-    buf.append(make_step())
+    buf.extend(make_step())
     with pytest.raises(InsufficientReplay):
         buf.sample(2)
 
@@ -640,29 +647,30 @@ def test_a2c_loss_composition():
 
     rng = np.random.default_rng(6)
     rollout = Rollout(2)
+    per_actor = [[], []]  # (obs, action, reward, next_obs) per step, per actor
     for t in range(2):
         for a in range(2):
-            rollout.append(a, Step(
-                obs=rng.normal(size=3), action=int(rng.integers(2)),
-                reward=float(rng.normal()), done=False,
-                next_obs=rng.normal(size=3), task_label=0,
-            ))
+            per_actor[a].append((rng.normal(size=3), int(rng.integers(2)),
+                                 float(rng.normal()), rng.normal(size=3)))
+        row = [steps[t] for steps in per_actor]
+        obs, actions, rewards, next_obs = (np.array(column) for column in zip(*row))
+        rollout.append(obs, actions, rewards, np.zeros(2, dtype=bool), next_obs)
     strat.loss = 0.0
     strat.grad_accum = np.zeros(model.param_count)
     strat.apply_update(rollout)
 
     # replicate the loss on the pre-update clone
-    last_next = np.stack([steps[-1].next_obs for steps in rollout.per_actor])
+    last_next = np.stack([steps[-1][3] for steps in per_actor])
     tails = reference.forward(last_next)["value"][:, 0]
     flat, returns = [], []
-    for a, steps in enumerate(rollout.per_actor):
+    for a, steps in enumerate(per_actor):
         flat.extend(steps)
         returns.extend(compute_nstep_returns(
-            [s.reward for s in steps], [s.done for s in steps], tails[a], 0.9))
+            [s[2] for s in steps], [False for s in steps], tails[a], 0.9))
     returns = np.array(returns)
-    out = reference.forward(np.stack([s.obs for s in flat]))
+    out = reference.forward(np.stack([s[0] for s in flat]))
     logits, values = out["policy_logits"], out["value"][:, 0]
-    pg, _ = policy_gradient_loss(logits, np.array([s.action for s in flat]),
+    pg, _ = policy_gradient_loss(logits, np.array([s[1] for s in flat]),
                                  returns - values)
     vl, _ = mse_loss(values, returns)
     ent, _ = entropy_loss(logits)

@@ -5,7 +5,7 @@ import pytest
 
 from streamrl.core_env import ActionOutOfSpace, TimeLimit, deserialize_obs, wrap
 from streamrl.envs import CartPole, CartPoleParams, GridScene, GridWorld
-from streamrl.vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
+from streamrl.vec_env import EPISODE_SEED_STRIDE, ActorCrashed, VectorizedEnv
 
 
 def grid_factory():
@@ -132,6 +132,31 @@ def test_action_validation_names_actor():
     venv.reset()
     with pytest.raises(ActionOutOfSpace, match="actor 1"):
         venv.step([0, 9])
+
+
+class GridFailingOnSeed1(GridWorld):
+    """A grid whose step raises in the replica reset with seed 1."""
+
+    def reset(self, seed=None):
+        self.seed = seed
+        return super().reset(seed)
+
+    def step(self, action):
+        if self.seed == 1:
+            raise RuntimeError("sensor fault")
+        return super().step(action)
+
+
+def test_parallel_worker_error_names_its_actor():
+    venv = VectorizedEnv(lambda: GridFailingOnSeed1(GridScene(5, 5)), 3, base_seed=0,
+                         mode="parallel")
+    try:
+        venv.reset()
+        with pytest.raises(ActorCrashed, match="actor 1: RuntimeError: sensor fault"):
+            venv.step([0, 0, 0])
+    finally:
+        venv.close()
+    assert not any(proc.is_alive() for proc in venv._procs)
 
 
 def test_action_count_must_match():
