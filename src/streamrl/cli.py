@@ -19,7 +19,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
@@ -48,15 +50,13 @@ from .task_stream import (
     EveryNEpisodes,
     EveryNSteps,
     OnTaskChange,
+    StreamExhausted,
     task_from_config,
     task_stream_benchmark_generator,
 )
 from .training import A2cStrategy, DqnStrategy, Episodes, Steps, TrainingBudget
 
 EVAL_SEED_OFFSET = 100_000
-
-STRATEGY_NAMES = ("dqn", "double_dqn", "a2c")
-PLUGIN_NAMES = ("naive", "ewc", "replay")
 
 
 class ConfigError(ValueError):
@@ -74,9 +74,45 @@ def _check_keys(section: dict, path: str, required: tuple, optional: tuple) -> N
             raise ConfigError(f"{path}.{key}: missing required key")
 
 
+def _fields(section: dict, path: str, fields: dict, required: tuple = ()) -> dict:
+    """Checks `section` against `fields` ({key: (check, default)}) and returns
+    every field's checked value, with the default for an absent key. Keys in
+    `required` must be present; the caller checks their values."""
+    _check_keys(section, path, required, tuple(fields))
+    return {
+        key: check(section.get(key, default), f"{path}.{key}")
+        for key, (check, default) in fields.items()
+    }
+
+
+def _one_key(value, message: str) -> tuple:
+    if not isinstance(value, dict) or len(value) != 1:
+        raise ConfigError(message)
+    (key, arg), = value.items()
+    return key, arg
+
+
+def _integer(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def _positive_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigError(f"{path}: expected a positive integer, got {value!r}")
+    return value
+
+
+def _seed(value, path: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{path}: expected true or false, got {value!r}")
     return value
 
 
@@ -86,74 +122,90 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _number_where(holds: Callable[[float], bool], requirement: str) -> Callable:
+    """A number check that also requires `holds(value)`."""
+
+    def check(value, path: str) -> float:
+        value = _number(value, path)
+        if not holds(value):
+            raise ConfigError(f"{path}: must {requirement}")
+        return value
+
+    return check
+
+
+_unit_interval = _number_where(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_positive = _number_where(lambda v: v > 0.0, "be > 0")
+_non_negative = _number_where(lambda v: v >= 0.0, "be >= 0")
+
+
+def _widths(value, path: str) -> list:
+    if not isinstance(value, list) or not all(
+        isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value
+    ):
+        raise ConfigError(f"{path}: expected a list of positive layer widths")
+    return list(value)
+
+
 # ---------------------------------------------------------------------------
-# Section validators. Each returns the default-expanded ("effective") form.
+# The config walk. Each function checks its section once and returns the
+# default-expanded ("effective") form together with what that form builds.
 # ---------------------------------------------------------------------------
 
 
-def _effective_wrappers(entries, path: str) -> list[dict]:
-    effective = []
+def _walk_wrappers(entries, path: str) -> tuple[list, tuple]:
+    if not isinstance(entries, list):
+        raise ConfigError(f"{path}: expected a list")
+    effective, specs = [], []
     for i, entry in enumerate(entries):
         where = f"{path}[{i}]"
-        if not isinstance(entry, dict) or len(entry) != 1:
-            raise ConfigError(f"{where}: each wrapper is a one-key map")
-        (kind, arg), = entry.items()
+        kind, arg = _one_key(entry, f"{where}: each wrapper is a one-key map")
         if kind == "time_limit":
-            effective.append({"time_limit": _positive_int(arg, where)})
+            arg = _positive_int(arg, where)
+            spec = TimeLimit(arg)
         elif kind == "frame_stack":
-            effective.append({"frame_stack": _positive_int(arg, where)})
+            arg = _positive_int(arg, where)
+            spec = FrameStack(arg)
         elif kind == "reward_clip":
             if not isinstance(arg, (list, tuple)) or len(arg) != 2:
                 raise ConfigError(f"{where}.reward_clip: expected [lo, hi]")
-            effective.append({"reward_clip": [_number(arg[0], where), _number(arg[1], where)]})
+            arg = [_number(arg[0], where), _number(arg[1], where)]
+            if arg[0] > arg[1]:
+                raise ConfigError(f"{where}.reward_clip: expected lo <= hi, got {arg}")
+            spec = RewardClip(arg[0], arg[1])
         elif kind == "obs_normalize":
             if arg is not True:
                 raise ConfigError(f"{where}.obs_normalize: only 'true' is accepted")
-            effective.append({"obs_normalize": True})
+            spec = ObservationNormalize()
         elif kind == "action_remap":
             if not isinstance(arg, dict):
                 raise ConfigError(f"{where}.action_remap: expected a {{new: inner}} map")
-            effective.append({"action_remap": {int(k): int(v) for k, v in arg.items()}})
+            where = f"{where}.action_remap"
+            arg = {_integer(k, where): _integer(v, where) for k, v in arg.items()}
+            spec = ActionRemap.from_dict(arg)
         elif kind == "reduced_actions":
             if not isinstance(arg, list) or not arg:
                 raise ConfigError(f"{where}.reduced_actions: expected a non-empty list")
-            effective.append({"reduced_actions": [int(a) for a in arg]})
+            arg = [_integer(a, f"{where}.reduced_actions") for a in arg]
+            spec = ReducedActionSet(tuple(arg))
         else:
             raise ConfigError(f"{where}: unknown wrapper {kind!r}")
-    return effective
+        effective.append({kind: arg})
+        specs.append(spec)
+    return effective, tuple(specs)
 
 
-def _wrapper_specs(effective: list[dict]) -> tuple:
-    specs = []
-    for entry in effective:
-        (kind, arg), = entry.items()
-        if kind == "time_limit":
-            specs.append(TimeLimit(arg))
-        elif kind == "frame_stack":
-            specs.append(FrameStack(arg))
-        elif kind == "reward_clip":
-            specs.append(RewardClip(arg[0], arg[1]))
-        elif kind == "obs_normalize":
-            specs.append(ObservationNormalize())
-        elif kind == "action_remap":
-            specs.append(ActionRemap.from_dict(arg))
-        else:
-            specs.append(ReducedActionSet(tuple(arg)))
-    return tuple(specs)
-
-
-def _env_spec_from_config(entry: dict, path: str) -> tuple[dict, EnvSpec]:
+def _walk_env_spec(entry: dict, path: str) -> tuple[dict, EnvSpec]:
     _check_keys(entry, path, required=("name", "env"), optional=("map", "params", "wrappers"))
     name = entry["name"]
     kind = entry["env"]
     params = entry.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError(f"{path}.params: expected a mapping")
-    wrappers_eff = _effective_wrappers(entry.get("wrappers", []), f"{path}.wrappers")
-    effective = {"name": name, "env": kind, "params": dict(params), "wrappers": wrappers_eff}
-    specs = _wrapper_specs(wrappers_eff)
+    wrappers, specs = _walk_wrappers(entry.get("wrappers", []), f"{path}.wrappers")
+    effective = {"name": name, "env": kind, "params": dict(params), "wrappers": wrappers}
     if kind == "gridworld":
-        if "map" not in entry:
+        if not isinstance(entry.get("map"), str):
             raise ConfigError(f"{path}.map: gridworld env needs a text map")
         effective["map"] = entry["map"]
         try:
@@ -172,10 +224,16 @@ def _env_spec_from_config(entry: dict, path: str) -> tuple[dict, EnvSpec]:
     elif kind == "bandit":
         if "means" not in params:
             raise ConfigError(f"{path}.params.means: bandit env needs arm means")
-        bp = BanditParams(
-            means=tuple(float(m) for m in params["means"]),
-            noise_std=float(params.get("noise_std", 0.0)),
-        )
+        if not isinstance(params["means"], list):
+            raise ConfigError(f"{path}.params.means: expected a list of numbers")
+        checked = {
+            "means": [_number(m, f"{path}.params.means") for m in params["means"]],
+            "noise_std": _number(params.get("noise_std", 0.0), f"{path}.params.noise_std"),
+        }
+        try:
+            bp = BanditParams(**{**params, **checked})
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{path}.params: {err}")
         effective["params"] = {"means": list(bp.means), "noise_std": bp.noise_std}
         factory = lambda bp=bp: Bandit(bp)  # noqa: E731
     else:
@@ -185,7 +243,7 @@ def _env_spec_from_config(entry: dict, path: str) -> tuple[dict, EnvSpec]:
     return effective, EnvSpec(name=name, factory=factory, wrappers=specs)
 
 
-def _effective_scenario(section: dict) -> dict:
+def _walk_scenario(section: dict) -> tuple[dict, RLScenario]:
     if not isinstance(section, dict):
         raise ConfigError("scenario: expected a mapping")
     generator = section.get("generator")
@@ -196,33 +254,44 @@ def _effective_scenario(section: dict) -> dict:
             required=("generator", "env_specs", "n_experiences", "order"),
             optional=("n_parallel_envs",),
         )
-        order = section["order"]
-        if not isinstance(order, dict) or len(order) != 1:
-            raise ConfigError("scenario.order: one-key map {explicit: [...]} or {random_seed: s}")
-        (order_kind, order_arg), = order.items()
+        order_kind, order_arg = _one_key(
+            section["order"], "scenario.order: one-key map {explicit: [...]} or {random_seed: s}"
+        )
         if order_kind == "explicit":
             if not isinstance(order_arg, list):
                 raise ConfigError("scenario.order.explicit: expected a list of spec indices")
-            order_eff = {"explicit": [int(i) for i in order_arg]}
+            order_arg = [_integer(i, "scenario.order.explicit") for i in order_arg]
+            order = Explicit(tuple(order_arg))
         elif order_kind == "random_seed":
-            order_eff = {"random_seed": int(order_arg)}
+            order_arg = _seed(order_arg, "scenario.order.random_seed")
+            order = RandomSample(order_arg)
         else:
             raise ConfigError(f"scenario.order: unknown order kind {order_kind!r}")
         if not isinstance(section["env_specs"], list) or not section["env_specs"]:
             raise ConfigError("scenario.env_specs: expected a non-empty list")
-        specs_eff = [
-            _env_spec_from_config(entry, f"scenario.env_specs[{i}]")[0]
+        walked = [
+            _walk_env_spec(entry, f"scenario.env_specs[{i}]")
             for i, entry in enumerate(section["env_specs"])
         ]
-        return {
+        effective = {
             "generator": "gym_benchmark",
-            "env_specs": specs_eff,
+            "env_specs": [spec_eff for spec_eff, _ in walked],
             "n_experiences": _positive_int(section["n_experiences"], "scenario.n_experiences"),
-            "order": order_eff,
+            "order": {order_kind: order_arg},
             "n_parallel_envs": _positive_int(
                 section.get("n_parallel_envs", 1), "scenario.n_parallel_envs"
             ),
         }
+        try:
+            scenario = gym_benchmark_generator(
+                [spec for _, spec in walked],
+                n_experiences=effective["n_experiences"],
+                order=order,
+                n_parallel_envs=effective["n_parallel_envs"],
+            )
+        except ValueError as err:
+            raise ConfigError(f"scenario.order: {err}")
+        return effective, scenario
     if generator == "continual_control":
         _check_keys(
             section,
@@ -235,15 +304,10 @@ def _effective_scenario(section: dict) -> dict:
         base = section.get("base_params", {})
         if not isinstance(base, dict):
             raise ConfigError("scenario.base_params: expected a mapping")
-        try:
-            base_params = CartPoleParams().override(**base)
-            for i, overrides in enumerate(section["schedule"]):
-                if not isinstance(overrides, dict):
-                    raise ConfigError(f"scenario.schedule[{i}]: expected a mapping")
-                base_params.override(**overrides)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"scenario: bad cart-pole parameters: {err}")
-        return {
+        for i, overrides in enumerate(section["schedule"]):
+            if not isinstance(overrides, dict):
+                raise ConfigError(f"scenario.schedule[{i}]: expected a mapping")
+        effective = {
             "generator": "continual_control",
             "base_params": dict(base),
             "schedule": [dict(s) for s in section["schedule"]],
@@ -251,6 +315,15 @@ def _effective_scenario(section: dict) -> dict:
                 section.get("n_parallel_envs", 1), "scenario.n_parallel_envs"
             ),
         }
+        try:
+            scenario = continual_control_generator(
+                CartPoleParams().override(**base),
+                effective["schedule"],
+                n_parallel_envs=effective["n_parallel_envs"],
+            )
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"scenario: bad cart-pole parameters: {err}")
+        return effective, scenario
     if generator == "task_stream":
         _check_keys(
             section,
@@ -260,205 +333,186 @@ def _effective_scenario(section: dict) -> dict:
         )
         if not isinstance(section["tasks"], list) or not section["tasks"]:
             raise ConfigError("scenario.tasks: expected a non-empty list")
-        if not isinstance(section["scenes"], list) or not section["scenes"]:
+        texts = section["scenes"]
+        if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
             raise ConfigError("scenario.scenes: expected a non-empty list of text maps")
-        swap = section.get("swap", {"on_task_change": True})
-        if not isinstance(swap, dict) or len(swap) != 1:
-            raise ConfigError(
-                "scenario.swap: one-key map among on_task_change/every_n_episodes/every_n_steps"
-            )
-        (swap_kind, swap_arg), = swap.items()
+        swap_kind, swap_arg = _one_key(
+            section.get("swap", {"on_task_change": True}),
+            "scenario.swap: one-key map among on_task_change/every_n_episodes/every_n_steps",
+        )
         if swap_kind == "on_task_change":
             if swap_arg is not True:
                 raise ConfigError("scenario.swap.on_task_change: only 'true' is accepted")
-            swap_eff = {"on_task_change": True}
+            policy = OnTaskChange()
         elif swap_kind == "every_n_episodes":
-            swap_eff = {"every_n_episodes": _positive_int(swap_arg, "scenario.swap")}
+            swap_arg = _positive_int(swap_arg, "scenario.swap")
+            policy = EveryNEpisodes(swap_arg)
         elif swap_kind == "every_n_steps":
-            swap_eff = {"every_n_steps": _positive_int(swap_arg, "scenario.swap")}
+            swap_arg = _positive_int(swap_arg, "scenario.swap")
+            policy = EveryNSteps(swap_arg)
         else:
             raise ConfigError(f"scenario.swap: unknown swap policy {swap_kind!r}")
         scene_params = section.get("scene_params", {})
         if not isinstance(scene_params, dict):
             raise ConfigError("scenario.scene_params: expected a mapping")
+        tasks, durations = [], []
+        for i, entry in enumerate(section["tasks"]):
+            if not isinstance(entry, dict):
+                raise ConfigError(f"scenario.tasks[{i}]: expected a mapping")
+            try:
+                task, duration = task_from_config(entry)
+            except (TypeError, ValueError) as err:
+                raise ConfigError(f"scenario.tasks[{i}]: {err}")
+            tasks.append(task)
+            durations.append(duration)
+        try:
+            scenes = [parse_scene(text, **scene_params) for text in texts]
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"scenario.scenes: {err}")
         effective = {
             "generator": "task_stream",
             "tasks": [dict(t) for t in section["tasks"]],
-            "scenes": list(section["scenes"]),
+            "scenes": list(texts),
             "scene_params": dict(scene_params),
-            "swap": swap_eff,
+            "swap": {swap_kind: swap_arg},
         }
         if "n_experiences" in section:
             effective["n_experiences"] = _positive_int(
                 section["n_experiences"], "scenario.n_experiences"
             )
-        return effective
+        try:
+            scenario = task_stream_benchmark_generator(
+                tasks,
+                durations,
+                scenes,
+                swap_policy=policy,
+                n_experiences=effective.get("n_experiences"),
+            )
+        except StreamExhausted as err:
+            raise ConfigError(f"scenario.n_experiences: {err}")
+        except ValueError as err:
+            raise ConfigError(f"scenario: {err}")
+        return effective, scenario
     raise ConfigError(
         f"scenario.generator: unknown generator {generator!r} "
         "(choose from gym_benchmark, continual_control, task_stream)"
     )
 
 
-def _build_scenario(effective: dict) -> RLScenario:
-    generator = effective["generator"]
-    if generator == "gym_benchmark":
-        specs = [
-            _env_spec_from_config(entry, f"scenario.env_specs[{i}]")[1]
-            for i, entry in enumerate(effective["env_specs"])
-        ]
-        order_eff = effective["order"]
-        if "explicit" in order_eff:
-            order = Explicit(tuple(order_eff["explicit"]))
-        else:
-            order = RandomSample(order_eff["random_seed"])
-        try:
-            return gym_benchmark_generator(
-                specs,
-                n_experiences=effective["n_experiences"],
-                order=order,
-                n_parallel_envs=effective["n_parallel_envs"],
-            )
-        except ValueError as err:
-            raise ConfigError(f"scenario: {err}")
-    if generator == "continual_control":
-        base = CartPoleParams().override(**effective["base_params"])
-        return continual_control_generator(
-            base, effective["schedule"], n_parallel_envs=effective["n_parallel_envs"]
-        )
-    tasks, durations = [], []
-    for i, entry in enumerate(effective["tasks"]):
-        try:
-            task, duration = task_from_config(entry)
-        except ValueError as err:
-            raise ConfigError(f"scenario.tasks[{i}]: {err}")
-        tasks.append(task)
-        durations.append(duration)
-    try:
-        scenes = [
-            parse_scene(text, **effective["scene_params"]) for text in effective["scenes"]
-        ]
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"scenario.scenes: {err}")
-    swap_eff = effective["swap"]
-    if "on_task_change" in swap_eff:
-        policy = OnTaskChange()
-    elif "every_n_episodes" in swap_eff:
-        policy = EveryNEpisodes(swap_eff["every_n_episodes"])
-    else:
-        policy = EveryNSteps(swap_eff["every_n_steps"])
-    try:
-        return task_stream_benchmark_generator(
-            tasks,
-            durations,
-            scenes,
-            swap_policy=policy,
-            n_experiences=effective.get("n_experiences"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"scenario: {err}")
-
-
-_STRATEGY_DEFAULTS_COMMON = {"gamma": 0.99, "lr": 0.001, "hidden": [64, 64]}
-_STRATEGY_DEFAULTS_DQN = {
-    "batch_size": 32,
-    "replay_capacity": 10_000,
-    "target_sync_period": 100,
-    "eps_start": 1.0,
-    "eps_end": 0.05,
-    "eps_decay_fraction": 0.1,
-}
-_STRATEGY_DEFAULTS_A2C = {"value_coef": 0.5, "entropy_coef": 0.01}
-
-
-def _effective_strategy(section: dict) -> dict:
+def _walk_strategy(section: dict, seeds: dict) -> tuple[dict, Callable]:
+    """Returns the effective strategy section and a function
+    (obs_dim, n_actions, budget, metrics) -> strategy."""
     if not isinstance(section, dict):
         raise ConfigError("strategy: expected a mapping")
     name = section.get("name")
-    if name not in STRATEGY_NAMES:
-        raise ConfigError(
-            f"strategy.name: unknown strategy {name!r} (choose from {', '.join(STRATEGY_NAMES)})"
+    fields = {
+        "gamma": (_unit_interval, 0.99),
+        "lr": (_positive, 0.001),
+        "hidden": (_widths, [64, 64]),
+    }
+    # heads: output name -> width, where None means one output per action
+    if name == "a2c":
+        fields.update(value_coef=(_number, 0.5), entropy_coef=(_number, 0.01))
+        cls, heads, extra = A2cStrategy, {"policy_logits": None, "value": 1}, {}
+    elif name in ("dqn", "double_dqn"):
+        fields.update(
+            batch_size=(_positive_int, 32),
+            replay_capacity=(_positive_int, 10_000),
+            target_sync_period=(_positive_int, 100),
+            eps_start=(_number, 1.0),
+            eps_end=(_number, 0.05),
+            eps_decay_fraction=(_number, 0.1),
         )
-    extra = _STRATEGY_DEFAULTS_A2C if name == "a2c" else _STRATEGY_DEFAULTS_DQN
-    allowed = {**_STRATEGY_DEFAULTS_COMMON, **extra}
-    _check_keys(section, "strategy", required=("name",), optional=tuple(allowed))
-    effective = {"name": name}
-    for key, default in allowed.items():
-        value = section.get(key, default)
-        if key == "hidden":
-            if not isinstance(value, list) or not all(
-                isinstance(v, int) and v > 0 for v in value
-            ):
-                raise ConfigError("strategy.hidden: expected a list of positive layer widths")
-            effective[key] = list(value)
-        elif key in ("batch_size", "replay_capacity", "target_sync_period"):
-            effective[key] = _positive_int(value, f"strategy.{key}")
-        else:
-            effective[key] = _number(value, f"strategy.{key}")
-    return effective
+        cls, heads = DqnStrategy, {"q_values": None}
+        extra = {"double": name == "double_dqn", "replay_seed": seeds["sampling"] + 1}
+    else:
+        raise ConfigError(
+            f"strategy.name: unknown strategy {name!r} (choose from dqn, double_dqn, a2c)"
+        )
+    effective = {"name": name, **_fields(section, "strategy", fields, required=("name",))}
+    hyper = {key: effective[key] for key in fields if key not in ("lr", "hidden")}
+
+    def build(obs_dim: int, n_actions: int, budget: TrainingBudget, metrics):
+        widths = {head: width or n_actions for head, width in heads.items()}
+        sizes = [obs_dim] + effective["hidden"] + [sum(widths.values())]
+        return cls(
+            Mlp(sizes, heads=widths, seed=seeds["net"]),
+            Adam(effective["lr"]),
+            budget,
+            env_seed=seeds["env"],
+            eval_env_seed=seeds["env"] + EVAL_SEED_OFFSET,
+            metrics=metrics,
+            action_seed=seeds["sampling"],
+            **hyper,
+            **extra,
+        )
+
+    return effective, build
 
 
-def _effective_plugins(entries) -> list[dict]:
+def _walk_plugins(entries, seeds: dict) -> tuple[list, list]:
     if entries is None:
         entries = []
     if not isinstance(entries, list):
         raise ConfigError("plugins: expected a list")
-    effective = []
+    effective, plugins = [], []
     for i, entry in enumerate(entries):
         path = f"plugins[{i}]"
         if not isinstance(entry, dict):
             raise ConfigError(f"{path}: expected a mapping")
         name = entry.get("name")
         if name == "naive":
-            _check_keys(entry, path, required=("name",), optional=())
-            effective.append({"name": "naive"})
+            cls, fields, extra = NaivePlugin, {}, {}
         elif name == "ewc":
-            _check_keys(entry, path, required=("name",), optional=("lam", "fisher_sample_count"))
-            effective.append(
-                {
-                    "name": "ewc",
-                    "lam": _number(entry.get("lam", 100.0), f"{path}.lam"),
-                    "fisher_sample_count": _positive_int(
-                        entry.get("fisher_sample_count", 512), f"{path}.fisher_sample_count"
-                    ),
-                }
-            )
+            cls, extra = EwcPlugin, {}
+            fields = {"lam": (_non_negative, 100.0), "fisher_sample_count": (_positive_int, 512)}
         elif name == "replay":
-            _check_keys(entry, path, required=("name",), optional=("capacity", "mix_ratio"))
-            mix = _number(entry.get("mix_ratio", 0.5), f"{path}.mix_ratio")
-            if not 0.0 <= mix <= 1.0:
-                raise ConfigError(f"{path}.mix_ratio: must lie in [0, 1]")
-            effective.append(
-                {
-                    "name": "replay",
-                    "capacity": _positive_int(entry.get("capacity", 10_000), f"{path}.capacity"),
-                    "mix_ratio": mix,
-                }
-            )
+            cls, extra = ReplayPlugin, {"seed": seeds["sampling"] + 2}
+            fields = {"capacity": (_positive_int, 10_000), "mix_ratio": (_unit_interval, 0.5)}
         else:
             raise ConfigError(
-                f"{path}.name: unknown plugin {name!r} (choose from {', '.join(PLUGIN_NAMES)})"
+                f"{path}.name: unknown plugin {name!r} (choose from naive, ewc, replay)"
             )
-    return effective
+        values = _fields(entry, path, fields, required=("name",))
+        effective.append({"name": name, **values})
+        plugins.append(cls(**values, **extra))
+    return effective, plugins
 
 
-def _effective_budget(section: dict) -> dict:
+def _walk_budget(section: dict) -> tuple[dict, TrainingBudget]:
     _check_keys(section, "budget", required=("updates_per_experience",), optional=("rollout",))
-    rollout = section.get("rollout", {"steps": 5})
-    if not isinstance(rollout, dict) or len(rollout) != 1:
-        raise ConfigError("budget.rollout: one-key map {steps: n} or {episodes: n}")
-    (kind, n), = rollout.items()
-    if kind not in ("steps", "episodes"):
+    updates = _positive_int(section["updates_per_experience"], "budget.updates_per_experience")
+    kind, n = _one_key(
+        section.get("rollout", {"steps": 5}),
+        "budget.rollout: one-key map {steps: n} or {episodes: n}",
+    )
+    conditions = {"steps": Steps, "episodes": Episodes}
+    if kind not in conditions:
         raise ConfigError(f"budget.rollout: unknown rollout condition {kind!r}")
-    return {
-        "updates_per_experience": _positive_int(
-            section["updates_per_experience"], "budget.updates_per_experience"
-        ),
-        "rollout": {kind: _positive_int(n, "budget.rollout")},
-    }
+    n = _positive_int(n, "budget.rollout")
+    effective = {"updates_per_experience": updates, "rollout": {kind: n}}
+    return effective, TrainingBudget(updates, conditions[kind](n))
 
 
-def validate_config(raw: dict) -> dict:
-    """Validates the parsed YAML and returns the default-expanded config."""
+@dataclass(frozen=True)
+class Experiment:
+    """A checked config: its default-expanded ("effective") form and what it builds."""
+
+    effective: dict
+    scenario: RLScenario
+    budget: TrainingBudget
+    plugins: list
+    make_strategy: Callable
+
+    def build_strategy(self, metrics: MetricsCollector | None):
+        """The strategy, with its network sized by the first experience's env."""
+        probe = self.scenario.train_stream[0].env_factory()
+        obs_dim = probe.observation_space.shape[0]
+        return self.make_strategy(obs_dim, probe.action_space.n, self.budget, metrics)
+
+
+def walk_config(raw: dict) -> Experiment:
+    """Checks the parsed YAML, each key once, and builds what it declares."""
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a top-level mapping")
     _check_keys(
@@ -467,34 +521,32 @@ def validate_config(raw: dict) -> dict:
         required=("scenario", "strategy", "budget", "seeds", "output_dir"),
         optional=("plugins", "eval"),
     )
-    seeds = raw["seeds"]
-    _check_keys(seeds, "seeds", required=("env", "net", "sampling"), optional=())
-    seeds_eff = {}
-    for key in ("env", "net", "sampling"):
-        value = seeds[key]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ConfigError(f"seeds.{key}: expected a non-negative integer, got {value!r}")
-        seeds_eff[key] = value
-    eval_section = raw.get("eval", {})
-    _check_keys(eval_section, "eval", required=(), optional=("episodes", "after_each_experience"))
-    eval_eff = {
-        "episodes": _positive_int(eval_section.get("episodes", 10), "eval.episodes"),
-        "after_each_experience": bool(eval_section.get("after_each_experience", True)),
-    }
+    keys = ("env", "net", "sampling")
+    seeds = _fields(raw["seeds"], "seeds", dict.fromkeys(keys, (_seed, None)), required=keys)
+    eval_eff = _fields(
+        raw.get("eval", {}),
+        "eval",
+        {"episodes": (_positive_int, 10), "after_each_experience": (_bool, True)},
+    )
     if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
         raise ConfigError("output_dir: expected a non-empty string")
-    return {
-        "scenario": _effective_scenario(raw["scenario"]),
-        "strategy": _effective_strategy(raw["strategy"]),
-        "plugins": _effective_plugins(raw.get("plugins")),
-        "budget": _effective_budget(raw["budget"]),
-        "seeds": seeds_eff,
+    scenario_eff, scenario = _walk_scenario(raw["scenario"])
+    strategy_eff, make_strategy = _walk_strategy(raw["strategy"], seeds)
+    plugins_eff, plugins = _walk_plugins(raw.get("plugins"), seeds)
+    budget_eff, budget = _walk_budget(raw["budget"])
+    effective = {
+        "scenario": scenario_eff,
+        "strategy": strategy_eff,
+        "plugins": plugins_eff,
+        "budget": budget_eff,
+        "seeds": seeds,
         "eval": eval_eff,
         "output_dir": raw["output_dir"],
     }
+    return Experiment(effective, scenario, budget, plugins, make_strategy)
 
 
-def load_config(path) -> dict:
+def load_config(path) -> Experiment:
     try:
         text = Path(path).read_text()
     except OSError as err:
@@ -503,85 +555,7 @@ def load_config(path) -> dict:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as err:
         raise ConfigError(f"config: YAML parse error: {err}")
-    return validate_config(raw)
-
-
-# ---------------------------------------------------------------------------
-# Wiring: effective config -> live objects.
-# ---------------------------------------------------------------------------
-
-
-def _build_model(strategy_eff: dict, obs_dim: int, n_actions: int, net_seed: int) -> Mlp:
-    if strategy_eff["name"] == "a2c":
-        heads = {"policy_logits": n_actions, "value": 1}
-    else:
-        heads = {"q_values": n_actions}
-    sizes = [obs_dim] + list(strategy_eff["hidden"]) + [sum(heads.values())]
-    return Mlp(sizes, heads=heads, seed=net_seed)
-
-
-def _build_strategy(config: dict, scenario: RLScenario, metrics: MetricsCollector | None):
-    strategy_eff = config["strategy"]
-    seeds = config["seeds"]
-    budget_eff = config["budget"]
-    (kind, n), = budget_eff["rollout"].items()
-    condition = Steps(n) if kind == "steps" else Episodes(n)
-    budget = TrainingBudget(budget_eff["updates_per_experience"], condition)
-
-    probe = scenario.train_stream[0].env_factory()
-    obs_dim = probe.observation_space.shape[0]
-    n_actions = probe.action_space.n
-    model = _build_model(strategy_eff, obs_dim, n_actions, seeds["net"])
-    optimizer = Adam(strategy_eff["lr"])
-    common = dict(
-        gamma=strategy_eff["gamma"],
-        env_seed=seeds["env"],
-        eval_env_seed=seeds["env"] + EVAL_SEED_OFFSET,
-        metrics=metrics,
-    )
-    if strategy_eff["name"] == "a2c":
-        return A2cStrategy(
-            model,
-            optimizer,
-            budget,
-            value_coef=strategy_eff["value_coef"],
-            entropy_coef=strategy_eff["entropy_coef"],
-            action_seed=seeds["sampling"],
-            **common,
-        )
-    return DqnStrategy(
-        model,
-        optimizer,
-        budget,
-        batch_size=strategy_eff["batch_size"],
-        replay_capacity=strategy_eff["replay_capacity"],
-        target_sync_period=strategy_eff["target_sync_period"],
-        double=strategy_eff["name"] == "double_dqn",
-        eps_start=strategy_eff["eps_start"],
-        eps_end=strategy_eff["eps_end"],
-        eps_decay_fraction=strategy_eff["eps_decay_fraction"],
-        action_seed=seeds["sampling"],
-        replay_seed=seeds["sampling"] + 1,
-        **common,
-    )
-
-
-def _build_plugins(config: dict) -> list:
-    plugins = []
-    for entry in config["plugins"]:
-        if entry["name"] == "naive":
-            plugins.append(NaivePlugin())
-        elif entry["name"] == "ewc":
-            plugins.append(EwcPlugin(entry["lam"], entry["fisher_sample_count"]))
-        else:
-            plugins.append(
-                ReplayPlugin(
-                    entry["capacity"],
-                    entry["mix_ratio"],
-                    seed=config["seeds"]["sampling"] + 2,
-                )
-            )
-    return plugins
+    return walk_config(raw)
 
 
 def _resolve_output_dir(config: dict) -> Path:
@@ -597,9 +571,9 @@ def _resolve_output_dir(config: dict) -> Path:
 
 
 def cmd_run(config_path: str) -> int:
-    config = load_config(config_path)
-    out_dir = _resolve_output_dir(config)
-    effective = dict(config)
+    experiment = load_config(config_path)
+    out_dir = _resolve_output_dir(experiment.effective)
+    effective = dict(experiment.effective)
     effective["output_dir"] = str(out_dir)
     (out_dir / "config_effective.yaml").write_text(
         yaml.safe_dump(effective, sort_keys=True)
@@ -607,11 +581,11 @@ def cmd_run(config_path: str) -> int:
 
     collector = MetricsCollector(window=10, loggers=[JsonlLogger(out_dir / "metrics.jsonl")])
     try:
-        scenario = _build_scenario(config["scenario"])
-        strategy = _build_strategy(config, scenario, collector)
-        plugins = _build_plugins(config)
-        peval = config["eval"]["after_each_experience"]
-        episodes = config["eval"]["episodes"]
+        scenario = experiment.scenario
+        strategy = experiment.build_strategy(collector)
+        plugins = experiment.plugins
+        peval = effective["eval"]["after_each_experience"]
+        episodes = effective["eval"]["episodes"]
         report = strategy.train(
             scenario,
             plugins,
@@ -652,16 +626,17 @@ def cmd_run(config_path: str) -> int:
 
 
 def cmd_eval(config_path: str, checkpoint_path: str) -> int:
-    config = load_config(config_path)
-    out_dir = _resolve_output_dir(config)
-    scenario = _build_scenario(config["scenario"])
+    experiment = load_config(config_path)
+    out_dir = _resolve_output_dir(experiment.effective)
     collector = MetricsCollector(
         window=10, loggers=[JsonlLogger(out_dir / "eval_metrics.jsonl")]
     )
     try:
-        strategy = _build_strategy(config, scenario, collector)
+        strategy = experiment.build_strategy(collector)
         restore_into(strategy.model, checkpoint_path)
-        results = strategy.evaluate(scenario.eval_stream, config["eval"]["episodes"])
+        results = strategy.evaluate(
+            experiment.scenario.eval_stream, experiment.effective["eval"]["episodes"]
+        )
     finally:
         collector.close()
     for result in results:

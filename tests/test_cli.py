@@ -1,15 +1,17 @@
 """End-to-end CLI behavior: run/eval/plot-data, artifacts, exit codes."""
 
 import copy
+import re
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
 from streamrl.checkpoint import MAGIC, save_model
-from streamrl.cli import main
+from streamrl.cli import load_config, main
 from streamrl.evaluation import read_metrics_jsonl
 from streamrl.nn import Mlp
 
@@ -135,22 +137,225 @@ def test_other_strategies_run(tmp_path, name):
     run_ok(tmp_path, config)
 
 
+@pytest.mark.filterwarnings("ignore:EWC wanted")
 def test_wrappers_expand_into_effective_config(tmp_path):
     out = tmp_path / "out"
     config = base_config(out)
     config["scenario"]["env_specs"][0]["wrappers"] = [
         {"time_limit": 5},
-        {"reward_clip": [-0.5, 0.5]},
+        {"frame_stack": 2},
+        {"reward_clip": [-1, 1]},
+        {"obs_normalize": True},
+        {"action_remap": {0: 3, 1: 2, 2: 0}},
+        {"reduced_actions": [0, 2]},
     ]
+    config["plugins"] = [{"name": "naive"}, {"name": "ewc"}, {"name": "replay"}]
     run_ok(tmp_path, config)
     effective = yaml.safe_load((out / "config_effective.yaml").read_text())
-    assert effective["scenario"]["env_specs"][0]["wrappers"] == [
+    wrappers = effective["scenario"]["env_specs"][0]["wrappers"]
+    assert wrappers == [
         {"time_limit": 5},
-        {"reward_clip": [-0.5, 0.5]},
+        {"frame_stack": 2},
+        {"reward_clip": [-1.0, 1.0]},
+        {"obs_normalize": True},
+        {"action_remap": {0: 3, 1: 2, 2: 0}},
+        {"reduced_actions": [0, 2]},
+    ]
+    assert all(isinstance(bound, float) for bound in wrappers[2]["reward_clip"])
+    assert effective["plugins"] == [
+        {"name": "naive"},
+        {"name": "ewc", "lam": 100.0, "fisher_sample_count": 512},
+        {"name": "replay", "capacity": 10_000, "mix_ratio": 0.5},
     ]
     # defaults were expanded too
     assert effective["strategy"]["gamma"] == 0.99
     assert effective["eval"] == {"episodes": 2, "after_each_experience": True}
+
+
+DELETE = object()
+
+
+def at(path, value):
+    """A config edit: set the dotted `path` (list indices as numbers) to
+    `value`, or remove the key when `value` is DELETE."""
+    keys = [int(key) if key.isdigit() else key for key in path.split(".")]
+
+    def edit(config):
+        node = config
+        for key in keys[:-1]:
+            node = node[key]
+        if value is DELETE:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = copy.deepcopy(value)
+
+    return edit
+
+
+def wrap(*wrappers):
+    return at("scenario.env_specs.0.wrappers", list(wrappers))
+
+
+TASKS = [
+    {"name": "go", "type": "reach_goal", "duration": {"episodes": 2}},
+    {"name": "stay", "type": "survive", "duration": {"episodes": 2}},
+]
+
+
+def task_stream(**changes):
+    return at("scenario", {"generator": "task_stream", "tasks": TASKS, "scenes": [GRID_MAP],
+                           **changes})
+
+
+def control(**changes):
+    return at("scenario", {"generator": "continual_control", "schedule": [{}, {"gravity": 11.0}],
+                           **changes})
+
+
+SPEC = "scenario.env_specs.0"
+WRAPPER = "scenario.env_specs[0].wrappers[0]"
+
+# (id, edit of base_config, the key path the error message must start with)
+INVALID_CONFIGS = [
+    # each of these once failed as a runtime error (exit 3)
+    ("remap-key", wrap({"action_remap": {"a": 0}}), f"{WRAPPER}.action_remap"),
+    ("remap-value", wrap({"action_remap": {0: 1.5}}), f"{WRAPPER}.action_remap"),
+    ("reduced-entry", wrap({"reduced_actions": [0, "1"]}), f"{WRAPPER}.reduced_actions"),
+    ("explicit-entry", at("scenario.order", {"explicit": [0, "1"]}), "scenario.order.explicit"),
+    ("random-seed", at("scenario.order", {"random_seed": "x"}), "scenario.order.random_seed"),
+    ("means-scalar", at(SPEC, {"name": "b", "env": "bandit", "params": {"means": 3}}),
+     "scenario.env_specs[0].params.means"),
+    ("means-entry", at(SPEC, {"name": "b", "env": "bandit", "params": {"means": [0, "x"]}}),
+     "scenario.env_specs[0].params.means"),
+    ("lr", at("strategy.lr", 0), "strategy.lr"),
+    ("gamma", at("strategy.gamma", 1.5), "strategy.gamma"),
+    ("lam", at("plugins", [{"name": "ewc", "lam": -1}]), "plugins[0].lam"),
+    ("gravity", control(schedule=[{}, {"gravity": 0.0}]),
+     "scenario: bad cart-pole parameters: schedule[1]: gravity"),
+    ("stream-too-short", task_stream(n_experiences=5), "scenario.n_experiences"),
+    # each of these was once accepted
+    ("bandit-unknown-param", at(SPEC, {"name": "b", "env": "bandit",
+                                       "params": {"means": [0.0], "nois_std": 3}}),
+     "scenario.env_specs[0].params"),
+    ("eval-not-bool", at("eval.after_each_experience", "no"), "eval.after_each_experience"),
+    # each of these once failed only after writing config_effective.yaml
+    ("task-type", task_stream(tasks=[{"type": "fly", "duration": {"episodes": 1}}]),
+     "scenario.tasks[0]"),
+    ("explicit-length", at("scenario.order", {"explicit": [0]}), "scenario.order"),
+    ("explicit-index", at("scenario.order", {"explicit": [0, 1]}), "scenario.order"),
+    # config and seeds
+    ("config-unknown", at("surprise", 1), "config: unknown key(s) ['surprise']"),
+    ("config-missing", at("seeds", DELETE), "config.seeds: missing required key"),
+    ("seeds-mapping", at("seeds", [1, 2, 3]), "seeds: expected a mapping"),
+    ("seeds-missing", at("seeds.net", DELETE), "seeds.net: missing required key"),
+    ("seeds-negative", at("seeds.env", -1), "seeds.env"),
+    ("eval-unknown", at("eval.every", 1), "eval: unknown key(s)"),
+    ("eval-episodes", at("eval.episodes", 0), "eval.episodes"),
+    ("output-dir", at("output_dir", ""), "output_dir"),
+    # scenario
+    ("scenario-mapping", at("scenario", "grid"), "scenario: expected a mapping"),
+    ("generator", at("scenario.generator", "atari"), "scenario.generator"),
+    ("order-missing", at("scenario.order", DELETE), "scenario.order: missing required key"),
+    ("order-shape", at("scenario.order", [0, 0]), "scenario.order"),
+    ("order-kind", at("scenario.order", {"shuffle": 1}), "scenario.order"),
+    ("explicit-list", at("scenario.order", {"explicit": 0}), "scenario.order.explicit"),
+    ("env-specs-empty", at("scenario.env_specs", []), "scenario.env_specs"),
+    ("n-experiences", at("scenario.n_experiences", 0), "scenario.n_experiences"),
+    ("n-parallel-envs", at("scenario.n_parallel_envs", 0), "scenario.n_parallel_envs"),
+    # env specs
+    ("spec-unknown", at(f"{SPEC}.seed", 1), "scenario.env_specs[0]: unknown key(s)"),
+    ("spec-missing", at(f"{SPEC}.env", DELETE), "scenario.env_specs[0].env: missing"),
+    ("spec-params", at(f"{SPEC}.params", [1]), "scenario.env_specs[0].params"),
+    ("env-kind", at(f"{SPEC}.env", "atari"), "scenario.env_specs[0].env"),
+    ("grid-map-missing", at(f"{SPEC}.map", DELETE), "scenario.env_specs[0].map"),
+    ("grid-map-text", at(f"{SPEC}.map", 5), "scenario.env_specs[0].map"),
+    ("grid-map-format", at(f"{SPEC}.map", "S.\nX."), "scenario.env_specs[0].map"),
+    ("grid-params", at(f"{SPEC}.params", {"gravity": 1}), "scenario.env_specs[0].params"),
+    ("cartpole-params", at(SPEC, {"name": "c", "env": "cartpole", "params": {"mass": 1}}),
+     "scenario.env_specs[0].params"),
+    ("bandit-means", at(SPEC, {"name": "b", "env": "bandit"}),
+     "scenario.env_specs[0].params.means"),
+    ("bandit-noise", at(SPEC, {"name": "b", "env": "bandit",
+                               "params": {"means": [0.0], "noise_std": -1.0}}),
+     "scenario.env_specs[0].params"),
+    # wrappers
+    ("wrappers-list", at(f"{SPEC}.wrappers", {"time_limit": 5}), "scenario.env_specs[0].wrappers"),
+    ("wrapper-shape", wrap({"time_limit": 5, "frame_stack": 2}), WRAPPER),
+    ("wrapper-kind", wrap({"blur": 1}), WRAPPER),
+    ("time-limit", wrap({"time_limit": 0}), WRAPPER),
+    ("frame-stack", wrap({"frame_stack": 1.5}), WRAPPER),
+    ("reward-clip-pair", wrap({"reward_clip": [1]}), f"{WRAPPER}.reward_clip"),
+    ("reward-clip-order", wrap({"reward_clip": [1, -1]}), f"{WRAPPER}.reward_clip"),
+    ("obs-normalize", wrap({"obs_normalize": False}), f"{WRAPPER}.obs_normalize"),
+    ("remap-map", wrap({"action_remap": [3, 2]}), f"{WRAPPER}.action_remap"),
+    ("reduced-empty", wrap({"reduced_actions": []}), f"{WRAPPER}.reduced_actions"),
+    # continual_control
+    ("schedule-empty", control(schedule=[]), "scenario.schedule"),
+    ("schedule-entry", control(schedule=[{}, 11.0]), "scenario.schedule[1]"),
+    ("base-params", control(base_params=[1]), "scenario.base_params"),
+    ("cartpole-unknown", control(base_params={"mass": 1}), "scenario: bad cart-pole parameters"),
+    # task_stream
+    ("tasks-empty", task_stream(tasks=[]), "scenario.tasks"),
+    ("task-entry", task_stream(tasks=["go"]), "scenario.tasks[0]"),
+    ("scenes-empty", task_stream(scenes=[]), "scenario.scenes"),
+    ("scenes-text", task_stream(scenes=[5]), "scenario.scenes"),
+    ("scene-format", task_stream(scenes=["S.\nX."]), "scenario.scenes"),
+    ("scene-params", task_stream(scene_params=[1]), "scenario.scene_params"),
+    ("swap-shape", task_stream(swap="never"), "scenario.swap"),
+    ("swap-kind", task_stream(swap={"never": True}), "scenario.swap"),
+    ("swap-true", task_stream(swap={"on_task_change": 1}), "scenario.swap.on_task_change"),
+    ("swap-count", task_stream(swap={"every_n_episodes": 0}), "scenario.swap"),
+    ("swap-unit", task_stream(swap={"every_n_steps": 2}), "scenario: EveryNSteps"),
+    # strategy
+    ("strategy-mapping", at("strategy", "dqn"), "strategy: expected a mapping"),
+    ("strategy-name", at("strategy.name", "ppo"), "strategy.name: unknown strategy 'ppo'"),
+    ("strategy-unknown", at("strategy.value_coef", 0.5), "strategy: unknown key(s)"),
+    ("hidden", at("strategy.hidden", [8, 0]), "strategy.hidden"),
+    ("batch-size", at("strategy.batch_size", 0), "strategy.batch_size"),
+    ("eps-start", at("strategy.eps_start", "high"), "strategy.eps_start"),
+    # plugins
+    ("plugins-list", at("plugins", {"name": "ewc"}), "plugins: expected a list"),
+    ("plugin-mapping", at("plugins", ["ewc"]), "plugins[0]: expected a mapping"),
+    ("plugin-name", at("plugins", [{"name": "si"}]), "plugins[0].name"),
+    ("plugin-unknown", at("plugins", [{"name": "naive", "lam": 1}]), "plugins[0]: unknown key(s)"),
+    ("fisher-samples", at("plugins", [{"name": "ewc", "fisher_sample_count": 0}]),
+     "plugins[0].fisher_sample_count"),
+    ("mix-ratio", at("plugins", [{"name": "replay", "mix_ratio": 2}]), "plugins[0].mix_ratio"),
+    ("capacity", at("plugins", [{"name": "replay", "capacity": 0}]), "plugins[0].capacity"),
+    # budget
+    ("updates-missing", at("budget.updates_per_experience", DELETE),
+     "budget.updates_per_experience: missing required key"),
+    ("updates", at("budget.updates_per_experience", 0), "budget.updates_per_experience"),
+    ("rollout-shape", at("budget.rollout", 5), "budget.rollout"),
+    ("rollout-kind", at("budget.rollout", {"seconds": 5}), "budget.rollout"),
+    ("rollout-count", at("budget.rollout", {"episodes": 0}), "budget.rollout"),
+]
+
+
+@pytest.mark.parametrize(
+    "edit, key_path",
+    [row[1:] for row in INVALID_CONFIGS],
+    ids=[row[0] for row in INVALID_CONFIGS],
+)
+def test_invalid_config_exit_2_before_any_artifact(tmp_path, capsys, edit, key_path):
+    out = tmp_path / "out"
+    config = base_config(out)
+    edit(config)
+    cfg = write_config(tmp_path, config)
+    assert main(["run", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key_path}")
+    assert not out.exists()
+
+
+def test_readme_yaml_blocks_are_valid_configs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```yaml\n(.*?)^```", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"readme_{i}.yaml"
+        path.write_text(block)
+        experiment = load_config(path)  # builds the scenario; trains nothing
+        assert experiment.scenario.n_experiences >= 1
 
 
 def test_single_final_eval_when_disabled(tmp_path):
