@@ -273,6 +273,17 @@ def _walk_scenario(section: dict) -> tuple[dict, RLScenario]:
             _walk_env_spec(entry, f"scenario.env_specs[{i}]")
             for i, entry in enumerate(section["env_specs"])
         ]
+        # one network serves every experience, so every spec's env (wrappers
+        # included) must match the first one's observation shape and actions
+        envs = [spec.build() for _, spec in walked]
+        first = (envs[0].observation_space.shape, envs[0].action_space)
+        for i, env in enumerate(envs[1:], 1):
+            if (env.observation_space.shape, env.action_space) != first:
+                raise ConfigError(
+                    f"scenario.env_specs[{i}]: observation shape "
+                    f"{env.observation_space.shape} and {env.action_space} differ from "
+                    f"env_specs[0]'s {first[0]} and {first[1]}"
+                )
         effective = {
             "generator": "gym_benchmark",
             "env_specs": [spec_eff for spec_eff, _ in walked],

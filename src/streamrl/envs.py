@@ -9,6 +9,7 @@ one-step environment small enough to check policies against closed forms.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -34,24 +35,19 @@ class CartPoleParams:
     max_steps: int = 500
 
     def __post_init__(self) -> None:
-        positive = {
-            "gravity": self.gravity,
-            "cart_mass": self.cart_mass,
-            "pole_mass": self.pole_mass,
-            "pole_half_length": self.pole_half_length,
-            "force_mag": self.force_mag,
-            "dt": self.dt,
-            "x_threshold": self.x_threshold,
-            "theta_threshold": self.theta_threshold,
-            "max_steps": self.max_steps,
-        }
-        for name, value in positive.items():
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise InvalidParams(f"{name} must be a finite number, got {value!r}")
             # gravity/force_mag of exactly 0 are allowed for degenerate test setups
             if name in ("gravity", "force_mag"):
                 if value < 0:
                     raise InvalidParams(f"{name} must be >= 0, got {value}")
             elif value <= 0:
                 raise InvalidParams(f"{name} must be > 0, got {value}")
+        if not isinstance(self.max_steps, numbers.Integral):
+            raise InvalidParams(f"max_steps must be an integer, got {self.max_steps!r}")
 
     def override(self, **changes) -> "CartPoleParams":
         unknown = set(changes) - set(self.__dataclass_fields__)

@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,8 +112,9 @@ class JsonlLogger:
         self._fh = open(path, "w")
 
     def emit(self, record: MetricRecord) -> None:
-        # json.dumps uses repr-style floats, which round-trip exactly
-        self._fh.write(json.dumps(asdict(record)) + "\n")
+        # vars() is the record's own field dict, in field order; json.dumps
+        # uses repr-style floats, which round-trip exactly
+        self._fh.write(json.dumps(vars(record)) + "\n")
 
     def close(self) -> None:
         self._fh.close()

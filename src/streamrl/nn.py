@@ -2,9 +2,11 @@
 losses, and optimizers, all in float64 numpy.
 
 No autodiff framework is involved; backward() computes gradients analytically
-so they can be validated against finite differences. Parameters are exposed
-as one flat vector (weights then bias, per layer, in layer order), which is
-what the optimizers and the consolidation plugins operate on.
+so they can be validated against finite differences. An Mlp keeps all its
+parameters in one float64 buffer, `Mlp.params` (weights row-major then bias,
+per layer, in layer order); `weights` and `biases` are tuples of views into
+it. backward() returns a gradient with the same layout. The optimizers update
+that buffer in place, and the consolidation plugins read it directly.
 """
 
 from __future__ import annotations
@@ -47,6 +49,17 @@ def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
     if name == "tanh":
         return 1.0 - a * a
     return np.ones_like(z)
+
+
+def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple[tuple, tuple]:
+    """(weights, biases) of each layer, as views into `flat`."""
+    weights, biases, offset = [], [], 0
+    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        weights.append(flat[offset : offset + fan_out * fan_in].reshape(fan_out, fan_in))
+        offset += fan_out * fan_in
+        biases.append(flat[offset : offset + fan_out])
+        offset += fan_out
+    return tuple(weights), tuple(biases)
 
 
 class Mlp:
@@ -92,18 +105,18 @@ class Mlp:
             self._head_slices.append((name, offset, offset + width))
             offset += width
 
+        self.params = np.zeros(sum(a * b + b for a, b in zip(self.sizes[:-1], self.sizes[1:])))
+        self.weights, self.biases = _layer_views(self.params, self.sizes)
         rng = np.random.default_rng(seed)
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(self.sizes[:-1], self.sizes[1:]):
+        for w in self.weights:
+            fan_out, fan_in = w.shape
             lim = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-lim, lim, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-lim, lim, size=w.shape)
         self._cache: tuple[list[np.ndarray], list[np.ndarray]] | None = None
 
     @property
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def forward(self, batch: np.ndarray) -> dict[str, np.ndarray]:
         x = np.asarray(batch, dtype=np.float64)
@@ -126,7 +139,7 @@ class Mlp:
         """Exact gradients of sum(outputs * output_grads) w.r.t. all parameters.
 
         Heads absent from output_grads contribute zero. Returns a flat vector
-        laid out like flatten().
+        laid out like params.
         """
         if self._cache is None:
             raise NoCachedForward("forward() must run before backward()")
@@ -142,53 +155,36 @@ class Mlp:
                     )
                 grad_out[:, lo:hi] = g
 
-        d_weights = [None] * len(self.weights)
-        d_biases = [None] * len(self.biases)
+        flat = np.empty_like(self.params)
+        d_weights, d_biases = _layer_views(flat, self.sizes)
         g = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
             z = preacts[i]
             a = _activate(self.activations[i], z)
             delta = g * _activation_grad(self.activations[i], z, a)
-            d_weights[i] = delta.T @ inputs[i]
-            d_biases[i] = delta.sum(axis=0)
+            d_weights[i][...] = delta.T @ inputs[i]
+            d_biases[i][...] = delta.sum(axis=0)
             g = delta @ self.weights[i]
-        flat = np.concatenate(
-            [np.concatenate([dw.ravel(), db]) for dw, db in zip(d_weights, d_biases)]
-        )
         if not np.all(np.isfinite(flat)):
             raise NonFinite("non-finite gradients in backward pass")
         return flat
 
     def flatten(self) -> np.ndarray:
-        """Flat parameter vector: weights (row-major) then bias, per layer."""
-        return np.concatenate(
-            [np.concatenate([w.ravel(), b]) for w, b in zip(self.weights, self.biases)]
-        )
+        """A copy of params, which later updates leave unchanged."""
+        return self.params.copy()
 
     def unflatten(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=np.float64)
-        if values.size != self.param_count:
-            raise LengthMismatch(f"got {values.size} values for {self.param_count} parameters")
-        offset = 0
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            self.weights[i] = values[offset : offset + w.size].reshape(w.shape).copy()
-            offset += w.size
-            self.biases[i] = values[offset : offset + b.size].copy()
-            offset += b.size
+        if np.size(values) != self.param_count:
+            raise LengthMismatch(f"got {np.size(values)} values for {self.param_count} parameters")
+        self.params[...] = values
 
     def clone(self) -> "Mlp":
-        other = Mlp.__new__(Mlp)
-        other.sizes = self.sizes
-        other.activations = self.activations
-        other.heads = dict(self.heads)
-        other._head_slices = list(self._head_slices)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
-        other._cache = None
+        other = Mlp.from_arch(self.arch())
+        other.params[...] = self.params
         return other
 
     def copy_params_from(self, other: "Mlp") -> None:
-        self.unflatten(other.flatten())
+        self.unflatten(other.params)
 
     def arch(self) -> dict:
         return {
@@ -279,7 +275,7 @@ def entropy_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Optimizers (operate on flat parameter vectors, return the updated vector).
+# Optimizers (update a flat parameter vector in place and return it).
 # ---------------------------------------------------------------------------
 
 
@@ -292,7 +288,8 @@ class Sgd:
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         if params.size != grads.size:
             raise LengthMismatch(f"params {params.size} vs grads {grads.size}")
-        return params - self.lr * grads
+        params -= self.lr * grads
+        return params
 
 
 class Adam:
@@ -316,8 +313,11 @@ class Adam:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads * grads
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grads * grads
         m_hat = self.m / (1.0 - self.beta1**self.t)
         v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return params

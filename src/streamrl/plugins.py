@@ -36,7 +36,7 @@ class EwcState:
 def ewc_penalty_and_grad(model, state: EwcState) -> tuple[float, np.ndarray]:
     """penalty = sum_k (lam/2) * sum_i F_k[i] * (theta[i] - theta*_k[i])^2
     and its exact gradient sum_k lam * F_k * (theta - theta*_k)."""
-    params = model.flatten()
+    params = model.params
     penalty = 0.0
     grad = np.zeros_like(params)
     for anchor, fisher in zip(state.anchors, state.fishers):

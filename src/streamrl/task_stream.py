@@ -17,6 +17,8 @@ is invalid in the new scene it is moved to that scene's start.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -52,13 +54,17 @@ class Task:
     on_activate: Optional[Callable[[object], None]] = None
 
 
+def _check_duration(kind: str, n) -> None:
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+        raise TaskStreamConfigError(f"{kind} duration must be an integer >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class MaxSteps:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise TaskStreamConfigError("MaxSteps duration must be >= 1")
+        _check_duration("MaxSteps", self.n)
 
 
 @dataclass(frozen=True)
@@ -66,8 +72,7 @@ class MaxEpisodes:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise TaskStreamConfigError("MaxEpisodes duration must be >= 1")
+        _check_duration("MaxEpisodes", self.n)
 
 
 class TaskIterator:
@@ -335,6 +340,12 @@ def build_task(type_name: str, name: str = "", **params) -> Task:
             f"task type {type_name!r} got unknown parameter(s) {unknown}; "
             f"declared: {sorted(schema)}"
         )
+    for key, value in params.items():
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value)):
+            raise TaskStreamConfigError(
+                f"parameter {key!r}: expected a finite number, got {value!r}"
+            )
     values = {**schema, **{k: float(v) for k, v in params.items()}}
     if type_name == "reach_goal":
         reward_fn, goal_test = _make_reach_goal(values["step_reward"], values["goal_reward"])
@@ -365,9 +376,9 @@ def task_from_config(entry: dict) -> tuple[Task, MaxSteps | MaxEpisodes]:
         )
     (unit, n), = duration_map.items()
     if unit == "episodes":
-        duration: MaxSteps | MaxEpisodes = MaxEpisodes(int(n))
+        duration: MaxSteps | MaxEpisodes = MaxEpisodes(n)
     elif unit == "steps":
-        duration = MaxSteps(int(n))
+        duration = MaxSteps(n)
     else:
         raise TaskStreamConfigError(f"unknown duration unit {unit!r}")
     task = build_task(entry["type"], entry.get("name", ""), **entry.get("params", {}))

@@ -110,7 +110,7 @@ class A2cStrategy(RLBaseStrategy):
             }
         )
         grads = grads + self.grad_accum
-        self.model.unflatten(self.optimizer.step(self.model.flatten(), grads))
+        self.optimizer.step(self.model.params, grads)
 
         self.loss += base_loss
         self.updates_applied_this_exp += 1

@@ -220,7 +220,7 @@ class DqnStrategy(RLBaseStrategy):
         out_grad = np.zeros_like(q)
         out_grad[rows, actions] = dloss
         grads = self.model.backward({"q_values": out_grad}) + self.grad_accum
-        self.model.unflatten(self.optimizer.step(self.model.flatten(), grads))
+        self.optimizer.step(self.model.params, grads)
 
         self.loss += base_loss
         self.updates_applied_this_exp += 1

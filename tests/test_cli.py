@@ -243,6 +243,31 @@ INVALID_CONFIGS = [
      "scenario.tasks[0]"),
     ("explicit-length", at("scenario.order", {"explicit": [0]}), "scenario.order"),
     ("explicit-index", at("scenario.order", {"explicit": [0, 1]}), "scenario.order"),
+    # each of these was once accepted, or converted with int() or float()
+    ("task-episodes-fraction",
+     task_stream(tasks=[{"type": "survive", "duration": {"episodes": 2.7}}]),
+     "scenario.tasks[0]"),
+    ("task-episodes-bool",
+     task_stream(tasks=[{"type": "survive", "duration": {"episodes": True}}]),
+     "scenario.tasks[0]"),
+    ("task-param-string", task_stream(tasks=[{"type": "survive", "duration": {"steps": 5},
+                                              "params": {"step_reward": "5"}}]),
+     "scenario.tasks[0]"),
+    ("base-max-steps-fraction", control(base_params={"max_steps": 2.5}),
+     "scenario: bad cart-pole parameters: max_steps"),
+    ("schedule-gravity-bool", control(schedule=[{}, {"gravity": True}]),
+     "scenario: bad cart-pole parameters: gravity"),
+    ("cartpole-param-bool", at(SPEC, {"name": "c", "env": "cartpole", "params": {"cart_mass": True}}),
+     "scenario.env_specs[0].params: cart_mass"),
+    # each of these once failed with ShapeMismatch (exit 3) after training experience 0
+    ("spec-env-mismatch", at("scenario.env_specs", [
+        {"name": "grid", "env": "gridworld", "map": GRID_MAP},
+        {"name": "pole", "env": "cartpole"},
+    ]), "scenario.env_specs[1]: observation shape"),
+    ("spec-wrapper-mismatch", at("scenario.env_specs", [
+        {"name": "grid", "env": "gridworld", "map": GRID_MAP},
+        {"name": "stacked", "env": "gridworld", "map": GRID_MAP, "wrappers": [{"frame_stack": 2}]},
+    ]), "scenario.env_specs[1]: observation shape"),
     # config and seeds
     ("config-unknown", at("surprise", 1), "config: unknown key(s) ['surprise']"),
     ("config-missing", at("seeds", DELETE), "config.seeds: missing required key"),

@@ -153,6 +153,16 @@ def test_params_override():
         CartPoleParams().override(gravity=-1.0)
 
 
+@pytest.mark.parametrize(
+    "change",
+    [dict(max_steps=2.5), dict(max_steps=True), dict(gravity=True), dict(dt="0.02"),
+     dict(gravity=math.nan), dict(x_threshold=math.inf)],
+)
+def test_params_reject_non_numbers_and_fractional_max_steps(change):
+    with pytest.raises(InvalidParams, match=next(iter(change))):
+        CartPoleParams().override(**change)
+
+
 # ---------------------------------------------------------------------------
 # Gridworld
 # ---------------------------------------------------------------------------

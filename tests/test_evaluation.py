@@ -2,6 +2,7 @@
 
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ def test_jsonl_line_schema(tmp_path):
         "metric_name": "loss",
         "value": 0.25,
     }
+
+
+def test_jsonl_lines_equal_asdict_dumps(tmp_path):
+    path = tmp_path / "m.jsonl"
+    records = [
+        MetricRecord(0, 0, "train", "loss", -0.0),
+        MetricRecord(1, 2, "eval", "eval_return", 5e-324),
+        MetricRecord(7, 1, "train", "epsilon", 0.1 + 0.2),
+        MetricRecord(2**62 + 1, 3, "train", "ep_return", -1.5e300),
+    ]
+    logger = JsonlLogger(path)
+    for record in records:
+        logger.emit(record)
+    logger.close()
+    expected = "".join(json.dumps(asdict(record)) + "\n" for record in records)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_csv_header_and_value_repr(tmp_path):

@@ -24,8 +24,8 @@ from streamrl.nn import (
 
 def identity_net(n=2):
     net = Mlp([n, n], activations=["identity"])
-    net.weights[0] = np.eye(n)
-    net.biases[0] = np.zeros(n)
+    net.weights[0][...] = np.eye(n)
+    net.biases[0][...] = np.zeros(n)
     return net
 
 
@@ -42,8 +42,8 @@ def test_forward_identity_layer():
 
 def test_forward_relu_layer():
     net = Mlp([2, 2], activations=["relu"])
-    net.weights[0] = np.eye(2)
-    net.biases[0] = np.zeros(2)
+    net.weights[0][...] = np.eye(2)
+    net.biases[0][...] = np.zeros(2)
     out = net.forward(np.array([[3.0, -1.0]]))["out"]
     assert np.array_equal(out, np.array([[3.0, 0.0]]))
 
@@ -125,10 +125,10 @@ def test_backward_requires_forward():
 
 def test_relu_subgradient_zero_at_zero():
     net = Mlp([1, 1, 1], activations=["relu", "identity"])
-    net.weights[0] = np.array([[1.0]])
-    net.biases[0] = np.array([0.0])
-    net.weights[1] = np.array([[1.0]])
-    net.biases[1] = np.array([0.0])
+    net.weights[0][...] = np.array([[1.0]])
+    net.biases[0][...] = np.array([0.0])
+    net.weights[1][...] = np.array([[1.0]])
+    net.biases[1][...] = np.array([0.0])
     net.forward(np.array([[0.0]]))  # pre-activation exactly 0
     grads = net.backward({"out": np.ones((1, 1))})
     # d/dW0 and d/db0 flow through relu'(0), pinned to 0
@@ -324,7 +324,8 @@ def test_sgd_step():
 def test_sgd_zero_grad_no_change():
     opt = Sgd(lr=0.1)
     params = np.array([1.0, -2.0])
-    assert np.array_equal(opt.step(params, np.zeros(2)), params)
+    before = params.copy()
+    assert np.array_equal(opt.step(params, np.zeros(2)), before)
 
 
 def test_adam_first_step_magnitude():
@@ -354,6 +355,35 @@ def test_adam_step_counter_and_determinism():
     (p1, t1), (p2, t2) = run(), run()
     assert np.array_equal(p1, p2)
     assert t1 == t2 == 3
+
+
+def _sgd_reference(lr, params, grads, state):
+    return params - lr * grads
+
+
+def _adam_reference(lr, params, grads, state, beta1=0.9, beta2=0.999, eps=1e-8):
+    # the out-of-place formulas, operation for operation
+    if "m" not in state:
+        state.update(m=np.zeros_like(params), v=np.zeros_like(params), t=0)
+    state["t"] += 1
+    state["m"] = beta1 * state["m"] + (1.0 - beta1) * grads
+    state["v"] = beta2 * state["v"] + (1.0 - beta2) * grads * grads
+    m_hat = state["m"] / (1.0 - beta1 ** state["t"])
+    v_hat = state["v"] / (1.0 - beta2 ** state["t"])
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("make, reference", [(Sgd, _sgd_reference), (Adam, _adam_reference)])
+def test_in_place_step_matches_out_of_place_reference(make, reference):
+    rng = np.random.default_rng(5)
+    params = rng.normal(size=37)
+    expected, state = params.copy(), {}
+    opt = make(lr=0.01)
+    for _ in range(20):
+        grads = rng.normal(scale=rng.uniform(1e-3, 1e3), size=37)
+        assert opt.step(params, grads) is params  # updated in place
+        expected = reference(0.01, expected, grads, state)
+        assert np.array_equal(params, expected)
 
 
 def test_optimizer_length_mismatch():
@@ -414,6 +444,37 @@ def test_clone_independent_and_exact():
     assert np.array_equal(twin.flatten(), net.flatten())
     twin.weights[0][0, 0] += 1.0
     assert not np.array_equal(twin.flatten(), net.flatten())
+
+
+def test_weights_and_biases_are_views_of_params():
+    net = Mlp([3, 4, 2], seed=6)
+    for w, b in zip(net.weights, net.biases):
+        assert np.shares_memory(w, net.params)
+        assert np.shares_memory(b, net.params)
+    assert np.array_equal(np.concatenate([net.weights[0].ravel(), net.biases[0]]),
+                          net.params[: 4 * 3 + 4])
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((4, 3))
+
+
+def test_writing_params_changes_forward():
+    net = Mlp([3, 4, 2], seed=6)
+    x = np.ones((2, 3))
+    before = net.forward(x)["out"]
+    net.params[-1] += 1.0  # the last output's bias, which starts at zero
+    after = net.forward(x)["out"]
+    assert np.array_equal(after[:, 0], before[:, 0])
+    assert np.array_equal(after[:, 1], before[:, 1] + 1.0)
+
+
+def test_flatten_and_clone_share_no_memory():
+    net = Mlp([3, 4, 2], seed=6)
+    twin = net.clone()
+    assert not np.shares_memory(net.flatten(), net.params)
+    assert not np.shares_memory(twin.params, net.params)
+    for w, b in zip(twin.weights, twin.biases):
+        assert np.shares_memory(w, twin.params) and not np.shares_memory(w, net.params)
+        assert np.shares_memory(b, twin.params) and not np.shares_memory(b, net.params)
 
 
 def test_arch_round_trip():

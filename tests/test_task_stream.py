@@ -286,6 +286,19 @@ def test_build_task_rejects_unknowns():
         build_task("survive", goal_reward=2.0)
 
 
+@pytest.mark.parametrize("make", [MaxSteps, MaxEpisodes])
+@pytest.mark.parametrize("n", [2.7, True, "5"])
+def test_durations_must_be_integers(make, n):
+    with pytest.raises(TaskStreamConfigError, match="integer"):
+        make(n)
+
+
+@pytest.mark.parametrize("value", ["5", True, None, float("nan")])
+def test_build_task_rejects_non_number_params(value):
+    with pytest.raises(TaskStreamConfigError, match="step_reward"):
+        build_task("survive", step_reward=value)
+
+
 def test_task_from_config_round_trip():
     task, duration = task_from_config(
         {"name": "walk", "type": "reach_goal", "duration": {"episodes": 3},

@@ -541,8 +541,8 @@ def grid_q_table_model(scene):
                     target = (x, y)
                 dist = abs(target[0] - scene.goal[0]) + abs(target[1] - scene.goal[1])
                 weights[a, y * scene.width + x] = -float(dist)
-    model.weights[0] = weights
-    model.biases[0] = np.zeros(4)
+    model.weights[0][...] = weights
+    model.biases[0][...] = np.zeros(4)
     return model
 
 
@@ -632,8 +632,8 @@ def test_a2c_requires_heads():
 def test_a2c_saturated_logits_stable():
     model = Mlp([1, 3], activations=["identity"],
                 heads={"policy_logits": 2, "value": 1})
-    model.weights[0] = np.array([[1000.0], [-1000.0], [0.0]])
-    model.biases[0] = np.zeros(3)
+    model.weights[0][...] = np.array([[1000.0], [-1000.0], [0.0]])
+    model.biases[0][...] = np.zeros(3)
     strat = A2cStrategy(model, Adam(1e-3), TrainingBudget(1, Steps(1)))
     actions = strat.sample_rollout_action(np.ones((50, 1)))
     assert np.array_equal(actions, np.zeros(50, dtype=np.int64))
