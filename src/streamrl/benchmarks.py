@@ -143,12 +143,17 @@ def continual_control_generator(
     """One cart-pole experience per parameter override; labels follow schedule order."""
     if not schedule:
         raise EmptySpecList("schedule must be non-empty")
-    variants = [base.override(**overrides) for overrides in schedule]
-    for i, params in enumerate(variants):
-        # params itself tolerates gravity == 0 (degenerate fixed-point setups);
-        # a control *benchmark* with a free-floating pole is a config mistake.
-        if params.gravity <= 0:
-            raise InvalidParams(f"schedule[{i}]: gravity must be > 0, got {params.gravity}")
+    variants = []
+    for i, overrides in enumerate(schedule):
+        try:
+            params = base.override(**overrides)
+            # params itself tolerates gravity == 0 (degenerate fixed-point setups);
+            # a control *benchmark* with a free-floating pole is a config mistake.
+            if params.gravity <= 0:
+                raise InvalidParams(f"gravity must be > 0, got {params.gravity}")
+        except (TypeError, ValueError) as err:
+            raise type(err)(f"schedule[{i}]: {err}") from err
+        variants.append(params)
 
     def factory_for(params: CartPoleParams) -> Callable[[], Environment]:
         return lambda: CartPole(params)

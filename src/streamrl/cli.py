@@ -36,6 +36,7 @@ from .benchmarks import (
 from .checkpoint import CheckpointError, restore_into, save_model
 from .core_env import (
     ActionRemap,
+    EnvError,
     FrameStack,
     ObservationNormalize,
     ReducedActionSet,
@@ -275,7 +276,12 @@ def _walk_scenario(section: dict) -> tuple[dict, RLScenario]:
         ]
         # one network serves every experience, so every spec's env (wrappers
         # included) must match the first one's observation shape and actions
-        envs = [spec.build() for _, spec in walked]
+        envs = []
+        for i, (_, spec) in enumerate(walked):
+            try:
+                envs.append(spec.build())
+            except EnvError as err:  # a wrapper that does not fit its env's spaces
+                raise ConfigError(f"scenario.env_specs[{i}].wrappers: {err}")
         first = (envs[0].observation_space.shape, envs[0].action_space)
         for i, env in enumerate(envs[1:], 1):
             if (env.observation_space.shape, env.action_space) != first:

@@ -65,11 +65,11 @@ class A2cStrategy(RLBaseStrategy):
 
     def sample_rollout_action(self, obs_batch: np.ndarray) -> np.ndarray:
         logits = self.model.forward(obs_batch)["policy_logits"]
-        probs = softmax(logits)
-        actions = np.empty(len(probs), dtype=np.int64)
-        for i in range(len(probs)):
-            actions[i] = self._action_rng.choice(self.n_actions, p=probs[i])
-        return actions
+        # rng.choice(n, p=row) for all rows, draw for draw: random() vs the normalised cdf
+        cdf = np.cumsum(softmax(logits), axis=1)
+        cdf /= cdf[:, -1:]
+        u = self._action_rng.random(len(cdf))
+        return (cdf <= u[:, None]).sum(axis=1)
 
     def greedy_action(self, obs_batch: np.ndarray) -> np.ndarray:
         logits = self.model.forward(obs_batch)["policy_logits"]

@@ -30,8 +30,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..benchmarks import RLExperience, RLScenario
-from ..core_env import deserialize_obs
+from ..core_env import deserialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 from ..evaluation import MetricsCollector
+from ..nn import NonFinite
 from ..vec_env import VectorizedEnv
 
 HOOKS = (
@@ -311,8 +312,8 @@ class RLBaseStrategy:
         self.total_env_steps = 0
         self.updates_applied_this_exp = 0
         self.updates_skipped_this_exp = 0
-        self._ep_return: list[float] = []
-        self._ep_length: list[int] = []
+        self._ep_return = np.zeros(0)
+        self._ep_length = np.zeros(0, dtype=np.int64)
         self._exp_episode_returns: list[float] = []
 
     # ------------------------------------------------------------------
@@ -368,27 +369,20 @@ class RLBaseStrategy:
         episodes_finished = 0
         while True:
             actions = self.sample_rollout_action(self.current_obs)
-            obs, rewards, dones, infos = venv.step([int(a) for a in actions])
-            done_list = dones.tolist()
-            next_obs = obs
-            if any(done_list):
-                next_obs = np.stack([
-                    deserialize_obs(infos[a]["terminal_obs"]) if done else obs[a]
-                    for a, done in enumerate(done_list)
-                ])
-            rollout.append(self.current_obs, actions, rewards, dones, next_obs)
-            for a, (reward, done) in enumerate(zip(rewards.tolist(), done_list)):
-                if not math.isfinite(reward):  # before it reaches a return or the metrics
-                    raise ValueError(f"non-finite reward {reward!r}")
-                self._ep_return[a] += reward
-                self._ep_length[a] += 1
-                if done:
-                    episodes_finished += 1
-                    self._exp_episode_returns.append(self._ep_return[a])
-                    if self.metrics is not None:
-                        self.metrics.record_episode(self._ep_return[a], self._ep_length[a])
-                    self._ep_return[a] = 0.0
-                    self._ep_length[a] = 0
+            obs, rewards, dones, final_obs = venv.step(actions)
+            if not all(map(math.isfinite, rewards.tolist())):  # before any return or metric
+                raise ValueError(f"non-finite reward in {rewards.tolist()!r}")
+            rollout.append(self.current_obs, actions, rewards, dones, final_obs)
+            self._ep_return += rewards
+            self._ep_length += 1
+            for a in dones.nonzero()[0].tolist():
+                episode_return, length = float(self._ep_return[a]), int(self._ep_length[a])
+                episodes_finished += 1
+                self._exp_episode_returns.append(episode_return)
+                if self.metrics is not None:
+                    self.metrics.record_episode(episode_return, length)
+                self._ep_return[a] = 0.0
+                self._ep_length[a] = 0
             self.current_obs = obs
             vec_steps += 1
             self.env_steps_this_exp += venv.n_actors
@@ -428,10 +422,11 @@ class RLBaseStrategy:
                 exp.env_factory, exp.n_envs, base_seed=self.env_seed, mode=self.vec_mode
             )
             self.venv = venv
+            phase = "rollout"
             try:
                 self.current_obs = venv.reset()
-                self._ep_return = [0.0] * exp.n_envs
-                self._ep_length = [0] * exp.n_envs
+                self._ep_return = np.zeros(exp.n_envs)
+                self._ep_length = np.zeros(exp.n_envs, dtype=np.int64)
                 self._exp_episode_returns = []
                 self.env_steps_this_exp = 0
                 self.updates_applied_this_exp = 0
@@ -440,9 +435,11 @@ class RLBaseStrategy:
                 self._fire("before_training_exp")
                 for u in range(self.budget.updates_per_experience):
                     self.update_index = u
+                    phase = "rollout"
                     self._fire("before_rollout")
                     self.rollout = self.collect_rollout(venv, self.budget.rollout_condition)
                     self._fire("after_rollout")
+                    phase = "update"
                     self.loss = 0.0
                     self.grad_accum = np.zeros(self.model.param_count)
                     self.update_batch = self.prepare_update_batch(self.rollout)
@@ -450,8 +447,12 @@ class RLBaseStrategy:
                     self.apply_update(self.update_batch)
                     self._fire("after_update")
                     self.global_update_index += 1
+                phase = "fisher"  # where regularization plugins measure importance
                 self._fire("after_training_exp")
                 self.on_experience_end(exp)
+            except NonFinite as err:
+                where = f"experience {exp.experience_index}, update {self.update_index}, {phase}"
+                raise NonFinite(f"{where}: {err}") from err
             finally:
                 venv.close()
                 self.venv = None
@@ -502,8 +503,11 @@ class RLBaseStrategy:
                 obs = venv.reset()
                 ep_return, ep_length = 0.0, 0
                 while len(returns) < n_episodes:
-                    actions = self.greedy_action(obs)
-                    obs, rewards, dones, _ = venv.step([int(actions[0])])
+                    try:
+                        actions = self.greedy_action(obs)
+                    except NonFinite as err:
+                        raise NonFinite(f"eval experience {exp.experience_index}: {err}") from err
+                    obs, rewards, dones, _ = venv.step(actions)
                     ep_return += float(rewards[0])
                     ep_length += 1
                     if dones[0]:

@@ -2,9 +2,9 @@
 
 Actor i starts from seed base_seed + i and, whenever its episode finishes,
 is automatically reset with seed base_seed + i + 10**6 * episode_index so any
-episode is reproducible in isolation. On auto-reset the returned row is the
-first observation of the next episode and the true terminal observation is
-serialized under info["terminal_obs"].
+episode is reproducible in isolation. step() returns obs, rewards, dones and
+final_obs, one row per actor. final_obs equals obs except on auto-reset, where
+obs starts the next episode and final_obs holds the true terminal observation.
 
 Serial mode steps the actors in-process; parallel mode gives each actor its
 own worker process behind a send-all/gather-all barrier. Both modes produce
@@ -20,7 +20,8 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .core_env import ActionOutOfSpace, Environment, serialize_obs
+from .core_env import ActionOutOfSpace, Environment
+from .core_env import serialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 
 EPISODE_SEED_STRIDE = 1_000_000
 
@@ -38,17 +39,17 @@ class _Actor:
         self.episode_index = 0
         return self.env.reset(seed=self.base_seed + self.index)
 
-    def step(self, action):
+    def step(self, action) -> tuple:
+        """(obs, reward, done, final_obs); final_obs is obs unless done."""
         result = self.env.step(action)
-        info = dict(result.info)
-        obs = result.obs
+        obs = final = result.obs
         if result.done:
-            info["terminal_obs"] = serialize_obs(result.obs)
+            final = np.array(final)  # the reset may reuse the env's buffer
             self.episode_index += 1
             obs = self.env.reset(
                 seed=self.base_seed + self.index + EPISODE_SEED_STRIDE * self.episode_index
             )
-        return obs, result.reward, result.done, info
+        return obs, result.reward, result.done, final
 
 
 class ActorCrashed(RuntimeError):
@@ -131,7 +132,8 @@ class VectorizedEnv:
     def step(self, actions):
         if len(actions) != self.n_actors:
             raise ValueError(f"need {self.n_actors} actions, got {len(actions)}")
-        for i, action in enumerate(actions):
+        actions = actions.tolist() if isinstance(actions, np.ndarray) else actions
+        for i, action in enumerate(actions):  # every check before any actor steps
             if not self.action_space.contains(action):
                 raise ActionOutOfSpace(f"actor {i}: action {action!r} not in {self.action_space}")
         if self.mode == "serial":
@@ -140,11 +142,9 @@ class VectorizedEnv:
             for conn, action in zip(self._conns, actions):
                 conn.send(("step", action))
             results = self._gather()
-        obs = np.stack([r[0] for r in results])
-        rewards = np.array([r[1] for r in results], dtype=np.float64)
-        dones = np.array([r[2] for r in results], dtype=bool)
-        infos = [r[3] for r in results]
-        return obs, rewards, dones, infos
+        obs, rewards, dones, final_obs = zip(*results)
+        rewards, dones = np.array(rewards, dtype=np.float64), np.array(dones, dtype=bool)
+        return np.array(obs), rewards, dones, np.array(final_obs)
 
     def _gather(self) -> list:
         """One reply per worker, in actor order; re-raises a worker's error."""

@@ -12,6 +12,7 @@ import yaml
 
 from streamrl.checkpoint import MAGIC, save_model
 from streamrl.cli import load_config, main
+from streamrl.envs import GridWorld
 from streamrl.evaluation import read_metrics_jsonl
 from streamrl.nn import Mlp
 
@@ -121,13 +122,16 @@ def test_run_twice_byte_identical(tmp_path):
         assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes(), artifact
 
 
-def test_runtime_failure_exit_3(tmp_path, capsys):
+def test_runtime_failure_exit_3(tmp_path, capsys, monkeypatch):
     config = base_config(tmp_path / "out")
-    # validates fine, but the remap target is outside the 4-action gridworld
-    config["scenario"]["env_specs"][0]["wrappers"] = [{"action_remap": {0: 7}}]
+
+    def broken_step(self, action):  # the config is valid; the env fails mid-run
+        raise RuntimeError("sensor fault")
+
+    monkeypatch.setattr(GridWorld, "step", broken_step)
     cfg = write_config(tmp_path, config)
     assert main(["run", str(cfg)]) == 3
-    assert capsys.readouterr().err.startswith("runtime error:")
+    assert capsys.readouterr().err.startswith("runtime error: RuntimeError: sensor fault")
 
 
 @pytest.mark.parametrize("name", ["a2c", "double_dqn"])
@@ -256,7 +260,10 @@ INVALID_CONFIGS = [
     ("base-max-steps-fraction", control(base_params={"max_steps": 2.5}),
      "scenario: bad cart-pole parameters: max_steps"),
     ("schedule-gravity-bool", control(schedule=[{}, {"gravity": True}]),
-     "scenario: bad cart-pole parameters: gravity"),
+     "scenario: bad cart-pole parameters: schedule[1]: gravity"),
+    ("schedule-second-bad", control(schedule=[{"max_steps": 50}, {"max_steps": 2.5}]),
+     "scenario: bad cart-pole parameters: schedule[1]: max_steps"),
+    ("remap-target", wrap({"action_remap": {0: 7}}), "scenario.env_specs[0].wrappers: "),
     ("cartpole-param-bool", at(SPEC, {"name": "c", "env": "cartpole", "params": {"cart_mass": True}}),
      "scenario.env_specs[0].params: cart_mass"),
     # each of these once failed with ShapeMismatch (exit 3) after training experience 0

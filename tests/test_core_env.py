@@ -63,7 +63,7 @@ def test_box_space_shape_total_must_match():
 
 
 # ---------------------------------------------------------------------------
-# Observation serialization (used by vec_env terminal_obs info entries)
+# Observation serialization (an exact JSON round trip)
 # ---------------------------------------------------------------------------
 
 

@@ -5,7 +5,18 @@ import pytest
 
 from streamrl.benchmarks import EnvSpec, Explicit, RLExperience, RLScenario, gym_benchmark_generator
 from streamrl.envs import GRID_MOVES, Bandit, BanditParams, CartPoleParams, CartPole, GridScene, GridWorld
-from streamrl.nn import Adam, Mlp, Sgd, entropy_loss, mse_loss, policy_gradient_loss
+from streamrl.evaluation import MetricsCollector
+from streamrl.nn import (
+    Adam,
+    Mlp,
+    NonFinite,
+    Sgd,
+    entropy_loss,
+    mse_loss,
+    policy_gradient_loss,
+    softmax,
+)
+from streamrl.plugins import EwcPlugin
 from streamrl.training import (
     A2cStrategy,
     AppendAfterMaterialize,
@@ -696,3 +707,141 @@ def test_a2c_trains_deterministically_on_cartpole():
     (r1, p1), (r2, p2) = run(), run()
     assert r1 == r2
     assert np.array_equal(p1, p2)
+
+
+class SharedBufferGrid(GridWorld):
+    """A grid that returns one buffer, rewritten in place, from every reset and step."""
+
+    def __init__(self):
+        super().__init__(GridScene(5, 5, max_steps=3))
+        self.buffer = np.zeros(25)
+
+    def reset(self, seed=None):
+        self.buffer[...] = super().reset(seed)
+        return self.buffer
+
+    def step(self, action):
+        result = super().step(action)
+        self.buffer[...] = result.obs
+        result.obs = self.buffer
+        return result
+
+
+def test_rollout_rows_do_not_alias_an_env_buffer():
+    def last_rollout(factory):
+        strat = DqnStrategy(dqn_model(), Adam(1e-3), TrainingBudget(1, Steps(8)), batch_size=64)
+        strat.train(gym_benchmark_generator([EnvSpec("g", factory)], 1, Explicit((0,)), 2), [])
+        return strat.rollout.steps()
+
+    shared = last_rollout(SharedBufferGrid)
+    fresh = last_rollout(lambda: GridWorld(GridScene(5, 5, max_steps=3)))
+    assert shared.done.any()
+    assert len(np.unique(shared.next_obs, axis=0)) > 1
+    for a, b in zip(shared.columns, fresh.columns):
+        assert np.array_equal(a, b)
+
+
+class EpisodeLog(MetricsCollector):
+    def __init__(self):
+        super().__init__()
+        self.episodes = []
+
+    def record_episode(self, episode_return, length):
+        self.episodes.append((episode_return, length))
+        super().record_episode(episode_return, length)
+
+
+class RolloutLog(StrategyPlugin):
+    def __init__(self):
+        self.rollouts = []
+
+    def after_rollout(self, strategy):
+        self.rollouts.append(strategy.rollout.by_actor())
+
+
+def test_episode_bookkeeping_matches_per_actor_oracle():
+    metrics, log = EpisodeLog(), RolloutLog()
+    strat = A2cStrategy(a2c_model(), Adam(1e-3), TrainingBudget(3, Steps(40)), metrics=metrics)
+    spec = EnvSpec("cp", lambda: CartPole(CartPoleParams(max_steps=15)))
+    report = strat.train(gym_benchmark_generator([spec], 1, Explicit((0,)), 3), [log])
+
+    expected, ret, length = [], [0.0] * 3, [0] * 3
+    rewards = np.concatenate([r.reward for r in log.rollouts], axis=1)
+    dones = np.concatenate([r.done for r in log.rollouts], axis=1)
+    for t in range(rewards.shape[1]):
+        for a in range(3):
+            ret[a] += float(rewards[a, t])
+            length[a] += 1
+            if dones[a, t]:
+                expected.append((ret[a], length[a]))
+                ret[a], length[a] = 0.0, 0
+    assert len(expected) > 3
+    assert metrics.episodes == expected
+    assert all(type(r) is float and type(n) is int for r, n in metrics.episodes)
+    assert report.experiences[0].episode_returns == tuple(r for r, _ in expected)
+
+
+# ---------------------------------------------------------------------------
+# Vectorized A2C sampling against the per-actor Generator.choice it replaced
+# ---------------------------------------------------------------------------
+
+
+def choice_oracle(rng, probs):
+    """One rng.choice per actor: the sampler the vectorized one replaced."""
+    return np.array([rng.choice(probs.shape[1], p=row) for row in probs], dtype=np.int64)
+
+
+@pytest.mark.parametrize("n_actors", [1, 4, 7])
+def test_a2c_sampler_matches_per_actor_choice(n_actors):
+    rng = np.random.default_rng(n_actors)
+    for n_actions in (2, 3, 6):
+        model = Mlp([3, n_actions + 1], activations=["identity"],
+                    heads={"policy_logits": n_actions, "value": 1})
+        strat = A2cStrategy(model, Adam(1e-3), TrainingBudget(1, Steps(1)), action_seed=n_actions)
+        oracle_rng = np.random.default_rng(n_actions)
+        for _ in range(300):
+            model.params[...] = rng.normal(size=model.param_count) * rng.choice([0.1, 1.0, 30.0])
+            obs = rng.normal(size=(n_actors, 3))
+            expected = choice_oracle(oracle_rng, softmax(model.forward(obs)["policy_logits"]))
+            assert np.array_equal(strat.sample_rollout_action(obs), expected)
+        assert strat._action_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# ---------------------------------------------------------------------------
+# A non-finite value names the experience, update and phase where it appeared
+# ---------------------------------------------------------------------------
+
+
+def poison(hook, experience, update):
+    """A plugin that writes inf into the model's parameters when `hook` fires
+    at the given experience and update index."""
+
+    def fire(self, strategy):
+        if (strategy.experience.experience_index, strategy.update_index) == (experience, update):
+            strategy.model.params[0] = np.inf
+
+    return type("Poison", (StrategyPlugin,), {hook: fire})()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("hook, experience, update, where", [
+    ("after_update", 1, 1, "experience 1, update 2, rollout: "),
+    ("after_rollout", 1, 0, "experience 1, update 0, update: "),
+    ("after_training_exp", 0, 2, "experience 0, update 2, fisher: "),
+], ids=["rollout", "update", "fisher"])
+def test_non_finite_names_experience_update_and_phase(hook, experience, update, where):
+    strat = A2cStrategy(a2c_model(obs_dim=25, n_actions=4), Adam(1e-3),
+                        TrainingBudget(3, Steps(2)))
+    scn = gym_benchmark_generator([SPEC_A, SPEC_B], 2, Explicit((0, 1)))
+    with pytest.raises(NonFinite, match=f"^{where}non-finite activations"):
+        strat.train(scn, [poison(hook, experience, update), EwcPlugin(fisher_sample_count=4)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_in_eval_names_the_eval_experience():
+    strat = A2cStrategy(a2c_model(obs_dim=25, n_actions=4), Adam(1e-3),
+                        TrainingBudget(2, Steps(2)))
+    scn = gym_benchmark_generator([SPEC_A, SPEC_B], 2, Explicit((0, 1)))
+    with pytest.raises(NonFinite, match="^eval experience 0: non-finite activations"):
+        strat.train(scn, [poison("after_training_exp", 0, 1)], eval_stream=scn.eval_stream,
+                    eval_episodes=1)

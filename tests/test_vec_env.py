@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from streamrl.core_env import ActionOutOfSpace, TimeLimit, deserialize_obs, wrap
+from streamrl.core_env import ActionOutOfSpace, TimeLimit, wrap
 from streamrl.envs import CartPole, CartPoleParams, GridScene, GridWorld
 from streamrl.vec_env import EPISODE_SEED_STRIDE, ActorCrashed, VectorizedEnv
 
@@ -51,10 +51,10 @@ def test_auto_reset_returns_next_episode_obs():
     venv = VectorizedEnv(limited_grid_factory, 1, base_seed=0)
     start = venv.reset()[0]
     venv.step([3])  # (1,0)
-    obs, rewards, dones, infos = venv.step([3])  # time limit hit at (2,0)
+    obs, rewards, dones, final_obs = venv.step([3])  # time limit hit at (2,0)
     assert dones[0]
     assert np.array_equal(obs[0], start)  # fresh reset obs, not terminal obs
-    terminal = deserialize_obs(infos[0]["terminal_obs"])
+    terminal = final_obs[0]
     assert terminal[2] == 1.0  # episode actually ended at cell (2,0)
 
 
@@ -188,3 +188,57 @@ def test_context_manager_closes():
         venv.reset()
         obs, _, _, _ = venv.step([0, 0])
         assert obs.shape == (2, 25)
+
+
+# ---------------------------------------------------------------------------
+# The array boundary: final_obs, copies, and checks before any actor steps
+# ---------------------------------------------------------------------------
+
+
+def test_final_obs_holds_terminal_rows_and_equals_obs_elsewhere():
+    venv = VectorizedEnv(limited_grid_factory, 2, base_seed=0)
+    start = venv.reset()
+    obs, _, dones, final_obs = venv.step([3, 1])  # (1,0) and (0,1)
+    assert not dones.any()
+    assert np.array_equal(final_obs, obs) and final_obs is not obs
+    obs, _, dones, final_obs = venv.step([3, 1])  # time limit at (2,0) and (0,2)
+    assert dones.all()
+    assert np.array_equal(obs, start)
+    assert np.flatnonzero(final_obs[0]).tolist() == [2]
+    assert np.flatnonzero(final_obs[1]).tolist() == [10]
+
+
+class CountingGrid(GridWorld):
+    def __init__(self):
+        super().__init__(GridScene(5, 5))
+        self.steps = 0
+
+    def step(self, action):
+        self.steps += 1
+        return super().step(action)
+
+
+def test_out_of_range_action_names_actor_before_any_actor_steps():
+    venv = VectorizedEnv(CountingGrid, 3, base_seed=0)
+    venv.reset()
+    with pytest.raises(ActionOutOfSpace, match="actor 2"):
+        venv.step(np.array([0, 1, 4]))
+    with pytest.raises(ActionOutOfSpace, match="actor 1"):
+        venv.step([0, -1, 0])
+    assert [actor.env.steps for actor in venv.actors] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("factory", [limited_grid_factory, cartpole_factory])
+def test_parallel_serial_final_obs_equal(factory):
+    n, base_seed = 3, 4
+    rng = np.random.default_rng(6)
+    plan = rng.integers(0, factory().action_space.n, size=(150, n))
+    runs = {}
+    for mode in ("serial", "parallel"):
+        with VectorizedEnv(factory, n, base_seed=base_seed, mode=mode) as venv:
+            venv.reset()
+            runs[mode] = [venv.step(actions) for actions in plan]
+    assert any(step[2].any() for step in runs["serial"])
+    for serial, parallel in zip(runs["serial"], runs["parallel"]):
+        for a, b in zip(serial, parallel):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
