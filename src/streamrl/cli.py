@@ -210,11 +210,15 @@ def _walk_env_spec(entry: dict, path: str) -> tuple[dict, EnvSpec]:
             raise ConfigError(f"{path}.map: gridworld env needs a text map")
         effective["map"] = entry["map"]
         try:
+            parse_scene(entry["map"])  # the map's own faults first, then the params'
+        except ValueError as err:
+            raise ConfigError(f"{path}.map: {err}")
+        try:
             scene = parse_scene(entry["map"], **params)
         except TypeError:
             raise ConfigError(f"{path}.params: not valid gridworld scene fields")
         except ValueError as err:
-            raise ConfigError(f"{path}.map: {err}")
+            raise ConfigError(f"{path}.params: {err}")
         factory = lambda scene=scene: GridWorld(scene)  # noqa: E731
     elif kind == "cartpole":
         try:
@@ -383,9 +387,14 @@ def _walk_scenario(section: dict) -> tuple[dict, RLScenario]:
             tasks.append(task)
             durations.append(duration)
         try:
+            for text in texts:  # the maps' own faults first, then the params'
+                parse_scene(text)
+        except ValueError as err:
+            raise ConfigError(f"scenario.scenes: {err}")
+        try:
             scenes = [parse_scene(text, **scene_params) for text in texts]
         except (TypeError, ValueError) as err:
-            raise ConfigError(f"scenario.scenes: {err}")
+            raise ConfigError(f"scenario.scene_params: {err}")
         effective = {
             "generator": "task_stream",
             "tasks": [dict(t) for t in section["tasks"]],

@@ -157,6 +157,11 @@ class GridScene:
             raise InvalidParams("scene dimensions must be >= 1")
         if self.max_steps < 1:
             raise InvalidParams("max_steps must be >= 1")
+        for name in ("step_reward", "goal_reward"):
+            value = getattr(self, name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise InvalidParams(f"{name} must be a finite number, got {value!r}")
         for name, cell in (("start", self.start), ("goal", self.goal)):
             if not self.in_bounds(cell):
                 raise InvalidParams(f"{name} {cell} outside {self.width}x{self.height} grid")
@@ -285,8 +290,8 @@ class BanditParams:
             raise InvalidParams("bandit needs k >= 1 arms")
         if not all(math.isfinite(m) for m in self.means):
             raise InvalidParams("bandit means must be finite")
-        if self.noise_std < 0:
-            raise InvalidParams("noise_std must be >= 0")
+        if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
+            raise InvalidParams(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
 
     @property
     def k(self) -> int:

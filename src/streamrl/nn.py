@@ -130,7 +130,7 @@ class Mlp:
             z = x @ w.T + b
             preacts.append(z)
             x = _activate(act, z)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NonFinite("non-finite activations in forward pass")
         self._cache = (inputs, preacts)
         return {name: x[:, lo:hi] for name, lo, hi in self._head_slices}
@@ -165,7 +165,7 @@ class Mlp:
             d_weights[i][...] = delta.T @ inputs[i]
             d_biases[i][...] = delta.sum(axis=0)
             g = delta @ self.weights[i]
-        if not np.all(np.isfinite(flat)):
+        if not np.isfinite(flat).all():
             raise NonFinite("non-finite gradients in backward pass")
         return flat
 

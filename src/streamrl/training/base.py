@@ -508,7 +508,11 @@ class RLBaseStrategy:
                     except NonFinite as err:
                         raise NonFinite(f"eval experience {exp.experience_index}: {err}") from err
                     obs, rewards, dones, _ = venv.step(actions)
-                    ep_return += float(rewards[0])
+                    reward = float(rewards[0])
+                    if not math.isfinite(reward):  # before any return or metric
+                        where = f"eval experience {exp.experience_index}"
+                        raise ValueError(f"{where}: non-finite reward {reward!r}")
+                    ep_return += reward
                     ep_length += 1
                     if dones[0]:
                         returns.append(ep_return)

@@ -6,16 +6,18 @@ episode is reproducible in isolation. step() returns obs, rewards, dones and
 final_obs, one row per actor. final_obs equals obs except on auto-reset, where
 obs starts the next episode and final_obs holds the true terminal observation.
 
-Serial mode steps the actors in-process; parallel mode gives each actor its
-own worker process behind a send-all/gather-all barrier. Both modes produce
-bitwise-identical results, with rows always ordered by actor index. An error
-raised in a worker comes back to the parent as ActorCrashed, naming the
-actor; in serial mode the env's own exception propagates.
+Serial mode steps the actors in-process; parallel mode splits them into
+min(N, usable CPUs) contiguous shards, one worker process and one message per
+shard per call; both give bitwise-identical rows in actor order. A worker's
+error or death raises ActorCrashed naming the actor. A pool of two or more
+replicas (N > 1, or any worker) refuses a factory that returns one env twice.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
+from contextlib import suppress
 from typing import Callable, Literal
 
 import numpy as np
@@ -53,37 +55,32 @@ class _Actor:
 
 
 class ActorCrashed(RuntimeError):
-    """An actor's worker process raised; the message names the actor."""
+    """An actor's worker process raised or died; the message names the actor(s)."""
 
 
-class _Failure:
-    """What a worker sends back instead of a result when its env raised."""
-
-    def __init__(self, message: str):
-        self.message = message
-
-
-def _worker(conn, factory, index, base_seed):
+def _worker(conn, factory, shard: range, base_seed: int) -> None:
+    """Serve one shard: each message, one action per actor (None resets it),
+    gets one reply with the shard's rows in actor order; "close" ends it."""
     try:
-        actor = _Actor(factory, index, base_seed)
-        while True:
-            cmd, payload = conn.recv()
-            if cmd == "reset":
-                conn.send(actor.reset())
-            elif cmd == "step":
-                conn.send(actor.step(payload))
-            elif cmd == "close":
-                break
+        actors = []
+        for i in shard:
+            actors.append(_Actor(factory, i, base_seed))
+        for actions in iter(conn.recv, "close"):
+            rows = []
+            for i, actor, action in zip(shard, actors, actions):
+                rows.append(actor.reset() if action is None else actor.step(action))
+            conn.send(rows)
     except (EOFError, KeyboardInterrupt):
         pass
     except Exception as err:  # report to the parent, which re-raises it
-        conn.send(_Failure(f"{type(err).__name__}: {err}"))
+        conn.send(ActorCrashed(f"actor {i}: {type(err).__name__}: {err}"))
     finally:
         conn.close()
 
 
 class VectorizedEnv:
-    """N lockstep actors over one env factory. Not safe for concurrent calls."""
+    """N lockstep actors, each on its own env from env_factory; parallel mode
+    shards them over min(N, usable CPUs) workers. Not safe for concurrent calls."""
 
     def __init__(
         self,
@@ -99,35 +96,36 @@ class VectorizedEnv:
         self.n_actors = n_actors
         self.base_seed = base_seed
         self.mode = mode
-        self._closed = False
+        self._conns, self._procs = [], []
         if mode == "serial":
             self.actors = [_Actor(env_factory, i, base_seed) for i in range(n_actors)]
             template = self.actors[0].env
+            replica = self.actors[1].env if n_actors > 1 else None
         else:
-            template = env_factory()
+            template, replica = env_factory(), env_factory()
+        if replica is template:  # a shared env (TaskStreamEnv) runs only as one serial actor
+            raise ValueError("env_factory must build a new env for every replica")
+        self.action_space = template.action_space
+        self.observation_space = template.observation_space
+        if mode == "parallel":
+            cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+            k = min(n_actors, cpus or 1)
+            self._shards = [range(n_actors * w // k, n_actors * (w + 1) // k) for w in range(k)]
             ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
-            self._conns = []
-            self._procs = []
-            for i in range(n_actors):
+            for shard in self._shards:
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
-                    target=_worker, args=(child_conn, env_factory, i, base_seed), daemon=True
+                    target=_worker, args=(child_conn, env_factory, shard, base_seed), daemon=True
                 )
                 proc.start()
                 child_conn.close()
                 self._conns.append(parent_conn)
                 self._procs.append(proc)
-        self.action_space = template.action_space
-        self.observation_space = template.observation_space
 
     def reset(self) -> np.ndarray:
-        if self.mode == "serial":
-            rows = [actor.reset() for actor in self.actors]
-        else:
-            for conn in self._conns:
-                conn.send(("reset", None))
-            rows = self._gather()
-        return np.stack(rows)
+        if self.mode == "parallel":
+            return np.stack(self._exchange([None] * self.n_actors))
+        return np.stack([actor.reset() for actor in self.actors])
 
     def step(self, actions):
         if len(actions) != self.n_actors:
@@ -139,34 +137,38 @@ class VectorizedEnv:
         if self.mode == "serial":
             results = [actor.step(a) for actor, a in zip(self.actors, actions)]
         else:
-            for conn, action in zip(self._conns, actions):
-                conn.send(("step", action))
-            results = self._gather()
+            results = self._exchange(actions)
         obs, rewards, dones, final_obs = zip(*results)
         rewards, dones = np.array(rewards, dtype=np.float64), np.array(dones, dtype=bool)
         return np.array(obs), rewards, dones, np.array(final_obs)
 
-    def _gather(self) -> list:
-        """One reply per worker, in actor order; re-raises a worker's error."""
-        replies = [conn.recv() for conn in self._conns]
-        for i, reply in enumerate(replies):
-            if isinstance(reply, _Failure):
-                raise ActorCrashed(f"actor {i}: {reply.message}")
-        return replies
+    def _exchange(self, actions: list) -> list:
+        """Send each worker its shard's actions, then gather every actor's
+        row in actor order; a worker's error or death raises ActorCrashed."""
+        for conn, shard in zip(self._conns, self._shards):
+            with suppress(ConnectionError):  # a dead worker: receiving from it says so
+                conn.send(actions[shard.start : shard.stop])
+        rows = []
+        for conn, proc, shard in zip(self._conns, self._procs, self._shards):
+            try:
+                reply = conn.recv()
+            except (EOFError, ConnectionError):
+                proc.join(timeout=5)
+                where = f"actors {shard[0]}..{shard[-1]}"
+                reply = ActorCrashed(f"{where}: worker exited with code {proc.exitcode}")
+            if isinstance(reply, ActorCrashed):
+                raise reply
+            rows += reply
+        return rows
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self.mode == "parallel":
-            for conn in self._conns:
-                try:
-                    conn.send(("close", None))
-                    conn.close()
-                except (BrokenPipeError, OSError):
-                    pass
-            for proc in self._procs:
-                proc.join(timeout=5)
+        conns, self._conns = self._conns, []
+        for conn in conns:
+            with suppress(OSError):
+                conn.send("close")
+            conn.close()
+        for proc in self._procs:
+            proc.join(timeout=5)
 
     def __enter__(self) -> "VectorizedEnv":
         return self
@@ -175,7 +177,5 @@ class VectorizedEnv:
         self.close()
 
     def __del__(self) -> None:
-        try:
+        with suppress(Exception):
             self.close()
-        except Exception:
-            pass

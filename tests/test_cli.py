@@ -266,6 +266,22 @@ INVALID_CONFIGS = [
     ("remap-target", wrap({"action_remap": {0: 7}}), "scenario.env_specs[0].wrappers: "),
     ("cartpole-param-bool", at(SPEC, {"name": "c", "env": "cartpole", "params": {"cart_mass": True}}),
      "scenario.env_specs[0].params: cart_mass"),
+    ("grid-step-reward-inf", at(f"{SPEC}.params", {"step_reward": float("inf")}),
+     "scenario.env_specs[0].params: step_reward"),
+    ("grid-goal-reward-nan", at(f"{SPEC}.params", {"goal_reward": float("nan")}),
+     "scenario.env_specs[0].params: goal_reward"),
+    ("grid-goal-reward-string", at(f"{SPEC}.params", {"goal_reward": "1"}),
+     "scenario.env_specs[0].params: goal_reward"),
+    ("bandit-noise-inf", at(SPEC, {"name": "b", "env": "bandit",
+                                   "params": {"means": [0.0], "noise_std": float("inf")}}),
+     "scenario.env_specs[0].params: noise_std"),
+    ("scene-step-reward-inf", task_stream(scene_params={"step_reward": float("inf")}),
+     "scenario.scene_params: step_reward"),
+    # each of these was once reported under the map rather than the params
+    ("grid-max-steps", at(f"{SPEC}.params", {"max_steps": 0}),
+     "scenario.env_specs[0].params: max_steps"),
+    ("scene-max-steps", task_stream(scene_params={"max_steps": 0}),
+     "scenario.scene_params: max_steps"),
     # each of these once failed with ShapeMismatch (exit 3) after training experience 0
     ("spec-env-mismatch", at("scenario.env_specs", [
         {"name": "grid", "env": "gridworld", "map": GRID_MAP},

@@ -269,6 +269,13 @@ def test_parse_scene_overrides():
     assert scene.max_steps == 50
 
 
+@pytest.mark.parametrize("change", [dict(step_reward=math.inf), dict(step_reward="0"),
+                                    dict(goal_reward=math.nan), dict(goal_reward=True)])
+def test_scene_rewards_must_be_finite_numbers(change):
+    with pytest.raises(InvalidParams, match=f"^{next(iter(change))} must be a finite number"):
+        parse_scene(MAP_OK, **change)
+
+
 def test_parse_scene_ragged_lines_rejected():
     with pytest.raises(SceneFormatError):
         parse_scene("S..\n..\n..G")
@@ -334,3 +341,6 @@ def test_bandit_invariants():
         BanditParams(means=(0.0, math.nan), noise_std=0.0)
     with pytest.raises(InvalidParams):
         BanditParams(means=(0.0,), noise_std=-1.0)
+    for noise_std in (math.inf, math.nan):
+        with pytest.raises(InvalidParams, match="noise_std"):
+            BanditParams(means=(0.0,), noise_std=noise_std)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from streamrl import vec_env
 from streamrl.core_env import Discrete
 from streamrl.envs import GridScene, one_hot_cell, parse_scene
 from streamrl.nn import Adam, Mlp
@@ -24,7 +25,7 @@ from streamrl.task_stream import (
     task_from_config,
     task_stream_benchmark_generator,
 )
-from streamrl.training import DqnStrategy, Steps, TrainingBudget
+from streamrl.training import DqnStrategy, Steps, StrategyPlugin, TrainingBudget
 
 SCENE = GridScene(3, 3, goal=(2, 2), max_steps=10)
 SCENE_ALT = GridScene(3, 3, goal=(0, 2), max_steps=10)
@@ -436,3 +437,42 @@ def test_strategy_trains_over_task_stream():
     report = strat.train(scn, [])
     assert [e.task_label for e in report.experiences] == [0, 1]
     assert report.total_env_steps == 8
+
+
+class CellAtExperienceEdges(StrategyPlugin):
+    """The agent's cell where each training experience starts and stops."""
+
+    def __init__(self):
+        self.starts, self.stops = [], []
+
+    def before_training_exp(self, strategy):
+        self.starts.append(strategy.venv.actors[0].env.position)
+        assert np.array_equal(strategy.current_obs[0], one_hot_cell(self.starts[-1], 3, 3))
+
+    def after_training_exp(self, strategy):
+        self.stops.append(strategy.venv.actors[0].env.position)
+
+
+def swapping_stream():
+    return task_stream_benchmark_generator(
+        [build_task("survive")], [MaxSteps(12)], [SCENE, SCENE_ALT], swap_policy=EveryNSteps(3)
+    )
+
+
+def dqn(**kwargs):
+    model = Mlp([9, 8, 4], heads={"q_values": 4}, seed=0)
+    return DqnStrategy(model, Adam(1e-3), TrainingBudget(2, Steps(2)), batch_size=2, **kwargs)
+
+
+def test_serial_stream_starts_each_experience_where_the_last_stopped():
+    edges = CellAtExperienceEdges()
+    report = dqn().train(swapping_stream(), [edges])
+    assert len(report.experiences) == 4
+    assert edges.starts[1:] == edges.stops[:-1]
+    assert any(cell != SCENE.start for cell in edges.stops[:-1])  # the carry is visible
+
+
+def test_parallel_mode_refuses_the_shared_stream_env_before_any_worker(monkeypatch):
+    monkeypatch.setattr(vec_env.mp, "get_context", None)  # no worker may start
+    with pytest.raises(ValueError, match="new env for every replica"):
+        dqn(vec_mode="parallel").train(swapping_stream(), [])

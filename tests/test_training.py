@@ -1,5 +1,7 @@
 """Strategy engine: rollout/update loop, hooks, DQN family, A2C."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -845,3 +847,28 @@ def test_non_finite_in_eval_names_the_eval_experience():
     with pytest.raises(NonFinite, match="^eval experience 0: non-finite activations"):
         strat.train(scn, [poison("after_training_exp", 0, 1)], eval_stream=scn.eval_stream,
                     eval_episodes=1)
+
+
+class GridPayingNanOnStep3(GridWorld):
+    def step(self, action):
+        result = super().step(action)
+        return replace(result, reward=float("nan")) if self._steps == 3 else result
+
+
+def test_non_finite_eval_reward_names_the_eval_experience_before_any_record(tmp_path):
+    from streamrl.evaluation import JsonlLogger, MetricsCollector
+
+    scene = GridScene(5, 5)
+    logger = JsonlLogger(tmp_path / "metrics.jsonl")
+    strat = DqnStrategy(grid_q_table_model(scene), Adam(1e-3), TrainingBudget(1, Steps(1)),
+                        metrics=MetricsCollector(window=10, loggers=[logger]))
+    stream = [RLExperience(env_factory=lambda: GridWorld(scene), task_label=0, n_envs=1,
+                           experience_index=0),
+              RLExperience(env_factory=lambda: GridPayingNanOnStep3(scene), task_label=1,
+                           n_envs=1, experience_index=1)]
+    with pytest.raises(ValueError, match="^eval experience 1: non-finite reward nan"):
+        strat.evaluate(stream, 2)
+    logger.close()
+    lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
+    assert any('"phase": "eval"' in line for line in lines)  # experience 0 was booked
+    assert not any("NaN" in line for line in lines)

@@ -1,8 +1,12 @@
 """Actor pool: seeding schedule, auto-reset, serial/parallel equivalence."""
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
+from streamrl import vec_env
 from streamrl.core_env import ActionOutOfSpace, TimeLimit, wrap
 from streamrl.envs import CartPole, CartPoleParams, GridScene, GridWorld
 from streamrl.vec_env import EPISODE_SEED_STRIDE, ActorCrashed, VectorizedEnv
@@ -134,22 +138,28 @@ def test_action_validation_names_actor():
         venv.step([0, 9])
 
 
-class GridFailingOnSeed1(GridWorld):
-    """A grid whose step raises in the replica reset with seed 1."""
+class GridFailingOnSeed(GridWorld):
+    """A grid whose step raises, or with exit=True ends its process without a
+    word, in the replica reset with seed bad_seed."""
+
+    def __init__(self, bad_seed, exit=False):
+        super().__init__(GridScene(5, 5))
+        self.bad_seed, self.exit = bad_seed, exit
 
     def reset(self, seed=None):
         self.seed = seed
         return super().reset(seed)
 
     def step(self, action):
-        if self.seed == 1:
+        if self.seed == self.bad_seed:
+            if self.exit:
+                os._exit(1)
             raise RuntimeError("sensor fault")
         return super().step(action)
 
 
 def test_parallel_worker_error_names_its_actor():
-    venv = VectorizedEnv(lambda: GridFailingOnSeed1(GridScene(5, 5)), 3, base_seed=0,
-                         mode="parallel")
+    venv = VectorizedEnv(lambda: GridFailingOnSeed(1), 3, base_seed=0, mode="parallel")
     try:
         venv.reset()
         with pytest.raises(ActorCrashed, match="actor 1: RuntimeError: sensor fault"):
@@ -242,3 +252,61 @@ def test_parallel_serial_final_obs_equal(factory):
     for serial, parallel in zip(runs["serial"], runs["parallel"]):
         for a, b in zip(serial, parallel):
             assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------------------
+# Shards: one worker per usable CPU, and one env instance per replica
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("factory", [limited_grid_factory, cartpole_factory])
+def test_five_actors_over_two_workers_equal_serial(two_cpus, factory):
+    plan = np.random.default_rng(8).integers(0, factory().action_space.n, size=(150, 5))
+    runs = {}
+    for mode in ("serial", "parallel"):
+        with VectorizedEnv(factory, 5, base_seed=2, mode=mode) as venv:
+            runs[mode] = [(venv.reset(),)] + [venv.step(actions) for actions in plan]
+    assert len(venv._procs) == 2
+    assert any(step[2].any() for step in runs["serial"][1:])
+    for serial, parallel in zip(runs["serial"], runs["parallel"]):
+        for a, b in zip(serial, parallel):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def test_error_in_second_worker_names_its_global_actor(two_cpus):
+    with VectorizedEnv(lambda: GridFailingOnSeed(3), 5, mode="parallel") as venv:
+        venv.reset()
+        with pytest.raises(ActorCrashed, match="^actor 3: RuntimeError: sensor fault"):
+            venv.step([0] * 5)
+
+
+def test_worker_that_exits_without_replying_is_named(two_cpus):
+    with VectorizedEnv(lambda: GridFailingOnSeed(3, exit=True), 5, mode="parallel") as venv:
+        venv.reset()
+        with pytest.raises(ActorCrashed, match="^actors 2..4: worker exited with code 1$"):
+            venv.step([0] * 5)
+
+
+def test_worker_killed_between_steps_is_named(two_cpus):
+    with VectorizedEnv(grid_factory, 5, mode="parallel") as venv:
+        venv.reset()
+        os.kill(venv._procs[1].pid, signal.SIGKILL)
+        venv._procs[1].join()
+        killed = f"^actors 2..4: worker exited with code {-signal.SIGKILL}$"
+        with pytest.raises(ActorCrashed, match=killed):
+            venv.step([0] * 5)
+
+
+def test_factory_returning_one_instance_is_refused_for_two_replicas(monkeypatch):
+    shared = grid_factory()
+    with VectorizedEnv(lambda: shared, 1) as venv:  # one in-process actor may share
+        assert venv.actors[0].env is shared
+    monkeypatch.setattr(vec_env.mp, "get_context", None)  # no worker may start
+    for n, mode in [(2, "serial"), (1, "parallel"), (3, "parallel")]:
+        with pytest.raises(ValueError, match="new env for every replica"):
+            VectorizedEnv(lambda: shared, n, mode=mode)
