@@ -155,6 +155,8 @@ class GridScene:
         object.__setattr__(self, "walls", frozenset(tuple(w) for w in self.walls))
         if self.width < 1 or self.height < 1:
             raise InvalidParams("scene dimensions must be >= 1")
+        if not isinstance(self.max_steps, numbers.Integral) or isinstance(self.max_steps, bool):
+            raise InvalidParams(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps < 1:
             raise InvalidParams("max_steps must be >= 1")
         for name in ("step_reward", "goal_reward"):

@@ -30,10 +30,19 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..benchmarks import RLExperience, RLScenario
+from ..core_env import ActionOutOfSpace
 from ..core_env import deserialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 from ..evaluation import MetricsCollector
 from ..nn import NonFinite
-from ..vec_env import VectorizedEnv
+from ..vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
+
+# Eval episodes that run side by side, one greedy forward over all of them per
+# step. CPU time is the cost that counts, and numpy's OpenBLAS (0.3.31) runs a
+# 64x64 layer's GEMM on 2 threads from batch 128 up: on a 2-vCPU host, a
+# [4, 64, 64, 3] forward measured CPU/wall 2.0 at batches 128 and 200 and at
+# most 1.0 at 64 and below (45 us of CPU at batch 32, 182 us at 128). 32 stays
+# well under that threshold.
+EVAL_LANES = 32
 
 HOOKS = (
     "before_training",
@@ -371,7 +380,8 @@ class RLBaseStrategy:
             actions = self.sample_rollout_action(self.current_obs)
             obs, rewards, dones, final_obs = venv.step(actions)
             if not all(map(math.isfinite, rewards.tolist())):  # before any return or metric
-                raise ValueError(f"non-finite reward in {rewards.tolist()!r}")
+                where = f"experience {self.experience.experience_index}, update {self.update_index}"
+                raise ValueError(f"{where}, rollout: non-finite reward in {rewards.tolist()!r}")
             rollout.append(self.current_obs, actions, rewards, dones, final_obs)
             self._ep_return += rewards
             self._ep_length += 1
@@ -482,8 +492,12 @@ class RLBaseStrategy:
     def evaluate(
         self, eval_stream: Sequence[RLExperience], n_episodes: int
     ) -> list[EvalResult]:
-        """Greedy policy, no learning: n_episodes per eval experience with a
-        single actor seeded from eval_env_seed."""
+        """Greedy policy, no learning: n_episodes per eval experience, episode
+        k on a fresh env reset with eval_env_seed + EPISODE_SEED_STRIDE * k, so
+        each episode depends only on the weights and its seed. Up to EVAL_LANES
+        episodes run side by side with one greedy_action call per step; a
+        factory that returns one env twice plays them one at a time. Records
+        and results come in episode order."""
         if n_episodes < 1:
             raise InvalidEpisodeCount(f"n_episodes must be >= 1, got {n_episodes}")
         saved = None
@@ -497,29 +511,10 @@ class RLBaseStrategy:
                 self.metrics.phase = "eval"
                 self.metrics.experience_index = exp.experience_index
                 self.metrics.reset_phase_windows("eval")
-            returns: list[float] = []
-            lengths: list[int] = []
-            with VectorizedEnv(exp.env_factory, 1, base_seed=self.eval_env_seed) as venv:
-                obs = venv.reset()
-                ep_return, ep_length = 0.0, 0
-                while len(returns) < n_episodes:
-                    try:
-                        actions = self.greedy_action(obs)
-                    except NonFinite as err:
-                        raise NonFinite(f"eval experience {exp.experience_index}: {err}") from err
-                    obs, rewards, dones, _ = venv.step(actions)
-                    reward = float(rewards[0])
-                    if not math.isfinite(reward):  # before any return or metric
-                        where = f"eval experience {exp.experience_index}"
-                        raise ValueError(f"{where}: non-finite reward {reward!r}")
-                    ep_return += reward
-                    ep_length += 1
-                    if dones[0]:
-                        returns.append(ep_return)
-                        lengths.append(ep_length)
-                        if self.metrics is not None:
-                            self.metrics.record_episode(ep_return, ep_length)
-                        ep_return, ep_length = 0.0, 0
+            returns, lengths = self._play_greedy(exp, n_episodes)
+            if self.metrics is not None:
+                for episode_return, length in zip(returns, lengths):
+                    self.metrics.record_episode(episode_return, length)
             result = EvalResult(
                 experience_index=exp.experience_index,
                 task_label=exp.task_label,
@@ -537,6 +532,48 @@ class RLBaseStrategy:
             self.metrics.phase, self.metrics.experience_index = saved
         self.eval_experience = None
         return results
+
+    def _play_greedy(self, exp: RLExperience, n_episodes: int) -> tuple[list[float], list[int]]:
+        """Returns and lengths of n_episodes greedy episodes, by episode index.
+        A lane is one running episode; a finished lane takes the next episode."""
+        where = f"eval experience {exp.experience_index}"
+        returns, lengths = [0.0] * n_episodes, [0] * n_episodes
+        envs = [exp.env_factory() for _ in range(min(n_episodes, 2))]
+        # a factory that returns one env twice (a shared TaskStreamEnv) gets one lane
+        width = 1 if envs[-1] is envs[0] else min(n_episodes, EVAL_LANES)
+        envs = envs[:width] + [exp.env_factory() for _ in range(width - 2)]
+        space = envs[0].action_space
+
+        def start(k: int, env) -> tuple:
+            return k, env, env.reset(seed=self.eval_env_seed + EPISODE_SEED_STRIDE * k)
+
+        lanes = [start(k, env) for k, env in enumerate(envs)]
+        next_episode = width
+        while lanes:
+            try:
+                actions = self.greedy_action(np.stack([obs for _, _, obs in lanes])).tolist()
+            except NonFinite as err:
+                raise NonFinite(f"{where}: {err}") from err
+            if len(actions) != len(lanes):
+                raise ValueError(f"{where}: need {len(lanes)} actions, got {len(actions)}")
+            for (k, _, _), action in zip(lanes, actions):  # every check before any lane steps
+                if not space.contains(action):
+                    raise ActionOutOfSpace(f"{where}, episode {k}: action {action!r} not in {space}")
+            live = []
+            for (k, env, _), action in zip(lanes, actions):
+                result = env.step(action)
+                reward = float(result.reward)
+                if not math.isfinite(reward):  # before any return or metric
+                    raise ValueError(f"{where}: non-finite reward {reward!r}")
+                returns[k] += reward
+                lengths[k] += 1
+                if not result.done:
+                    live.append((k, env, result.obs))
+                elif next_episode < n_episodes:
+                    live.append(start(next_episode, exp.env_factory()))
+                    next_episode += 1
+            lanes = live
+        return returns, lengths
 
 
 def train(

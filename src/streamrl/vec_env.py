@@ -1,10 +1,12 @@
 """Batched facade over N seeded replicas of one environment.
 
 Actor i starts from seed base_seed + i and, whenever its episode finishes,
-is automatically reset with seed base_seed + i + 10**6 * episode_index so any
-episode is reproducible in isolation. step() returns obs, rewards, dones and
-final_obs, one row per actor. final_obs equals obs except on auto-reset, where
-obs starts the next episode and final_obs holds the true terminal observation.
+is automatically reset with seed base_seed + i + 10**6 * episode_index, so any
+episode is reproducible in isolation as long as no wrapper keeps state across
+reset (obs_normalize's running statistics do). step() returns obs, rewards,
+dones and final_obs, one row per actor. final_obs equals obs except on
+auto-reset, where obs starts the next episode and final_obs holds the true
+terminal observation.
 
 Serial mode steps the actors in-process; parallel mode splits them into
 min(N, usable CPUs) contiguous shards, one worker process and one message per

@@ -282,6 +282,14 @@ INVALID_CONFIGS = [
      "scenario.env_specs[0].params: max_steps"),
     ("scene-max-steps", task_stream(scene_params={"max_steps": 0}),
      "scenario.scene_params: max_steps"),
+    ("grid-max-steps-fraction", at(f"{SPEC}.params", {"max_steps": 2.5}),
+     "scenario.env_specs[0].params: max_steps must be an integer, got 2.5"),
+    ("grid-max-steps-bool", at(f"{SPEC}.params", {"max_steps": True}),
+     "scenario.env_specs[0].params: max_steps must be an integer, got True"),
+    ("scene-max-steps-fraction", task_stream(scene_params={"max_steps": 2.5}),
+     "scenario.scene_params: max_steps must be an integer, got 2.5"),
+    ("scene-max-steps-bool", task_stream(scene_params={"max_steps": True}),
+     "scenario.scene_params: max_steps must be an integer, got True"),
     # each of these once failed with ShapeMismatch (exit 3) after training experience 0
     ("spec-env-mismatch", at("scenario.env_specs", [
         {"name": "grid", "env": "gridworld", "map": GRID_MAP},

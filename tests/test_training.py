@@ -6,6 +6,15 @@ import numpy as np
 import pytest
 
 from streamrl.benchmarks import EnvSpec, Explicit, RLExperience, RLScenario, gym_benchmark_generator
+from streamrl.core_env import (
+    ActionOutOfSpace,
+    ActionRemap,
+    FrameStack,
+    ObservationNormalize,
+    RewardClip,
+    TimeLimit,
+    wrap,
+)
 from streamrl.envs import GRID_MOVES, Bandit, BanditParams, CartPoleParams, CartPole, GridScene, GridWorld
 from streamrl.evaluation import MetricsCollector
 from streamrl.nn import (
@@ -19,6 +28,7 @@ from streamrl.nn import (
     softmax,
 )
 from streamrl.plugins import EwcPlugin
+from streamrl.task_stream import MaxEpisodes, build_task, task_stream_benchmark_generator
 from streamrl.training import (
     A2cStrategy,
     AppendAfterMaterialize,
@@ -26,6 +36,7 @@ from streamrl.training import (
     EmptyRollout,
     EmptyStream,
     Episodes,
+    EvalResult,
     InsufficientReplay,
     InvalidEpisodeCount,
     Rollout,
@@ -36,7 +47,9 @@ from streamrl.training import (
     compute_dqn_targets,
     compute_nstep_returns,
 )
+from streamrl.training.base import EVAL_LANES
 from streamrl.training.dqn import ReplayBuffer
+from streamrl.vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
 
 SPEC_A = EnvSpec("grid_a", lambda: GridWorld(GridScene(5, 5)))
 SPEC_B = EnvSpec("grid_b", lambda: GridWorld(GridScene(5, 5, goal=(0, 4))))
@@ -872,3 +885,160 @@ def test_non_finite_eval_reward_names_the_eval_experience_before_any_record(tmp_
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert any('"phase": "eval"' in line for line in lines)  # experience 0 was booked
     assert not any("NaN" in line for line in lines)
+
+
+def test_non_finite_training_reward_names_experience_and_update():
+    strat = DqnStrategy(dqn_model(), Adam(1e-3), TrainingBudget(3, Steps(2)), batch_size=64)
+    spec = EnvSpec("nan", lambda: GridPayingNanOnStep3(GridScene(5, 5)))
+    scn = gym_benchmark_generator([SPEC_A, spec], 2, Explicit((0, 1)))
+    with pytest.raises(ValueError, match=r"^experience 1, update 1, rollout: non-finite reward in \[nan\]"):
+        strat.train(scn, [])
+
+
+# ---------------------------------------------------------------------------
+# Lane-batched greedy evaluation against the one-actor loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def sequential_eval(strat, eval_stream, n_episodes):
+    """The loop evaluate() ran before lanes: one VectorizedEnv actor plays the
+    episodes one after another, one batch-1 greedy forward per step. Returns
+    every (return, length) in play order and the EvalResults."""
+    episodes, results = [], []
+    for exp in eval_stream:
+        played, ep_return, ep_length = [], 0.0, 0
+        with VectorizedEnv(exp.env_factory, 1, base_seed=strat.eval_env_seed) as venv:
+            obs = venv.reset()
+            while len(played) < n_episodes:
+                obs, rewards, dones, _ = venv.step(strat.greedy_action(obs))
+                ep_return += float(rewards[0])
+                ep_length += 1
+                if dones[0]:
+                    played.append((ep_return, ep_length))
+                    ep_return, ep_length = 0.0, 0
+        returns, lengths = [r for r, _ in played], [n for _, n in played]
+        results.append(EvalResult(exp.experience_index, exp.task_label, float(np.mean(returns)),
+                                  float(np.std(returns)), float(np.mean(lengths))))
+        episodes += played
+    return episodes, results
+
+
+def lane_eval(strat, eval_stream, n_episodes):
+    """evaluate() with its episode records and greedy_action batch sizes."""
+    strat.metrics, batches = EpisodeLog(), []
+    greedy = strat.greedy_action
+    strat.greedy_action = lambda obs: batches.append(len(obs)) or greedy(obs)
+    try:
+        results = strat.evaluate(eval_stream, n_episodes)
+    finally:
+        del strat.greedy_action
+    return strat.metrics.episodes, results, batches
+
+
+def eval_strategy(kind, obs_dim, n_actions, seed=3):
+    budget = TrainingBudget(1, Steps(1))
+    if kind == "dqn":
+        return DqnStrategy(dqn_model(obs_dim, n_actions, hidden=(16,), seed=seed), Adam(1e-3),
+                           budget, eval_env_seed=77)
+    return A2cStrategy(a2c_model(obs_dim, n_actions, hidden=(16,), seed=seed), Adam(1e-3),
+                       budget, eval_env_seed=77)
+
+
+def one_stream(factory):
+    return [RLExperience(env_factory=factory, task_label=0, n_envs=1)]
+
+
+def cartpole(max_steps=20):
+    return CartPole(CartPoleParams(max_steps=max_steps))
+
+
+def task_stream_scenario():
+    scenes = [GridScene(3, 3, goal=(2, 2), max_steps=10), GridScene(3, 3, goal=(0, 2), max_steps=10)]
+    tasks = [build_task("reach_goal", "reach"), build_task("survive", "survive")]
+    return task_stream_benchmark_generator(tasks, [MaxEpisodes(2), MaxEpisodes(2)], scenes)
+
+
+# name: (eval stream, obs_dim, n_actions)
+LANE_CASES = {
+    "gridworld": (lambda: one_stream(lambda: GridWorld(GridScene(5, 5, max_steps=12))), 25, 4),
+    "cartpole": (lambda: one_stream(cartpole), 4, 2),
+    "noisy-bandit": (lambda: one_stream(
+        lambda: Bandit(BanditParams(means=(0.0, 0.3, 1.0), noise_std=1.0))), 1, 3),
+    "task-stream-eval": (lambda: task_stream_scenario().eval_stream, 9, 4),
+    "frame_stack": (lambda: one_stream(lambda: wrap(cartpole(), FrameStack(3))), 12, 2),
+    "time_limit": (lambda: one_stream(lambda: wrap(cartpole(500), TimeLimit(9))), 4, 2),
+    "reward_clip": (lambda: one_stream(lambda: wrap(cartpole(), RewardClip(0.0, 0.25))), 4, 2),
+    "action_remap": (lambda: one_stream(lambda: wrap(
+        GridWorld(GridScene(5, 5, max_steps=12)), ActionRemap.from_dict({0: 3, 1: 1, 2: 0}))), 25, 3),
+}
+
+
+def assert_lanes_match_sequential(strat, stream, n_episodes):
+    expected_episodes, expected_results = sequential_eval(strat, stream, n_episodes)
+    episodes, results, batches = lane_eval(strat, stream, n_episodes)
+    assert episodes == expected_episodes
+    assert all(type(r) is float and type(n) is int for r, n in episodes)
+    assert results == expected_results
+    assert max(batches) == min(n_episodes, EVAL_LANES)
+    return episodes
+
+
+@pytest.mark.parametrize("kind", ["dqn", "a2c"])
+@pytest.mark.parametrize("case", list(LANE_CASES))
+def test_lane_eval_matches_sequential_loop(case, kind):
+    make_stream, obs_dim, n_actions = LANE_CASES[case]
+    assert_lanes_match_sequential(eval_strategy(kind, obs_dim, n_actions), make_stream(), 33)
+
+
+@pytest.mark.parametrize("n_episodes", [1, 31, 32, 33, 200])
+def test_lane_eval_matches_sequential_loop_at_every_width(n_episodes):
+    episodes = assert_lanes_match_sequential(
+        eval_strategy("a2c", 4, 2), one_stream(cartpole), n_episodes)
+    assert len(episodes) == n_episodes
+    if n_episodes > 1:  # lanes finish out of episode order
+        assert len({n for _, n in episodes}) > 1
+
+
+def test_lane_eval_plays_a_shared_env_one_episode_at_a_time():
+    (train_exp, *_) = task_stream_scenario().train_stream
+    assert train_exp.env_factory() is train_exp.env_factory()
+    strat = eval_strategy("dqn", 9, 4)
+    expected_episodes, expected_results = sequential_eval(strat, [train_exp], 5)
+    episodes, results, batches = lane_eval(strat, [train_exp], 5)
+    assert (episodes, results) == (expected_episodes, expected_results)
+    assert set(batches) == {1}
+
+
+def test_obs_normalize_eval_episode_equals_the_episode_played_alone():
+    stream = one_stream(lambda: wrap(cartpole(), ObservationNormalize()))
+    strat = eval_strategy("a2c", 4, 2)
+    episodes, _, _ = lane_eval(strat, stream, 40)
+    alone = []
+    for k in range(40):
+        strat.eval_env_seed = 77 + EPISODE_SEED_STRIDE * k
+        alone += lane_eval(strat, stream, 1)[0]
+    assert episodes == alone
+
+
+class CountingGrid(GridWorld):
+    steps_taken = 0
+
+    def step(self, action):
+        CountingGrid.steps_taken += 1
+        return super().step(action)
+
+
+def test_out_of_space_greedy_action_refused_before_any_lane_steps(monkeypatch):
+    strat = eval_strategy("dqn", 25, 4)
+    monkeypatch.setattr(strat, "greedy_action", lambda obs: np.r_[np.zeros(len(obs) - 1, int), 4])
+    monkeypatch.setattr(CountingGrid, "steps_taken", 0)
+    with pytest.raises(ActionOutOfSpace, match="^eval experience 0, episode 4: action 4 not in"):
+        strat.evaluate(one_stream(lambda: CountingGrid(GridScene(5, 5))), 5)
+    assert CountingGrid.steps_taken == 0
+
+
+def test_greedy_action_count_must_match_the_lanes(monkeypatch):
+    strat = eval_strategy("dqn", 25, 4)
+    monkeypatch.setattr(strat, "greedy_action", lambda obs: np.zeros(len(obs) - 1, int))
+    with pytest.raises(ValueError, match="^eval experience 0: need 5 actions, got 4"):
+        strat.evaluate(one_stream(lambda: GridWorld(GridScene(5, 5))), 5)
