@@ -17,6 +17,7 @@ offending key), 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -117,10 +118,17 @@ def _bool(value, path: str) -> bool:
     return value
 
 
-def _number(value, path: str) -> float:
+def _number(value, path: str, allow_inf: bool = False) -> float:
+    """A real number: never NaN, and infinite only where `allow_inf` says so."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: expected a finite number, got an int beyond the float range")
+    if math.isnan(number) or (math.isinf(number) and not allow_inf):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
 
 
 def _number_where(holds: Callable[[float], bool], requirement: str) -> Callable:
@@ -170,7 +178,8 @@ def _walk_wrappers(entries, path: str) -> tuple[list, tuple]:
         elif kind == "reward_clip":
             if not isinstance(arg, (list, tuple)) or len(arg) != 2:
                 raise ConfigError(f"{where}.reward_clip: expected [lo, hi]")
-            arg = [_number(arg[0], where), _number(arg[1], where)]
+            # an infinite bound is a one-sided clip
+            arg = [_number(arg[0], where, allow_inf=True), _number(arg[1], where, allow_inf=True)]
             if arg[0] > arg[1]:
                 raise ConfigError(f"{where}.reward_clip: expected lo <= hi, got {arg}")
             spec = RewardClip(arg[0], arg[1])
@@ -233,7 +242,7 @@ def _walk_env_spec(entry: dict, path: str) -> tuple[dict, EnvSpec]:
             raise ConfigError(f"{path}.params.means: expected a list of numbers")
         checked = {
             "means": [_number(m, f"{path}.params.means") for m in params["means"]],
-            "noise_std": _number(params.get("noise_std", 0.0), f"{path}.params.noise_std"),
+            "noise_std": _number(params.get("noise_std", 0.0), f"{path}.params: noise_std"),
         }
         try:
             bp = BanditParams(**{**params, **checked})

@@ -35,20 +35,11 @@ class NonFinite(FloatingPointError):
 _ACTIVATIONS = ("relu", "tanh", "identity")
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate_in_place(name: str, z: np.ndarray) -> None:
     if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    return z
-
-
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)  # subgradient 0 at exactly 0
-    if name == "tanh":
-        return 1.0 - a * a
-    return np.ones_like(z)
+        np.maximum(z, 0.0, out=z)
+    elif name == "tanh":
+        np.tanh(z, out=z)
 
 
 def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple[tuple, tuple]:
@@ -112,7 +103,7 @@ class Mlp:
             fan_out, fan_in = w.shape
             lim = np.sqrt(6.0 / (fan_in + fan_out))
             w[...] = rng.uniform(-lim, lim, size=w.shape)
-        self._cache: tuple[list[np.ndarray], list[np.ndarray]] | None = None
+        self._cache: list[np.ndarray] | None = None  # each layer's input, then the output
 
     @property
     def param_count(self) -> int:
@@ -124,15 +115,15 @@ class Mlp:
             x = x[None, :]
         if x.shape[1] != self.sizes[0]:
             raise ShapeMismatch(f"batch inner dim {x.shape[1]} != input size {self.sizes[0]}")
-        inputs, preacts = [], []
+        layer_outs = [x]
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            inputs.append(x)
-            z = x @ w.T + b
-            preacts.append(z)
-            x = _activate(act, z)
+            x = x @ w.T
+            x += b
+            _activate_in_place(act, x)
+            layer_outs.append(x)
         if not np.isfinite(x).all():
             raise NonFinite("non-finite activations in forward pass")
-        self._cache = (inputs, preacts)
+        self._cache = layer_outs
         return {name: x[:, lo:hi] for name, lo, hi in self._head_slices}
 
     def backward(self, output_grads: dict[str, np.ndarray]) -> np.ndarray:
@@ -141,11 +132,26 @@ class Mlp:
         Heads absent from output_grads contribute zero. Returns a flat vector
         laid out like params.
         """
+        return self._backprop(output_grads, squared=False)
+
+    def squared_grad_sum(self, output_grads: dict[str, np.ndarray]) -> np.ndarray:
+        """sum_i g_i**2 over the rows i of the cached batch, where g_i is the
+        gradient of sum(outputs[i] * output_grads[i]) w.r.t. all parameters.
+
+        Row i's gradient of a weight matrix is the outer product of its
+        backpropagated delta_i and its layer input x_i, so the sum of their
+        squares is (delta**2).T @ (x**2) (Goodfellow 2015, arXiv 1510.01799),
+        and sum_i delta_i**2 for a bias: one backward pass for the whole
+        batch. Returns a flat vector laid out like params.
+        """
+        return self._backprop(output_grads, squared=True)
+
+    def _backprop(self, output_grads: dict[str, np.ndarray], squared: bool) -> np.ndarray:
         if self._cache is None:
             raise NoCachedForward("forward() must run before backward()")
-        inputs, preacts = self._cache
-        batch = inputs[0].shape[0]
-        grad_out = np.zeros((batch, self.sizes[-1]))
+        layer_outs = self._cache
+        batch = layer_outs[0].shape[0]
+        delta = np.zeros((batch, self.sizes[-1]))
         for name, lo, hi in self._head_slices:
             if name in output_grads:
                 g = np.asarray(output_grads[name], dtype=np.float64)
@@ -153,18 +159,27 @@ class Mlp:
                     raise ShapeMismatch(
                         f"grad for head {name!r} has shape {g.shape}, expected {(batch, hi - lo)}"
                     )
-                grad_out[:, lo:hi] = g
+                delta[:, lo:hi] = g
 
         flat = np.empty_like(self.params)
         d_weights, d_biases = _layer_views(flat, self.sizes)
-        g = grad_out
         for i in range(len(self.weights) - 1, -1, -1):
-            z = preacts[i]
-            a = _activate(self.activations[i], z)
-            delta = g * _activation_grad(self.activations[i], z, a)
-            d_weights[i][...] = delta.T @ inputs[i]
-            d_biases[i][...] = delta.sum(axis=0)
-            g = delta @ self.weights[i]
+            # delta holds the gradient w.r.t. layer i's output; make it w.r.t. its preactivation
+            a = layer_outs[i + 1]
+            if self.activations[i] == "relu":
+                delta *= a > 0.0  # relu(z) > 0 exactly where z > 0: subgradient 0 at 0
+            elif self.activations[i] == "tanh":
+                delta *= 1.0 - a * a
+            x = layer_outs[i]
+            if squared:
+                delta_sq = delta * delta
+                np.matmul(delta_sq.T, x * x, out=d_weights[i])
+                np.sum(delta_sq, axis=0, out=d_biases[i])
+            else:
+                np.matmul(delta.T, x, out=d_weights[i])
+                np.sum(delta, axis=0, out=d_biases[i])
+            if i:
+                delta = delta @ self.weights[i]
         if not np.isfinite(flat).all():
             raise NonFinite("non-finite gradients in backward pass")
         return flat
@@ -305,6 +320,7 @@ class Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
+        self._scratch: np.ndarray | None = None
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
         if params.size != grads.size:
@@ -312,12 +328,23 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
+            self._scratch = np.empty((2, params.size))
         self.t += 1
+        # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same IEEE
+        # operations and order as the plain formula, in two scratch rows
+        step, denom = self._scratch
+        np.multiply(grads, 1.0 - self.beta1, out=step)
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grads
+        self.m += step
+        np.multiply(grads, 1.0 - self.beta2, out=denom)
+        denom *= grads
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * grads * grads
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.v += denom
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=step)
+        step *= self.lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        params -= step
         return params

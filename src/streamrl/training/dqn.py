@@ -23,6 +23,7 @@ are meant to control explicitly.
 
 from __future__ import annotations
 
+import numbers
 from typing import Optional
 
 import numpy as np
@@ -39,8 +40,8 @@ class ReplayBuffer:
     overwrites the oldest one."""
 
     def __init__(self, capacity: int, seed: int = 0):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+        if not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool) or capacity < 1:
+            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
         self.capacity = capacity
         self._slots = Transitions.zeros((0,), ())  # allocated by the first extend()
         self._size = 0
@@ -242,3 +243,13 @@ class DqnStrategy(RLBaseStrategy):
         return np.stack(
             [self.model.backward({"q_values": one_hot[a : a + 1]}) for a in range(self.n_actions)]
         )
+
+    def fisher_sum(self, steps: Transitions) -> np.ndarray:
+        """One pass per action a, with output gradient onehot(a) on every row."""
+        self.model.forward(steps.obs)
+        one_hot = np.eye(self.n_actions)
+        total = np.zeros(self.model.param_count)
+        for a in range(self.n_actions):
+            column = np.broadcast_to(one_hot[a], (len(steps), self.n_actions))
+            total += self.model.squared_grad_sum({"q_values": column})
+        return total

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: run/eval/plot-data, artifacts, exit codes."""
 
 import copy
+import math
 import re
 import struct
 import subprocess
@@ -176,6 +177,15 @@ def test_wrappers_expand_into_effective_config(tmp_path):
     assert effective["eval"] == {"episodes": 2, "after_each_experience": True}
 
 
+def test_reward_clip_accepts_an_infinite_bound(tmp_path):
+    out = tmp_path / "out"
+    config = base_config(out)
+    config["scenario"]["env_specs"][0]["wrappers"] = [{"reward_clip": [float("-inf"), 0.5]}]
+    run_ok(tmp_path, config)
+    effective = yaml.safe_load((out / "config_effective.yaml").read_text())
+    assert effective["scenario"]["env_specs"][0]["wrappers"] == [{"reward_clip": [-math.inf, 0.5]}]
+
+
 DELETE = object()
 
 
@@ -290,6 +300,16 @@ INVALID_CONFIGS = [
      "scenario.scene_params: max_steps must be an integer, got 2.5"),
     ("scene-max-steps-bool", task_stream(scene_params={"max_steps": True}),
      "scenario.scene_params: max_steps must be an integer, got True"),
+    # each of these once wrote config_effective.yaml and metrics.jsonl, then exited 3
+    ("lam-inf", at("plugins", [{"name": "ewc", "lam": float("inf")}]), "plugins[0].lam"),
+    ("lr-inf", at("strategy.lr", float("inf")), "strategy.lr"),
+    ("eps-start-nan", at("strategy.eps_start", float("nan")), "strategy.eps_start"),
+    ("value-coef-nan", at("strategy", {"name": "a2c", "hidden": [8], "value_coef": float("nan")}),
+     "strategy.value_coef"),
+    # this one was once accepted, and ran with a NaN lower bound
+    ("reward-clip-nan", wrap({"reward_clip": [float("nan"), 1.0]}), WRAPPER),
+    # this one once failed with OverflowError (exit 3)
+    ("eps-start-huge-int", at("strategy.eps_start", 10**400), "strategy.eps_start"),
     # each of these once failed with ShapeMismatch (exit 3) after training experience 0
     ("spec-env-mismatch", at("scenario.env_specs", [
         {"name": "grid", "env": "gridworld", "map": GRID_MAP},

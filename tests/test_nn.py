@@ -12,6 +12,7 @@ from streamrl.nn import (
     LengthMismatch,
     Mlp,
     NoCachedForward,
+    NonFinite,
     Sgd,
     ShapeMismatch,
     entropy_loss,
@@ -188,6 +189,88 @@ def test_backward_missing_head_contributes_zero():
     net.forward(x)
     full = net.backward({"a": np.ones((2, 2)), "b": np.zeros((2, 1))})
     assert np.array_equal(partial, full)
+
+
+def old_forward(net, x):
+    """Mlp.forward as it was before it computed each layer in place: the
+    layer inputs, the preactivations and the output."""
+    inputs, preacts = [], []
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        inputs.append(x)
+        z = x @ w.T + b
+        preacts.append(z)
+        x = np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z
+    return inputs, preacts, x
+
+
+def old_backward(net, x, output_grads):
+    """Mlp.backward as it was before it reused the forward pass's activations:
+    the old forward, then activations recomputed from the preactivations, a
+    float derivative per layer and delta @ W at every layer."""
+    inputs, preacts, _ = old_forward(net, x)
+    grad_out = np.zeros((len(inputs[0]), net.sizes[-1]))
+    lo = 0
+    for name, width in net.heads.items():
+        if name in output_grads:
+            grad_out[:, lo : lo + width] = output_grads[name]
+        lo += width
+    flat = np.empty_like(net.params)
+    d_weights, d_biases, offset = [], [], 0
+    for w in net.weights:
+        d_weights.append(flat[offset : offset + w.size].reshape(w.shape))
+        offset += w.size
+        d_biases.append(flat[offset : offset + w.shape[0]])
+        offset += w.shape[0]
+    g = grad_out
+    for i in range(len(net.weights) - 1, -1, -1):
+        z, act = preacts[i], net.activations[i]
+        if act == "relu":
+            deriv = (z > 0.0).astype(np.float64)
+        elif act == "tanh":
+            a = np.tanh(z)
+            deriv = 1.0 - a * a
+        else:
+            deriv = np.ones_like(z)
+        delta = g * deriv
+        d_weights[i][...] = delta.T @ inputs[i]
+        d_biases[i][...] = delta.sum(axis=0)
+        g = delta @ net.weights[i]
+    return flat
+
+
+@pytest.mark.parametrize("batch", [1, 4, 32])
+@pytest.mark.parametrize("head", ["relu", "tanh", "identity"])
+def test_forward_and_backward_equal_the_old_formulas_bitwise(head, batch):
+    net = Mlp([5, 16, 16, 4], activations=["relu", "tanh", head], heads={"a": 3, "b": 1}, seed=2)
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 5))
+    grads = {"a": rng.normal(size=(batch, 3)), "b": rng.normal(size=(batch, 1))}
+    out = net.forward(x)
+    assert np.array_equal(np.hstack([out["a"], out["b"]]), old_forward(net, x)[2])
+    assert np.array_equal(net.backward(grads), old_backward(net, x, grads))
+    net.forward(x)
+    assert np.array_equal(net.backward({"b": grads["b"]}), old_backward(net, x, {"b": grads["b"]}))
+
+
+@pytest.mark.parametrize("head", ["relu", "tanh", "identity"])
+def test_squared_grad_sum_matches_row_by_row_backward(head):
+    net = Mlp([5, 16, 16, 4], activations=["tanh", "relu", head], heads={"a": 3, "b": 1}, seed=4)
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(40, 5))
+    grads = {"a": rng.normal(size=(40, 3))}  # head "b" contributes zero
+    want = np.zeros(net.param_count)
+    for i in range(40):
+        net.forward(x[i : i + 1])
+        row = net.backward({"a": grads["a"][i : i + 1]})
+        want += row * row
+    net.forward(x)
+    got = net.squared_grad_sum(grads)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert np.array_equal(net.squared_grad_sum(grads), got)  # the cached forward is kept
+    with pytest.raises(NonFinite, match="non-finite gradients"):
+        net.squared_grad_sum({"a": np.full((40, 3), np.nan)})
+    with pytest.raises(ShapeMismatch):
+        net.squared_grad_sum({"a": np.ones((39, 3))})
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +467,37 @@ def test_in_place_step_matches_out_of_place_reference(make, reference):
         assert opt.step(params, grads) is params  # updated in place
         expected = reference(0.01, expected, grads, state)
         assert np.array_equal(params, expected)
+
+
+class OldAdam(Adam):
+    """Adam.step as it was before it kept its temporaries in scratch rows."""
+
+    def step(self, params, grads):
+        if self.m is None:
+            self.m = np.zeros_like(params)
+            self.v = np.zeros_like(params)
+        self.t += 1
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grads
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * grads * grads
+        m_hat = self.m / (1.0 - self.beta1**self.t)
+        v_hat = self.v / (1.0 - self.beta2**self.t)
+        params -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        return params
+
+
+def test_adam_equals_the_old_step_bitwise():
+    rng = np.random.default_rng(11)
+    params = rng.normal(size=301)
+    expected = params.copy()
+    adam, old = Adam(3e-3), OldAdam(3e-3)
+    for _ in range(50):
+        grads = rng.normal(scale=rng.uniform(1e-6, 1e3), size=301)
+        adam.step(params, grads)
+        old.step(expected, grads)
+        assert np.array_equal(params, expected)
+        assert np.array_equal(adam.m, old.m) and np.array_equal(adam.v, old.v)
 
 
 def test_optimizer_length_mismatch():

@@ -9,9 +9,18 @@ import pytest
 from streamrl.benchmarks import EnvSpec, Explicit, gym_benchmark_generator
 from streamrl.envs import GridScene, GridWorld
 from streamrl.nn import Adam, LengthMismatch, Mlp
-from streamrl.plugins import EwcPlugin, EwcState, NaivePlugin, ReplayPlugin, ewc_penalty_and_grad
+from streamrl.plugins import (
+    FISHER_CHUNK,
+    EwcPlugin,
+    EwcState,
+    NaivePlugin,
+    ReplayPlugin,
+    ewc_penalty_and_grad,
+)
 from streamrl.training import (
+    A2cStrategy,
     DqnStrategy,
+    ReplayBuffer,
     Rollout,
     Steps,
     StrategyPlugin,
@@ -55,6 +64,10 @@ class FakeStrategy:
 
     def per_sample_loss_grad(self, step):
         return self._grad_fn(step)[None, :]
+
+    def fisher_sum(self, steps):
+        rows = [self.per_sample_loss_grad(steps[i]) for i in range(len(steps))]
+        return sum((r * r).sum(axis=0) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +237,12 @@ def test_ewc_ctor_validation():
         EwcPlugin(lam=-1.0)
     with pytest.raises(ValueError):
         EwcPlugin(fisher_sample_count=0)
+    for lam in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="lam"):
+            EwcPlugin(lam=lam)
+    for count in (2.5, True):
+        with pytest.raises(ValueError, match="fisher_sample_count"):
+            EwcPlugin(fisher_sample_count=count)
 
 
 def test_ewc_state_sections_round_trip():
@@ -374,6 +393,14 @@ def test_replay_ctor_validation():
         ReplayPlugin(mix_ratio=1.5)
     with pytest.raises(ValueError):
         ReplayPlugin(capacity=0)
+    for capacity in (2.5, True):
+        with pytest.raises(ValueError, match="capacity"):
+            ReplayBuffer(capacity)
+        with pytest.raises(ValueError, match="capacity"):
+            ReplayPlugin(capacity=capacity)
+        with pytest.raises(ValueError, match="capacity"):
+            DqnStrategy(Mlp([25, 4], heads={"q_values": 4}), Adam(1e-3),
+                        TrainingBudget(1, Steps(1)), replay_capacity=capacity)
 
 
 def test_replay_state_sections_round_trip():
@@ -475,6 +502,61 @@ def test_ewc_dqn_fisher_matches_brute_force_output_space_loop(double):
     assert np.max(np.abs(fisher - want)) <= 1e-12
     # every output unit's bias has importance 1 per sample, taken action or not
     assert np.allclose(fisher[-4:], 1.0, atol=1e-12)
+
+
+def fisher_strategy(kind, activation):
+    """A 4-action strategy on a [3, 16, 16] body, seeded."""
+    act = [activation, activation, "identity"]
+    budget = TrainingBudget(1, Steps(1))
+    if kind == "a2c":
+        model = Mlp([3, 16, 16, 5], activations=act, heads={"policy_logits": 4, "value": 1}, seed=5)
+        return A2cStrategy(model, Adam(1e-3), budget)
+    model = Mlp([3, 16, 16, 4], activations=act, heads={"q_values": 4}, seed=5)
+    return DqnStrategy(model, Adam(1e-3), budget, double=kind == "double_dqn")
+
+
+def per_sample_fisher_sum(strategy, steps):
+    """The reference: one per_sample_loss_grad pass per transition."""
+    total = np.zeros(strategy.model.param_count)
+    for i in range(len(steps)):
+        rows = strategy.per_sample_loss_grad(steps[i])
+        total += (rows * rows).sum(axis=0)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 512])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("kind", ["a2c", "dqn", "double_dqn"])
+def test_batched_fisher_matches_the_per_sample_loop(kind, activation, n, monkeypatch):
+    strategy = fisher_strategy(kind, activation)
+    rng = np.random.default_rng(n)
+    obs = rng.normal(size=(n + 40, 3))
+    stream = Transitions(obs=obs, action=rng.integers(0, 4, size=n + 40),
+                         reward=rng.normal(size=n + 40), done=rng.random(n + 40) < 0.3,
+                         next_obs=obs + 0.5, task_label=np.zeros(n + 40, dtype=np.int64))
+    window = stream[40:]
+
+    want = per_sample_fisher_sum(strategy, window)
+    np.testing.assert_allclose(strategy.fisher_sum(window), want, rtol=1e-12, atol=0)
+
+    plugin = EwcPlugin(lam=1.0, fisher_sample_count=n)
+    plugin.before_training_exp(strategy)
+    for lo, hi in ((0, 25), (25, n + 40)):  # the second rollout wraps the window's ring
+        strategy.rollout = SimpleNamespace(steps=lambda lo=lo, hi=hi: stream[lo:hi])
+        plugin.after_rollout(strategy)
+    passes, forward = [], Mlp.forward
+
+    def spy(net, batch):
+        passes.append(len(batch))
+        return forward(net, batch)
+
+    monkeypatch.setattr(Mlp, "forward", spy)
+    plugin.after_training_exp(strategy)
+    monkeypatch.undo()
+
+    assert sum(passes) == n and max(passes) <= FISHER_CHUNK
+    assert np.array_equal(plugin.state.anchors[0], strategy.model.params)
+    np.testing.assert_allclose(plugin.state.fishers[0], want / n, rtol=1e-12, atol=0)
 
 
 def test_replay_memory_spans_experiences():
