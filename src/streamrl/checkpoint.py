@@ -25,18 +25,19 @@ class CheckpointError(ValueError):
 
 def save_checkpoint(path, arch: dict, sections: dict[str, np.ndarray]) -> None:
     entries = []
-    blobs = []
+    arrays = []
     for name, array in sections.items():
+        # a C-contiguous float64 array (at least 1-d) is itself, not a copy
         arr = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
         entries.append({"name": name, "shape": list(arr.shape)})
-        blobs.append(arr.tobytes())
+        arrays.append(arr)
     header = json.dumps({"version": 1, "arch": arch, "sections": entries}).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays:
+            fh.write(arr.data)  # its bytes in C order, as tobytes() gives them, without a copy
 
 
 def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:

@@ -110,11 +110,27 @@ class StdoutLogger:
 class JsonlLogger:
     def __init__(self, path):
         self._fh = open(path, "w")
+        # (phase, metric_name) -> the JSON text between the position fields and the value
+        self._middles: dict[tuple, str] = {}
 
     def emit(self, record: MetricRecord) -> None:
-        # vars() is the record's own field dict, in field order; json.dumps
-        # uses repr-style floats, which round-trip exactly
-        self._fh.write(json.dumps(vars(record)) + "\n")
+        """One line, byte for byte json.dumps(vars(record)): vars() is the
+        record's field dict in field order, and json.dumps writes an int with
+        int.__repr__ and a finite float with float.__repr__, which round-trips
+        exactly. Anything else (NaN, inf, bool, numpy scalars, names that are
+        not str) goes through json.dumps itself."""
+        step, exp, value = record.global_step, record.experience_index, record.value
+        key = (record.phase, record.metric_name)
+        if (type(value) is float and math.isfinite(value) and type(step) is int
+                and type(exp) is int and type(key[0]) is str and type(key[1]) is str):
+            middle = self._middles.get(key)
+            if middle is None:
+                middle = self._middles[key] = (
+                    f', "phase": {json.dumps(key[0])}, "metric_name": {json.dumps(key[1])}, "value": '
+                )
+            self._fh.write(f'{{"global_step": {step}, "experience_index": {exp}{middle}{value!r}}}\n')
+        else:
+            self._fh.write(json.dumps(vars(record)) + "\n")
 
     def close(self) -> None:
         self._fh.close()
@@ -195,11 +211,7 @@ class MetricsCollector:
 
     def _emit(self, name: str, value: float) -> None:
         record = MetricRecord(
-            global_step=self.global_step,
-            experience_index=self.experience_index,
-            phase=self.phase,
-            metric_name=name,
-            value=float(value),
+            self.global_step, self.experience_index, self.phase, name, float(value)
         )
         for logger in self.loggers:
             logger.emit(record)

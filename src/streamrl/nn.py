@@ -32,14 +32,15 @@ class NonFinite(FloatingPointError):
     """A forward or backward pass produced inf or NaN."""
 
 
-_ACTIVATIONS = ("relu", "tanh", "identity")
+# Each activation's ufunc, applied in place; relu is np.maximum against _ZERO,
+# a 0-d float64 array, which spares converting a Python 0.0 on every call.
+_ACTIVATIONS = {"relu": np.maximum, "tanh": np.tanh, "identity": None}
+_ZERO = np.zeros(())
 
 
-def _activate_in_place(name: str, z: np.ndarray) -> None:
-    if name == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif name == "tanh":
-        np.tanh(z, out=z)
+def _all_finite(values: np.ndarray) -> bool:
+    """np.isfinite(values).all(), without ndarray.all's Python-level wrapper."""
+    return bool(np.logical_and.reduce(np.isfinite(values), axis=None))
 
 
 def _layer_views(flat: np.ndarray, sizes: Sequence[int]) -> tuple[tuple, tuple]:
@@ -79,7 +80,7 @@ class Mlp:
         if len(activations) != n_layers:
             raise ValueError(f"need {n_layers} activations, got {len(activations)}")
         for act in activations:
-            if act not in _ACTIVATIONS:
+            if not isinstance(act, str) or act not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {act!r}")
         self.activations = tuple(activations)
 
@@ -103,6 +104,10 @@ class Mlp:
             fan_out, fan_in = w.shape
             lim = np.sqrt(6.0 / (fan_in + fan_out))
             w[...] = rng.uniform(-lim, lim, size=w.shape)
+        # (W.T, b, activation ufunc or None) per layer, W.T and b views into params
+        self._plan = tuple(
+            (w.T, b, _ACTIVATIONS[act]) for w, b, act in zip(self.weights, self.biases, activations)
+        )
         self._cache: list[np.ndarray] | None = None  # each layer's input, then the output
 
     @property
@@ -116,12 +121,15 @@ class Mlp:
         if x.shape[1] != self.sizes[0]:
             raise ShapeMismatch(f"batch inner dim {x.shape[1]} != input size {self.sizes[0]}")
         layer_outs = [x]
-        for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = x @ w.T
+        for w_t, b, act in self._plan:
+            x = x @ w_t
             x += b
-            _activate_in_place(act, x)
+            if act is np.maximum:
+                np.maximum(x, _ZERO, out=x)
+            elif act is not None:
+                act(x, out=x)
             layer_outs.append(x)
-        if not np.isfinite(x).all():
+        if not _all_finite(x):
             raise NonFinite("non-finite activations in forward pass")
         self._cache = layer_outs
         return {name: x[:, lo:hi] for name, lo, hi in self._head_slices}
@@ -174,13 +182,13 @@ class Mlp:
             if squared:
                 delta_sq = delta * delta
                 np.matmul(delta_sq.T, x * x, out=d_weights[i])
-                np.sum(delta_sq, axis=0, out=d_biases[i])
+                delta_sq.sum(axis=0, out=d_biases[i])
             else:
                 np.matmul(delta.T, x, out=d_weights[i])
-                np.sum(delta, axis=0, out=d_biases[i])
+                delta.sum(axis=0, out=d_biases[i])
             if i:
                 delta = delta @ self.weights[i]
-        if not np.isfinite(flat).all():
+        if not _all_finite(flat):
             raise NonFinite("non-finite gradients in backward pass")
         return flat
 
@@ -247,10 +255,12 @@ def huber_loss(
     if pred.shape != target.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
     r = pred - target
-    small = np.abs(r) <= delta
-    per_elem = np.where(small, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
+    abs_r = np.abs(r)
+    small = abs_r <= delta
+    per_elem = np.where(small, 0.5 * r * r, delta * (abs_r - 0.5 * delta))
     grad = np.where(small, r, delta * np.sign(r)) / r.size
-    return float(np.mean(per_elem)), grad
+    # the add.reduce and division that np.mean performs, without its dispatch
+    return float(per_elem.sum() / r.size), grad
 
 
 def policy_gradient_loss(

@@ -41,20 +41,31 @@ class EwcState:
         return len(self.anchors)
 
 
-def ewc_penalty_and_grad(model, state: EwcState) -> tuple[float, np.ndarray]:
+def ewc_penalty_and_grad(
+    model, state: EwcState, scratch: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """penalty = sum_k (lam/2) * sum_i F_k[i] * (theta[i] - theta*_k[i])^2
-    and its exact gradient sum_k lam * F_k * (theta - theta*_k)."""
+    and its exact gradient sum_k lam * F_k * (theta - theta*_k).
+
+    `scratch`, a float64 array of shape (3, param_count), is where the work
+    is done; the returned gradient is then its first row, valid until the
+    next call that gets the same scratch. Without it, a new one is allocated."""
     params = model.params
+    grad, diff, term = np.empty((3, params.size)) if scratch is None else scratch
     penalty = 0.0
-    grad = np.zeros_like(params)
+    grad.fill(0.0)
     for anchor, fisher in zip(state.anchors, state.fishers):
         if anchor.size != params.size or fisher.size != params.size:
             raise LengthMismatch(
                 f"EWC state sized {anchor.size}/{fisher.size} vs {params.size} params"
             )
-        diff = params - anchor
-        penalty += 0.5 * state.lam * float(np.sum(fisher * diff * diff))
-        grad += state.lam * fisher * diff
+        np.subtract(params, anchor, out=diff)
+        np.multiply(fisher, diff, out=term)
+        term *= diff
+        penalty += 0.5 * state.lam * float(term.sum())
+        np.multiply(state.lam, fisher, out=term)
+        term *= diff
+        grad += term
     return penalty, grad
 
 
@@ -91,6 +102,7 @@ class EwcPlugin(StrategyPlugin):
             )
         self.state = EwcState(float(lam), fisher_sample_count)
         self._recent = ReplayBuffer(fisher_sample_count)
+        self._scratch = np.empty((3, 0))  # ewc_penalty_and_grad's, sized by the model
 
     def before_training_exp(self, strategy) -> None:
         self._recent.clear()
@@ -101,7 +113,9 @@ class EwcPlugin(StrategyPlugin):
     def before_update(self, strategy) -> None:
         if not self.state.anchors:
             return
-        penalty, grad = ewc_penalty_and_grad(strategy.model, self.state)
+        if self._scratch.shape[1] != strategy.model.params.size:
+            self._scratch = np.empty((3, strategy.model.params.size))
+        penalty, grad = ewc_penalty_and_grad(strategy.model, self.state, self._scratch)
         strategy.loss += penalty
         strategy.grad_accum += grad
 
@@ -156,6 +170,10 @@ class ReplayPlugin(StrategyPlugin):
     of the size-B update batch with memory rows, preferring rows whose task
     label differs from the experience being trained.
 
+    The picks map to memory slots through ReplayBuffer.label_runs, in
+    O(runs + batch) rather than a scan of the label column, with the same
+    draws and slots as np.flatnonzero(labels != current)[picks].
+
     Row replacement only applies to flat transition batches (Transitions,
     i.e. the DQN family). Strategies whose update consumes an ordered rollout
     (A2C) keep their batch untouched, since splicing foreign steps into an
@@ -179,14 +197,21 @@ class ReplayPlugin(StrategyPlugin):
         n_replace = int(self.mix_ratio * len(batch))
         if n_replace == 0:
             return
-        # Candidate slots in slot order: those of other tasks, else all.
+        # Candidate slots in slot order: those of other tasks, else all. The
+        # k-th candidate is slot k + shifts[i], for the first i with k < ends[i].
         current_label = strategy.experience.task_label if strategy.experience else None
-        candidates = np.flatnonzero(self.memory.task_labels != current_label)
-        if len(candidates) == 0:
-            candidates = np.arange(len(self.memory))
+        ends, shifts, n_candidates = [], [], 0
+        for first, count, label in self.memory.label_runs():
+            if label != current_label:
+                shifts.append(first - n_candidates)
+                n_candidates += count
+                ends.append(n_candidates)
+        if n_candidates == 0:
+            ends, shifts, n_candidates = [len(self.memory)], [0], len(self.memory)
         rows = self._rng.choice(len(batch), size=n_replace, replace=False)
-        picks = self._rng.integers(0, len(candidates), size=n_replace)
-        batch.put(rows, self.memory.rows(candidates[picks]))
+        picks = self._rng.integers(0, n_candidates, size=n_replace)
+        slots = picks + np.array(shifts)[np.array(ends).searchsorted(picks, side="right")]
+        batch.put(rows, self.memory.rows(slots))
 
     # -- checkpoint integration -------------------------------------------
 

@@ -109,7 +109,7 @@ class A2cStrategy(RLBaseStrategy):
                 "value": (self.value_coef * value_grad)[:, None],
             }
         )
-        grads = grads + self.grad_accum
+        grads += self.grad_accum
         self.optimizer.step(self.model.params, grads)
 
         self.loss += base_loss

@@ -321,8 +321,8 @@ class RLBaseStrategy:
         self.total_env_steps = 0
         self.updates_applied_this_exp = 0
         self.updates_skipped_this_exp = 0
-        self._ep_return = np.zeros(0)
-        self._ep_length = np.zeros(0, dtype=np.int64)
+        self._ep_return: list[float] = []  # per actor, of the running episode
+        self._ep_length: list[int] = []
         self._exp_episode_returns: list[float] = []
 
     # ------------------------------------------------------------------
@@ -389,14 +389,16 @@ class RLBaseStrategy:
         while True:
             actions = self.sample_rollout_action(self.current_obs)
             obs, rewards, dones, final_obs = venv.step(actions)
-            if not all(map(math.isfinite, rewards.tolist())):  # before any return or metric
+            reward_list = rewards.tolist()
+            if not all(map(math.isfinite, reward_list)):  # before any return or metric
                 where = f"experience {self.experience.experience_index}, update {self.update_index}"
-                raise ValueError(f"{where}, rollout: non-finite reward in {rewards.tolist()!r}")
+                raise ValueError(f"{where}, rollout: non-finite reward in {reward_list!r}")
             rollout.append(self.current_obs, actions, rewards, dones, final_obs)
-            self._ep_return += rewards
-            self._ep_length += 1
+            # Python floats: the same IEEE float64 adds as a numpy accumulator
+            self._ep_return = [ret + r for ret, r in zip(self._ep_return, reward_list)]
+            self._ep_length = [length + 1 for length in self._ep_length]
             for a in dones.nonzero()[0].tolist():
-                episode_return, length = float(self._ep_return[a]), int(self._ep_length[a])
+                episode_return, length = self._ep_return[a], self._ep_length[a]
                 episodes_finished += 1
                 self._exp_episode_returns.append(episode_return)
                 if self.metrics is not None:
@@ -445,8 +447,8 @@ class RLBaseStrategy:
             phase = "rollout"
             try:
                 self.current_obs = venv.reset()
-                self._ep_return = np.zeros(exp.n_envs)
-                self._ep_length = np.zeros(exp.n_envs, dtype=np.int64)
+                self._ep_return = [0.0] * exp.n_envs
+                self._ep_length = [0] * exp.n_envs
                 self._exp_episode_returns = []
                 self.env_steps_this_exp = 0
                 self.updates_applied_this_exp = 0

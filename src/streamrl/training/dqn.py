@@ -23,7 +23,9 @@ are meant to control explicitly.
 
 from __future__ import annotations
 
+import itertools
 import numbers
+from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -47,6 +49,9 @@ class ReplayBuffer:
         self._size = 0
         self._next = 0
         self._rng = np.random.default_rng(seed)
+        # [task label, count] of each run of stored transitions that share a
+        # label, in the order they were stored, oldest first
+        self._runs: deque[list] = deque()
 
     def __len__(self) -> int:
         return self._size
@@ -61,11 +66,27 @@ class ReplayBuffer:
             self._slots = Transitions.zeros((self.capacity,), batch.obs.shape[1:])
         end = self._next + n
         if end <= self.capacity:
-            self._slots.put(slice(self._next, end), batch)
+            slots = slice(self._next, end)
         else:
-            self._slots.put(np.arange(self._next, end) % self.capacity, batch)
+            slots = np.arange(self._next, end) % self.capacity
+        self._slots.put(slots, batch)
         self._next = end % self.capacity
-        self._size = min(self._size + n, self.capacity)
+        evicted = max(self._size + n - self.capacity, 0)
+        self._size += n - evicted
+        # the run index: drop the overwritten oldest rows, then add the new
+        # rows' labels as the ring stored them
+        while evicted:
+            oldest = self._runs[0]
+            if oldest[1] > evicted:
+                oldest[1] -= evicted
+                break
+            evicted -= self._runs.popleft()[1]
+        for label, rows in itertools.groupby(self._slots.task_label[slots].tolist()):
+            count = len(list(rows))
+            if self._runs and self._runs[-1][0] == label:
+                self._runs[-1][1] += count
+            else:
+                self._runs.append([label, count])
 
     def sample(self, batch_size: int) -> Transitions:
         if self._size < batch_size:
@@ -82,10 +103,23 @@ class ReplayBuffer:
         """The stored transitions in slot order, as views into the ring."""
         return self._slots[: self._size]
 
-    @property
-    def task_labels(self) -> np.ndarray:
-        """The task_label column of items()."""
-        return self._slots.task_label[: self._size]
+    def label_runs(self) -> list[tuple[int, int, int]]:
+        """(first slot, slot count, task label) of runs of consecutive slots
+        that hold one task label each, in slot order, covering slots
+        0..len-1. They come from the run index that extend() keeps, in
+        O(runs), without reading the task_label column. A run of stored
+        transitions that crosses the end of the ring comes as two."""
+        runs, stored = [], 0
+        oldest = (self._next - self._size) % self.capacity
+        for label, count in self._runs:
+            first = (oldest + stored) % self.capacity
+            head = min(count, self.capacity - first)
+            runs.append((first, head, label))
+            if count > head:
+                runs.append((0, count - head, label))
+            stored += count
+        runs.sort()  # first slots are distinct
+        return runs
 
     def oldest_first(self) -> Transitions:
         """Copies of the stored transitions in the order they were stored."""
@@ -94,6 +128,7 @@ class ReplayBuffer:
     def clear(self) -> None:
         self._size = 0
         self._next = 0
+        self._runs.clear()
 
 
 def compute_dqn_targets(
@@ -181,14 +216,11 @@ class DqnStrategy(RLBaseStrategy):
     # ------------------------------------------------------------------
 
     def sample_rollout_action(self, obs_batch: np.ndarray) -> np.ndarray:
-        q = self.model.forward(obs_batch)["q_values"]
-        eps = self.epsilon
-        actions = np.empty(len(q), dtype=np.int64)
-        for i in range(len(q)):
-            if self._action_rng.random() < eps:
-                actions[i] = self._action_rng.integers(self.n_actions)
-            else:
-                actions[i] = int(np.argmax(q[i]))
+        actions = self.model.forward(obs_batch)["q_values"].argmax(axis=1)
+        eps, rng = self.epsilon, self._action_rng
+        for i in range(len(actions)):  # a random() draw per actor, integers() when exploring
+            if rng.random() < eps:
+                actions[i] = rng.integers(self.n_actions)
         return actions
 
     def greedy_action(self, obs_batch: np.ndarray) -> np.ndarray:
@@ -218,9 +250,10 @@ class DqnStrategy(RLBaseStrategy):
         q = self.model.forward(obs)["q_values"]
         rows = np.arange(len(batch))
         base_loss, dloss = huber_loss(q[rows, actions], targets)
-        out_grad = np.zeros_like(q)
+        out_grad = np.zeros(q.shape)
         out_grad[rows, actions] = dloss
-        grads = self.model.backward({"q_values": out_grad}) + self.grad_accum
+        grads = self.model.backward({"q_values": out_grad})
+        grads += self.grad_accum
         self.optimizer.step(self.model.params, grads)
 
         self.loss += base_loss

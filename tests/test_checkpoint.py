@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,54 @@ def test_scalar_sections_stored_one_dimensional(tmp_path):
     _, sections = load_checkpoint(path)
     assert sections["scalar"].shape == (1,)
     assert sections["scalar"][0] == 2.5
+
+
+def tobytes_reference(arch, sections):
+    """The file save_checkpoint wrote when it kept a tobytes() copy of every
+    section until the last write."""
+    entries, blobs = [], []
+    for name, array in sections.items():
+        arr = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
+        entries.append({"name": name, "shape": list(arr.shape)})
+        blobs.append(arr.tobytes())
+    header = json.dumps({"version": 1, "arch": arch, "sections": entries}).encode("utf-8")
+    return MAGIC + struct.pack("<Q", len(header)) + header + b"".join(blobs)
+
+
+def test_file_bytes_equal_the_tobytes_reference(tmp_path):
+    base = np.arange(24.0).reshape(4, 6) * 0.1 - 1.0
+    sections = {
+        "c-contiguous": base,
+        "strided": base[::2, ::3],
+        "fortran": np.asfortranarray(base),
+        "transposed": base.T,
+        "ints": np.arange(-3, 4),
+        "bools": np.array([True, False, True]),
+        "float32": np.linspace(0, 1, 5, dtype=np.float32),
+        "big-endian": np.arange(3.0).astype(">f8"),
+        "specials": np.array([np.nan, -np.inf, -0.0, 5e-324]),
+        "empty": np.zeros((0, 3)),
+        "empty-1d": np.array([]),
+        "0-d": np.array(2.5),
+        "scalar": np.float64(-7.0),
+        "list": [1.5, 2, True],
+    }
+    path = tmp_path / "c.bin"
+    save_checkpoint(path, {"sizes": [2]}, sections)
+    assert path.read_bytes() == tobytes_reference({"sizes": [2]}, sections)
+
+
+def test_save_copies_no_float64_section(tmp_path):
+    """A C-contiguous float64 section is written from its own buffer: saving
+    4 MB of sections allocates far less than 4 MB."""
+    sections = {"params": np.ones(250_000), "replay/obs": np.ones((2_000, 125))}
+    tracemalloc.start()
+    try:
+        save_checkpoint(tmp_path / "c.bin", {}, sections)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_save_model_load_model(tmp_path):

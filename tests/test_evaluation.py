@@ -121,6 +121,60 @@ def test_jsonl_lines_equal_asdict_dumps(tmp_path):
     assert path.read_bytes() == expected.encode()
 
 
+JSONL_NAMES = ["loss", 'say "hi"', "back\\slash", "\u00fcber-\u03bb", "tab\there", "nul\x00",
+               "line\u2028sep", "\U0001f600", ""]
+
+
+def jsonl_reference(record):
+    """The line JsonlLogger.emit wrote before it formatted lines itself."""
+    return json.dumps(vars(record)) + "\n"
+
+
+def test_jsonl_lines_equal_json_dumps_of_vars_for_every_value_and_name(tmp_path):
+    values = [0.25, -0.0, 0.0, 5e-324, 1e16, 1.7976931348623157e308, 0.1 + 0.2, -1.5e-7,
+              float("nan"), float("inf"), float("-inf"), 3, True, np.float64(2.5)]
+    positions = [(0, 0), (2**70, 3), (-1, -2), (True, 0), (5, False)]
+    records = [
+        MetricRecord(step, exp, phase, name, value)
+        for step, exp in positions
+        for phase in ("train", "eval", 'tr"ain')
+        for name in JSONL_NAMES
+        for value in values
+    ]
+    path = tmp_path / "m.jsonl"
+    logger = JsonlLogger(path)
+    for record in records:
+        logger.emit(record)
+    logger.close()
+    assert path.read_bytes() == "".join(map(jsonl_reference, records)).encode()
+
+
+@pytest.mark.parametrize("record", [
+    MetricRecord(np.int64(5), 0, "train", "loss", 0.5),
+    MetricRecord(5, np.int64(0), "train", "loss", 0.5),
+    MetricRecord(5, 0, "train", "loss", np.float32(0.5)),
+    MetricRecord(5, 0, "train", "loss", None),
+    MetricRecord(5, 0, ["train"], "loss", 0.5),
+    MetricRecord(5, 0, "train", b"loss", 0.5),
+], ids=["int64-step", "int64-experience", "float32-value", "none-value", "list-phase",
+        "bytes-name"])
+def test_jsonl_emit_gives_the_same_bytes_or_the_same_exception(tmp_path, record):
+    try:
+        want = jsonl_reference(record)
+    except TypeError as err:
+        want = err
+    path = tmp_path / "m.jsonl"
+    logger = JsonlLogger(path)
+    if isinstance(want, TypeError):
+        with pytest.raises(TypeError) as raised:
+            logger.emit(record)
+        assert str(raised.value) == str(want)
+    else:
+        logger.emit(record)
+    logger.close()
+    assert path.read_text() == ("" if isinstance(want, TypeError) else want)
+
+
 def test_csv_header_and_value_repr(tmp_path):
     path = tmp_path / "m.csv"
     logger = CsvLogger(path)

@@ -252,6 +252,30 @@ def test_forward_and_backward_equal_the_old_formulas_bitwise(head, batch):
     assert np.array_equal(net.backward({"b": grads["b"]}), old_backward(net, x, {"b": grads["b"]}))
 
 
+@pytest.mark.parametrize("batch", [1, 4, 32])
+@pytest.mark.parametrize("head", ["relu", "tanh", "identity"])
+def test_forward_follows_every_write_to_params(head, batch):
+    """forward's per-layer plan holds views into params, so the next forward
+    must see params written by unflatten, copy_params_from or an optimizer
+    step, bitwise as the old formula on a fresh clone."""
+    net = Mlp([5, 16, 16, 4], activations=["relu", "tanh", head], seed=2)
+    other = Mlp([5, 16, 16, 4], activations=["relu", "tanh", head], seed=7)
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 5))
+    writes = [
+        lambda: net.unflatten(rng.normal(size=net.param_count)),
+        lambda: net.copy_params_from(other),
+        lambda: Adam(0.1).step(net.params, rng.normal(size=net.param_count)),
+        lambda: Sgd(0.1).step(net.params, rng.normal(size=net.param_count)),
+    ]
+    for write in writes:
+        before = net.forward(x)["out"].copy()
+        write()
+        out = net.forward(x)["out"]
+        assert not np.array_equal(out, before)
+        assert np.array_equal(out, old_forward(net.clone(), x)[2])
+
+
 @pytest.mark.parametrize("head", ["relu", "tanh", "identity"])
 def test_squared_grad_sum_matches_row_by_row_backward(head):
     net = Mlp([5, 16, 16, 4], activations=["tanh", "relu", head], heads={"a": 3, "b": 1}, seed=4)
@@ -328,6 +352,37 @@ def test_huber_mean_reduced():
     loss, grad = huber_loss(np.array([0.5, 2.0]), np.zeros(2))
     assert abs(loss - (0.125 + 1.5) / 2) < 1e-15
     assert np.allclose(grad, np.array([0.25, 0.5]))
+
+
+def old_huber_loss(pred, target, delta=1.0):
+    """huber_loss as it was before it took |r| once and its mean as sum / n."""
+    pred = np.asarray(pred, dtype=np.float64)
+    target = np.asarray(target, dtype=np.float64)
+    r = pred - target
+    small = np.abs(r) <= delta
+    per_elem = np.where(small, 0.5 * r * r, delta * (np.abs(r) - 0.5 * delta))
+    grad = np.where(small, r, delta * np.sign(r)) / r.size
+    return float(np.mean(per_elem)), grad
+
+
+@pytest.mark.parametrize("n", [1, 32, 33])
+@pytest.mark.parametrize("delta", [1.0, 0.25, 3.0])
+def test_huber_loss_equals_the_old_formula_bitwise(n, delta):
+    rng = np.random.default_rng(n)
+    edges = [delta, -delta, np.nextafter(delta, 0.0), np.nextafter(delta, np.inf),
+             0.0, -0.0, 1e300, -1e300, 5e-324]
+    cases = [(np.full(n, edge), np.zeros(n)) for edge in edges]
+    cases += [
+        (np.resize(edges, n), np.zeros(n)),
+        (rng.normal(scale=2 * delta, size=n), np.zeros(n)),
+        (rng.normal(size=n) * 1e3, rng.normal(size=n)),
+    ]
+    for pred, target in cases:
+        with np.errstate(over="ignore"):  # 0.5 * r * r of the 1e300 residuals
+            loss, grad = huber_loss(pred, target, delta)
+            want_loss, want_grad = old_huber_loss(pred, target, delta)
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 def test_entropy_uniform_two_way():

@@ -145,6 +145,50 @@ def test_penalty_rejects_mismatched_state():
         ewc_penalty_and_grad(model, state)
 
 
+def old_ewc_penalty_and_grad(model, state):
+    """ewc_penalty_and_grad as it was before it worked in scratch rows."""
+    params = model.params
+    penalty = 0.0
+    grad = np.zeros_like(params)
+    for anchor, fisher in zip(state.anchors, state.fishers):
+        diff = params - anchor
+        penalty += 0.5 * state.lam * float(np.sum(fisher * diff * diff))
+        grad += state.lam * fisher * diff
+    return penalty, grad
+
+
+@pytest.mark.parametrize("prior", ["no-prior-gradient", "prior-gradient"])
+@pytest.mark.parametrize("n_anchors", [1, 2, 3])
+def test_ewc_before_update_equals_the_old_composition_bitwise(n_anchors, prior):
+    """loss += penalty and grad_accum += grad, bit for bit as with the old
+    allocating function, over updates that reuse the plugin's scratch rows,
+    also when a preceding plugin already put a gradient in grad_accum."""
+    rng = np.random.default_rng(n_anchors)
+    model = Mlp([4, 16, 3], seed=n_anchors)
+    plugin = EwcPlugin(lam=37.5)
+    for _ in range(n_anchors):
+        anchor = model.params + rng.normal(size=model.param_count) * rng.choice([0.0, 1e-3, 1.0])
+        anchor[::7] = model.params[::7]  # exact zeros in diff
+        plugin.state.anchors.append(anchor)
+        fisher = rng.random(model.param_count)
+        fisher[rng.random(model.param_count) < 0.2] = 0.0
+        plugin.state.fishers.append(fisher)
+    for _ in range(4):
+        strategy = FakeStrategy(model)
+        strategy.loss = float(rng.normal())
+        if prior == "prior-gradient":
+            strategy.grad_accum = rng.normal(size=model.param_count) * 1e3
+        want_penalty, want_grad = old_ewc_penalty_and_grad(model, plugin.state)
+        want_loss, want_accum = strategy.loss + want_penalty, strategy.grad_accum + want_grad
+        plugin.before_update(strategy)
+        assert np.float64(strategy.loss).tobytes() == np.float64(want_loss).tobytes()
+        assert strategy.grad_accum.tobytes() == want_accum.tobytes()
+        model.params[...] += rng.normal(size=model.param_count) * 0.1
+    penalty, grad = ewc_penalty_and_grad(model, plugin.state)  # the allocating form
+    want_penalty, want_grad = old_ewc_penalty_and_grad(model, plugin.state)
+    assert penalty == want_penalty and grad.tobytes() == want_grad.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Fisher estimation
 # ---------------------------------------------------------------------------

@@ -796,6 +796,68 @@ def test_episode_bookkeeping_matches_per_actor_oracle():
     assert report.experiences[0].episode_returns == tuple(r for r, _ in expected)
 
 
+def test_episode_returns_equal_the_float64_array_accumulator():
+    """Running returns are Python floats, fed from rewards.tolist(); they must
+    equal, bit for bit, the numpy float64 accumulator they replaced, on
+    rewards whose sums round (-0.1 per step, 10 at the goal)."""
+    metrics, log = EpisodeLog(), RolloutLog()
+    scene = GridScene(3, 3, goal=(2, 2), step_reward=-0.1, goal_reward=10.0, max_steps=13)
+    strat = DqnStrategy(dqn_model(obs_dim=9), Adam(1e-3), TrainingBudget(4, Steps(30)),
+                        batch_size=8, eps_start=0.5, eps_end=0.5, metrics=metrics)
+    spec = EnvSpec("grid", lambda: GridWorld(scene))
+    strat.train(gym_benchmark_generator([spec], 1, Explicit((0,)), 3), [log])
+
+    expected, ret, length = [], np.zeros(3), np.zeros(3, dtype=np.int64)
+    rewards = np.concatenate([r.reward for r in log.rollouts], axis=1)
+    dones = np.concatenate([r.done for r in log.rollouts], axis=1)
+    for t in range(rewards.shape[1]):
+        ret += rewards[:, t]
+        length += 1
+        for a in dones[:, t].nonzero()[0]:
+            expected.append((float(ret[a]), int(length[a])))
+            ret[a], length[a] = 0.0, 0
+    assert len(expected) > 5 and len({r for r, _ in expected}) > 2
+    assert [(np.float64(r).tobytes(), n) for r, n in metrics.episodes] == \
+        [(np.float64(r).tobytes(), n) for r, n in expected]
+    assert [type(r) for r, _ in metrics.episodes] == [float] * len(expected)
+    assert strat._ep_return == [float(r) for r in ret] and strat._ep_length == length.tolist()
+
+
+# ---------------------------------------------------------------------------
+# DQN epsilon-greedy against the per-actor loop it replaced
+# ---------------------------------------------------------------------------
+
+
+def epsilon_greedy_oracle(strategy, rng, obs):
+    """DqnStrategy.sample_rollout_action as it was: one argmax per actor row."""
+    q = strategy.model.forward(obs)["q_values"]
+    actions = np.empty(len(q), dtype=np.int64)
+    for i in range(len(q)):
+        if rng.random() < strategy.epsilon:
+            actions[i] = rng.integers(strategy.n_actions)
+        else:
+            actions[i] = int(np.argmax(q[i]))
+    return actions
+
+
+@pytest.mark.parametrize("n_actors", [1, 4, 7])
+@pytest.mark.parametrize("eps", [0.0, 0.37, 1.0])
+def test_dqn_epsilon_greedy_matches_the_per_actor_loop(eps, n_actors):
+    rng = np.random.default_rng(n_actors)
+    model = dqn_model(obs_dim=3, n_actions=5)
+    strat = DqnStrategy(model, Adam(1e-3), TrainingBudget(1, Steps(1)),
+                        eps_start=eps, eps_end=eps, action_seed=11)
+    oracle_rng = np.random.default_rng(11)
+    for k in range(200):
+        # every 10th call on all-zero params: every Q ties, argmax takes action 0
+        model.params[...] = rng.normal(size=model.param_count) * (k % 10 != 0)
+        obs = rng.normal(size=(n_actors, 3))
+        expected = epsilon_greedy_oracle(strat, oracle_rng, obs)
+        actions = strat.sample_rollout_action(obs)
+        assert actions.dtype == np.int64 and np.array_equal(actions, expected)
+    assert strat._action_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # Vectorized A2C sampling against the per-actor Generator.choice it replaced
 # ---------------------------------------------------------------------------

@@ -203,23 +203,81 @@ def old_list_mix(memory_rows, batch_rows, current_label, mix_ratio, rng):
         batch_rows[row] = candidates[pick]
 
 
-@pytest.mark.parametrize("labels, current", [((0, 1, 2), 1), ((1,), 1)],
-                         ids=["mixed-labels", "all-same-label-fallback"])
-def test_replay_mixing_matches_the_list_rule_on_a_wrapped_memory(labels, current):
-    plugin = ReplayPlugin(capacity=40, mix_ratio=0.5, seed=6)
-    reference_memory = ListRing(40)
+# capacity, [(rows, labels drawn per row)] extended one after another, current label
+MIXING_CASES = {
+    # 67 rows into 40 slots: the ring wraps
+    "mixed-labels": (40, [(25, (0, 1, 2)), (30, (0, 1, 2)), (12, (0, 1, 2))], 1),
+    "all-same-label-fallback": (40, [(25, (1,)), (30, (1,)), (12, (1,))], 1),
+    # rollout-like: one label per extend, a new label every 12 extends, 4 wraps
+    "one-label-per-extend": (50, [(5, (k // 12,)) for k in range(40)], 3),
+    "capacity-1": (1, [(1, (0,)), (3, (0, 1)), (1, (1,)), (2, (0,)), (1, (1,))], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(MIXING_CASES))
+def test_replay_mixing_matches_the_list_rule_on_a_wrapped_memory(case):
+    capacity, extends, current = MIXING_CASES[case]
+    plugin = ReplayPlugin(capacity=capacity, mix_ratio=0.5, seed=6)
+    reference_memory = ListRing(capacity)
     reference_rng = np.random.default_rng(7)  # the plugin's mixing rng is seed + 1
     rng = np.random.default_rng(3)
-    for n in (25, 30, 12):  # 67 rows into 40 slots: the ring wraps
-        batch = random_batch(rng, n, labels)
-        plugin.memory.extend(batch)
-        reference_memory.extend(as_rows(batch))
-    for _ in range(5):
+    for step in range(len(extends) + 5):  # a mix after each extend, then 5 more
+        if step < len(extends):
+            n, labels = extends[step]
+            batch = random_batch(rng, n, labels)
+            plugin.memory.extend(batch)
+            reference_memory.extend(as_rows(batch))
         batch = random_batch(rng, 32, (current,))
         reference_batch = as_rows(batch)
         plugin.before_update(FakeStrategy(batch, task_label=current))
         old_list_mix(reference_memory.storage, reference_batch, current, 0.5, reference_rng)
         assert_rows_equal(batch, reference_batch)
+
+
+def test_replay_mixing_after_a_checkpoint_reload_matches_the_list_rule(tmp_path):
+    plugin = ReplayPlugin(capacity=30, mix_ratio=0.5, seed=2)
+    reference = ListRing(30)
+    rng = np.random.default_rng(4)
+    for n in (20, 17):  # the ring wraps
+        batch = random_batch(rng, n, (0, 1, 3))
+        plugin.memory.extend(batch)
+        reference.extend(as_rows(batch))
+    path = tmp_path / "replay.bin"
+    save_checkpoint(path, {}, plugin.state_sections())
+    fresh = ReplayPlugin()
+    fresh.load_state_sections(load_checkpoint(path)[1])  # one mixed-label extend, slot order
+    reloaded = ListRing(30)
+    reloaded.extend(reference.storage)
+    reference_rng = np.random.default_rng(1)  # ReplayPlugin()'s mixing rng: seed 0 + 1
+    for k in range(8):
+        batch = random_batch(rng, 4, (k % 3,))
+        fresh.memory.extend(batch)
+        reloaded.extend(as_rows(batch))
+        batch = random_batch(rng, 32, (1,))
+        reference_batch = as_rows(batch)
+        fresh.before_update(FakeStrategy(batch, task_label=1))
+        old_list_mix(reloaded.storage, reference_batch, 1, 0.5, reference_rng)
+        assert_rows_equal(batch, reference_batch)
+
+
+@pytest.mark.parametrize("capacity", [1, 7, 40])
+def test_label_runs_tile_the_ring_in_slot_order(capacity):
+    """label_runs comes from the index extend keeps, never from the label
+    column; it must tile slots 0..len-1 in order, one label per run."""
+    rng = np.random.default_rng(capacity)
+    ring = ReplayBuffer(capacity)
+    for k in range(80):
+        if k == 40:
+            ring.clear()
+        labels = (k % 3,) if k % 2 else (0, 1, 2)
+        ring.extend(random_batch(rng, int(rng.integers(0, 2 * capacity + 2)), labels))
+        column = ring.items().task_label
+        runs = ring.label_runs()
+        firsts = [first for first, _, _ in runs]
+        assert firsts == np.cumsum([0] + [count for _, count, _ in runs])[:-1].tolist()
+        assert sum(count for _, count, _ in runs) == len(ring)
+        for first, count, label in runs:
+            assert count > 0 and (column[first : first + count] == label).all()
 
 
 def test_ewc_window_is_the_last_k_rows_oldest_first_after_wrap():
