@@ -87,38 +87,33 @@ class CartPole(Environment):
         )
         self.observation_space = BoxSpace(low=-high, high=high, shape=(4,))
         self._rng = np.random.default_rng(0)
-        self._state = np.zeros(4)
+        self._state = [0.0] * 4  # Python floats: the same IEEE sums, less overhead
         self._steps = 0
 
     def reset(self, seed: int | None = None) -> np.ndarray:
         if seed is not None:
             self._rng = np.random.default_rng(seed)
-        self._state = self._rng.uniform(-0.05, 0.05, size=4)
-        self._steps = 0
-        self._done = False
-        self._started = True
-        return self._state.copy()
+        return self.set_state(self._rng.uniform(-0.05, 0.05, size=4))
 
     def set_state(self, state) -> np.ndarray:
-        """Force the physical state (testing hook); keeps the episode active."""
-        self._state = np.asarray(state, dtype=np.float64).copy()
+        """Force the physical state (a test hook, and reset's start); keeps the episode active."""
+        self._state = np.asarray(state, dtype=np.float64).tolist()
         self._steps = 0
         self._done = False
         self._started = True
-        return self._state.copy()
+        return np.array(self._state)
 
     def step(self, action) -> StepResult:
         self._require_active()
         self._check_action(action)
         p = self.params
-        state = self._state.tolist()  # Python floats: the same IEEE sums, less overhead
-        x, x_dot, theta, theta_dot = state
+        x, x_dot, theta, theta_dot = state = self._state
         x_acc, theta_acc = cartpole_derivatives(state, int(action), p)
         x = x + p.dt * x_dot
         x_dot = x_dot + p.dt * x_acc
         theta = theta + p.dt * theta_dot
         theta_dot = theta_dot + p.dt * theta_acc
-        self._state = np.array([x, x_dot, theta, theta_dot])
+        self._state = [x, x_dot, theta, theta_dot]
         self._steps += 1
         done = (
             abs(x) > p.x_threshold
@@ -126,7 +121,7 @@ class CartPole(Environment):
             or self._steps >= p.max_steps
         )
         self._done = done
-        return StepResult(obs=self._state.copy(), reward=1.0, done=done)
+        return StepResult(obs=np.array(self._state), reward=1.0, done=done)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ class NonFinite(FloatingPointError):
 # a 0-d float64 array, which spares converting a Python 0.0 on every call.
 _ACTIVATIONS = {"relu": np.maximum, "tanh": np.tanh, "identity": None}
 _ZERO = np.zeros(())
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
 def _all_finite(values: np.ndarray) -> bool:
@@ -230,10 +231,17 @@ class Mlp:
 # ---------------------------------------------------------------------------
 
 
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(logits less their row max, softmax(logits), row sums of its exp)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    probs = np.exp(shifted)
+    total = probs.sum(axis=-1, keepdims=True)
+    probs /= total
+    return shifted, probs, total
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax_parts(logits)[1]
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -242,8 +250,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if pred.shape != target.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
-    return loss, 2.0 * diff / diff.size
+    return float((diff * diff).sum() / diff.size), 2.0 * diff / diff.size
 
 
 def huber_loss(
@@ -263,40 +270,39 @@ def huber_loss(
     return float(per_elem.sum() / r.size), grad
 
 
-def policy_gradient_loss(
+def policy_losses(
     logits: np.ndarray, actions: np.ndarray, advantages: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """mean(-log softmax(logits)[action] * advantage); advantages are constants."""
+) -> tuple[tuple[float, np.ndarray], tuple[float, np.ndarray]]:
+    """(policy_gradient_loss, entropy_loss) of one batch, from one softmax."""
     logits = np.asarray(logits, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.int64)
     advantages = np.asarray(advantages, dtype=np.float64)
     n, _ = logits.shape
     if actions.shape != (n,) or advantages.shape != (n,):
         raise ShapeMismatch("actions/advantages must be vectors matching the batch size")
-    probs = softmax(logits)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    picked = log_probs[np.arange(n), actions]
-    loss = float(np.mean(-picked * advantages))
-    one_hot = np.zeros_like(probs)
-    one_hot[np.arange(n), actions] = 1.0
-    grad = advantages[:, None] * (probs - one_hot) / n
-    return loss, grad
+    shifted, probs, total = _softmax_parts(logits)
+    picked = shifted[np.arange(n), actions] - np.log(total[:, 0])  # log softmax(logits)[action]
+    pg_grad = advantages[:, None] * (probs - np.eye(probs.shape[1])[actions]) / n
+    # dH/dz_j = -p_j (log p_j + H); a p of 0 contributes 0 * log(1) = 0
+    safe_log = np.log(np.where(probs > 0.0, probs, 1.0))
+    row_entropy = -(probs * safe_log).sum(axis=1)
+    entropy_grad = -probs * (safe_log + row_entropy[:, None]) / n
+    # each mean as the add.reduce and division that np.mean performs, without its dispatch
+    pg_loss, entropy = (-picked * advantages).sum() / n, row_entropy.sum() / n
+    return (float(pg_loss), pg_grad), (float(entropy), entropy_grad)
+
+
+def policy_gradient_loss(
+    logits: np.ndarray, actions: np.ndarray, advantages: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """mean(-log softmax(logits)[action] * advantage); advantages are constants."""
+    return policy_losses(logits, actions, advantages)[0]
 
 
 def entropy_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean per-row entropy of softmax(logits), with its gradient."""
-    logits = np.asarray(logits, dtype=np.float64)
-    n, _ = logits.shape
-    probs = softmax(logits)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        plogp = np.where(probs > 0.0, probs * np.log(probs), 0.0)
-    row_entropy = -plogp.sum(axis=1)
-    loss = float(np.mean(row_entropy))
-    # dH/dz_j = -p_j (log p_j + H); guard log(0) since p=0 contributes 0
-    safe_log = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
-    grad = -probs * (safe_log + row_entropy[:, None]) / n
-    return loss, grad
+    n = len(logits)  # with advantages of 0, any actions: the policy-gradient half is unused
+    return policy_losses(logits, np.zeros(n, dtype=np.int64), np.zeros(n))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +324,15 @@ class Sgd:
 
 
 class Adam:
+    """Adam over a flat parameter vector. Every FLUSH_PERIOD steps, entries
+    of m and v below the smallest normal double are set to 0: where a
+    gradient entry stays exactly 0, m decays by beta1 per step into the
+    subnormal range and never reaches 0 (0.9 * 5e-324 rounds back to
+    5e-324), and subnormal arithmetic is slow on x86. Such an entry moves a
+    parameter by at most about lr * 2.2e-308 / eps per step."""
+
+    FLUSH_PERIOD = 64
+
     def __init__(
         self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
     ):
@@ -339,6 +354,9 @@ class Adam:
             self.m = np.zeros_like(params)
             self.v = np.zeros_like(params)
             self._scratch = np.empty((2, params.size))
+        if self.t % self.FLUSH_PERIOD == 0:
+            for state in (self.m, self.v):
+                state[np.abs(state) < _TINY] = 0.0
         self.t += 1
         # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same IEEE
         # operations and order as the plain formula, in two scratch rows

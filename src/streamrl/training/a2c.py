@@ -12,14 +12,15 @@ The single combined loss is
     mean(-log pi(a|s) * A) + value_coef * MSE(V(s), R) - entropy_coef * H(pi)
 
 with A = R - V(s) treated as a constant, and one backward/optimizer step per
-rollout. The model needs "policy_logits" and "value" heads.
+rollout. The policy-gradient and entropy terms share one softmax of the
+logits (nn.policy_losses). The model needs "policy_logits" and "value" heads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import entropy_loss, mse_loss, policy_gradient_loss, softmax
+from ..nn import mse_loss, policy_gradient_loss, policy_losses, softmax
 from .base import EmptyRollout, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
 
@@ -29,15 +30,15 @@ def compute_nstep_returns(
     """Discounted returns for one actor's ordered step sequence. The
     bootstrap seeds the recursion and a done at position t cuts the chain so
     nothing leaks across auto-reset episode boundaries."""
-    rewards = np.asarray(rewards, dtype=np.float64)
-    returns = np.empty_like(rewards)
+    rewards = np.asarray(rewards, dtype=np.float64).tolist()  # Python floats: the same IEEE ops
+    returns = [0.0] * len(rewards)
     acc = float(bootstrap_value)
     for t in range(len(rewards) - 1, -1, -1):
         if dones[t]:
             acc = 0.0
         acc = rewards[t] + gamma * acc
         returns[t] = acc
-    return returns
+    return np.array(returns, dtype=np.float64)
 
 
 class A2cStrategy(RLBaseStrategy):
@@ -66,7 +67,7 @@ class A2cStrategy(RLBaseStrategy):
     def sample_rollout_action(self, obs_batch: np.ndarray) -> np.ndarray:
         logits = self.model.forward(obs_batch)["policy_logits"]
         # rng.choice(n, p=row) for all rows, draw for draw: random() vs the normalised cdf
-        cdf = np.cumsum(softmax(logits), axis=1)
+        cdf = softmax(logits).cumsum(axis=1)
         cdf /= cdf[:, -1:]
         u = self._action_rng.random(len(cdf))
         return (cdf <= u[:, None]).sum(axis=1)
@@ -87,8 +88,10 @@ class A2cStrategy(RLBaseStrategy):
         per_actor = rollout.by_actor()
         tail_values = self.model.forward(per_actor.next_obs[:, -1])["value"][:, 0]
         returns = np.concatenate([
-            compute_nstep_returns(per_actor.reward[a], per_actor.done[a], tail_values[a], self.gamma)
-            for a in range(rollout.n_actors)
+            compute_nstep_returns(rewards, dones, tail, self.gamma)
+            for rewards, dones, tail in zip(
+                per_actor.reward.tolist(), per_actor.done.tolist(), tail_values.tolist()
+            )
         ])
         obs = per_actor.obs.reshape(len(rollout), *per_actor.obs.shape[2:])
         actions = per_actor.action.reshape(len(rollout))
@@ -98,9 +101,8 @@ class A2cStrategy(RLBaseStrategy):
         values = out["value"][:, 0]
         advantages = returns - values
 
-        pg_loss, pg_grad = policy_gradient_loss(logits, actions, advantages)
+        (pg_loss, pg_grad), (entropy, entropy_grad) = policy_losses(logits, actions, advantages)
         value_loss, value_grad = mse_loss(values, returns)
-        entropy, entropy_grad = entropy_loss(logits)
         base_loss = pg_loss + self.value_coef * value_loss - self.entropy_coef * entropy
 
         grads = self.model.backward(

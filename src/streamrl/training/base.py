@@ -168,10 +168,7 @@ class Rollout:
 
     def by_actor(self) -> Transitions:
         """Actor-major columns of shape [n_actors, T, ...]."""
-        return Transitions(*(
-            c.reshape(len(self._rows), self.n_actors, *c.shape[1:]).swapaxes(0, 1)
-            for c in self.steps().columns
-        ))
+        return self.steps()[np.arange(len(self)).reshape(len(self._rows), self.n_actors).T]
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,9 @@ class VectorizedEnv:
         else:
             results = self._exchange(actions)
         obs, rewards, dones, final_obs = zip(*results)
-        rewards, dones = np.array(rewards, dtype=np.float64), np.array(dones, dtype=bool)
-        return np.array(obs), rewards, dones, np.array(final_obs)
+        obs = np.array(obs)  # the final_obs rows are the obs rows unless an actor is done
+        final_obs = np.array(final_obs) if any(dones) else obs.copy()
+        return obs, np.array(rewards, dtype=np.float64), np.array(dones, dtype=bool), final_obs
 
     def _exchange(self, actions: list) -> list:
         """Send each worker its shard's actions, then gather every actor's

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from streamrl.core_env import ActionOutOfSpace
+from streamrl.core_env import ActionOutOfSpace, StepResult
 from streamrl.envs import (
     Bandit,
     BanditParams,
@@ -35,6 +35,67 @@ from streamrl.envs import (
 
 THACC_ORACLE = -600.0 / 41.0  # = -14.634146341463415
 XACC_ORACLE = 400.0 / 41.0  # = 9.75609756097561
+
+
+class OldCartPole(CartPole):
+    """CartPole as it was before it kept its state as Python floats: an
+    ndarray state, turned into floats and back on every step, and copied
+    into every observation."""
+
+    def reset(self, seed=None):
+        if seed is not None:
+            self._rng = np.random.default_rng(seed)
+        self._state = self._rng.uniform(-0.05, 0.05, size=4)
+        self._steps, self._done, self._started = 0, False, True
+        return self._state.copy()
+
+    def set_state(self, state):
+        self._state = np.asarray(state, dtype=np.float64).copy()
+        self._steps, self._done, self._started = 0, False, True
+        return self._state.copy()
+
+    def step(self, action):
+        self._require_active()
+        self._check_action(action)
+        p = self.params
+        state = self._state.tolist()
+        x, x_dot, theta, theta_dot = state
+        x_acc, theta_acc = cartpole_derivatives(state, int(action), p)
+        x = x + p.dt * x_dot
+        x_dot = x_dot + p.dt * x_acc
+        theta = theta + p.dt * theta_dot
+        theta_dot = theta_dot + p.dt * theta_acc
+        self._state = np.array([x, x_dot, theta, theta_dot])
+        self._steps += 1
+        done = abs(x) > p.x_threshold or abs(theta) > p.theta_threshold or self._steps >= p.max_steps
+        self._done = done
+        return StepResult(obs=self._state.copy(), reward=1.0, done=done)
+
+
+@pytest.mark.parametrize("params", [
+    CartPoleParams(), CartPoleParams(max_steps=30), CartPoleParams(pole_half_length=0.25, gravity=0.0),
+])
+def test_cartpole_rows_equal_the_old_ndarray_state_bitwise(params):
+    rng = np.random.default_rng(2)
+    new, old = CartPole(params), OldCartPole(params)
+    starts = [(0.0, 0.0, 0.0, 0.0), (-0.0, 1e-300, -0.2, 3.0), (2.3, -1.0, 0.1, -2.0)]
+    episodes = 0
+    for k in range(40):
+        if k < len(starts):
+            first = new.set_state(starts[k]), old.set_state(starts[k])
+        else:
+            first = new.reset(seed=k if k % 2 else None), old.reset(seed=k if k % 2 else None)
+        assert first[0].dtype == first[1].dtype and first[0].tobytes() == first[1].tobytes()
+        done = False
+        while not done:
+            action = int(rng.integers(2)) if k % 3 else np.int64(rng.integers(2))
+            got, want = new.step(action), old.step(action)
+            assert got.obs.dtype == want.obs.dtype and got.obs.tobytes() == want.obs.tobytes()
+            assert (got.reward, got.done, got.info) == (want.reward, want.done, want.info)
+            got.obs[0] = 99.0  # an observation is the caller's own: the next step ignores it
+            done = got.done
+        episodes += 1
+    assert episodes == 40
 
 
 def test_derivatives_at_origin_push_right():

@@ -1,4 +1,4 @@
-"""Golden output digests: two small continual runs through `streamrl run`
+"""Golden output digests: three small continual runs through `streamrl run`
 must write byte-identical metrics.jsonl and checkpoint.bin to the pinned
 SHA-256 values below.
 
@@ -63,6 +63,24 @@ A2C_EWC = {
     "eval": {"episodes": 10, "after_each_experience": True},
 }
 
+# A2C with one actor whose rollouts run until two episodes end: every rollout
+# has its own length and ends in a done, so the n-step returns are cut inside
+# and at the end of each rollout and VectorizedEnv.step returns a final_obs
+# that differs from obs. Pinned from the commit before the shared-softmax A2C
+# update, so that change and everything after it must reproduce these bytes.
+A2C_EPISODES = {
+    "scenario": {
+        "generator": "continual_control",
+        "base_params": {"max_steps": 40},
+        "schedule": [{"pole_half_length": 0.5}, {"pole_half_length": 0.25}],
+        "n_parallel_envs": 1,
+    },
+    "strategy": {"name": "a2c", "hidden": [16, 16]},
+    "budget": {"updates_per_experience": 150, "rollout": {"episodes": 2}},
+    "seeds": {"env": 11, "net": 12, "sampling": 13},
+    "eval": {"episodes": 5, "after_each_experience": True},
+}
+
 # name -> (config, sha256 of metrics.jsonl, sha256 of checkpoint.bin), recorded
 # with numpy 2.4 (OpenBLAS 0.3.31) on x86-64
 GOLDEN = {
@@ -75,6 +93,11 @@ GOLDEN = {
         A2C_EWC,
         "06b5280e070a8c77340b725e5180c92e80dd0b6e4c722fb22ac57df83f9071a8",
         "a7133a4d8f9b7d4327e3436af025beca39724665350bde25679d6be21f22b65f",
+    ),
+    "a2c-episodes": (
+        A2C_EPISODES,
+        "0310222eba5a7742f0e992efade3c08ecf43628363a1167d9c9776949dbdec63",
+        "606cc293c7562256de400d498510dc655539f9629fb0571b1abdf8958ed5a49f",
     ),
 }
 

@@ -19,6 +19,7 @@ from streamrl.nn import (
     huber_loss,
     mse_loss,
     policy_gradient_loss,
+    policy_losses,
     softmax,
 )
 
@@ -385,6 +386,87 @@ def test_huber_loss_equals_the_old_formula_bitwise(n, delta):
         assert grad.tobytes() == want_grad.tobytes()
 
 
+def old_softmax(logits):
+    """softmax as it was before it exponentiated and divided in place."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def old_mse_loss(pred, target):
+    """mse_loss as it was before it took its mean as sum / n."""
+    diff = np.asarray(pred, dtype=np.float64) - np.asarray(target, dtype=np.float64)
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+
+
+def old_policy_gradient_loss(logits, actions, advantages):
+    """policy_gradient_loss as it was before it shared one softmax with the
+    entropy: two exps of the shifted logits and a one-hot matrix."""
+    n, _ = logits.shape
+    probs = old_softmax(logits)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    picked = log_probs[np.arange(n), actions]
+    loss = float(np.mean(-picked * advantages))
+    one_hot = np.zeros_like(probs)
+    one_hot[np.arange(n), actions] = 1.0
+    return loss, advantages[:, None] * (probs - one_hot) / n
+
+
+def old_entropy_loss(logits):
+    """entropy_loss as it was before it took one log under no np.errstate."""
+    n, _ = logits.shape
+    probs = old_softmax(logits)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plogp = np.where(probs > 0.0, probs * np.log(probs), 0.0)
+    row_entropy = -plogp.sum(axis=1)
+    safe_log = np.where(probs > 0.0, np.log(np.where(probs > 0.0, probs, 1.0)), 0.0)
+    return float(np.mean(row_entropy)), -probs * (safe_log + row_entropy[:, None]) / n
+
+
+def policy_batches():
+    """(logits, actions, advantages, values, returns) at batch sizes 1 to 33
+    and 2 to 6 actions: random rows at three logit scales, rows whose
+    smallest probability underflows to exactly 0 (a logit gap over 746),
+    tied rows, and advantages and returns of exactly -0.0 and 0.0. Logits are
+    a column slice of a wider output, as the policy head of an Mlp is."""
+    rng = np.random.default_rng(12)
+    for n in (1, 4, 20, 33):
+        for k in (2, 3, 6):
+            for scale in (0.1, 1.0, 30.0):
+                out = rng.normal(scale=scale, size=(n, k + 1))
+                if scale == 30.0:
+                    out[::2, 0] = 800.0  # exp(-800 - ...) is 0.0: p == 0 exactly
+                    out[1::3, :k] = -3.0  # tied logits
+                advantages = rng.normal(size=n)
+                advantages[::3] = -0.0
+                advantages[1::4] = 0.0
+                returns = rng.normal(size=n)
+                returns[::2] = -0.0
+                yield out[:, :k], rng.integers(0, k, size=n), advantages, out[:, k], returns
+
+
+def same_bits(got, want):
+    """float losses and float64 gradient arrays, compared bit for bit."""
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+    assert got[1].tobytes() == want[1].tobytes()
+
+
+def test_policy_and_value_losses_equal_the_old_formulas_bitwise():
+    underflows = 0
+    for logits, actions, advantages, values, returns in policy_batches():
+        underflows += int((old_softmax(logits) == 0.0).sum())
+        assert softmax(logits).tobytes() == old_softmax(logits).tobytes()
+        pg, entropy = policy_losses(logits, actions, advantages)
+        same_bits(pg, old_policy_gradient_loss(logits, actions, advantages))
+        same_bits(entropy, old_entropy_loss(logits))
+        same_bits(policy_gradient_loss(logits, actions, advantages), pg)
+        same_bits(entropy_loss(logits), entropy)
+        same_bits(mse_loss(values, returns), old_mse_loss(values, returns))
+    assert underflows > 0  # the p == 0 rows were exercised
+
+
 def test_entropy_uniform_two_way():
     loss, _ = entropy_loss(np.array([[0.0, 0.0]]))
     assert abs(loss - math.log(2)) < 1e-12
@@ -473,6 +555,22 @@ def test_adam_first_step_magnitude():
         out = opt.step(np.zeros(1), np.array([c]))
         assert abs(abs(out[0]) - 0.01) < 1e-6
         assert out[0] < 0  # descends against the gradient
+
+
+def test_adam_flushes_subnormal_state_every_flush_period():
+    opt = Adam(lr=0.01)
+    params = np.ones(5)
+    opt.step(params, np.zeros(5))
+    m = [5e-324, -1e-310, 2e-308, 1e-300, 0.0]  # the first three are below tiny
+    v = [1e-320, 2e-308, 1e-300, 0.5, 0.0]
+    opt.m[...], opt.v[...] = m, v
+    opt.t = Adam.FLUSH_PERIOD - 1
+    opt.step(params, np.zeros(5))  # no flush: m only decays
+    assert opt.m[0] == 5e-324 and opt.m[2] != 0.0
+    opt.m[...], opt.v[...] = m, v
+    opt.step(params, np.zeros(5))  # t == FLUSH_PERIOD: flushed, then decayed
+    assert opt.m.tolist() == [0.0, 0.0, 0.0, 0.9 * 1e-300, 0.0]
+    assert opt.v.tolist() == [0.0, 0.0, 0.999 * 1e-300, 0.999 * 0.5, 0.0]
 
 
 def test_adam_zero_grad_no_motion():

@@ -177,6 +177,40 @@ def test_nstep_returns_brute_force():
             assert abs(got[t] - want) <= 1e-12
 
 
+def old_compute_nstep_returns(rewards, dones, bootstrap_value, gamma):
+    """compute_nstep_returns as it was before it ran over Python floats."""
+    rewards = np.asarray(rewards, dtype=np.float64)
+    returns = np.empty_like(rewards)
+    acc = float(bootstrap_value)
+    for t in range(len(rewards) - 1, -1, -1):
+        if dones[t]:
+            acc = 0.0
+        acc = rewards[t] + gamma * acc
+        returns[t] = acc
+    return returns
+
+
+def test_nstep_returns_equal_the_old_numpy_loop_bitwise():
+    rng = np.random.default_rng(4)
+    cases = [
+        ([1.0], [True], 3.0), ([1.0], [False], -0.0), ([], [], 2.0),
+        ([-0.0, -0.0, -0.0], [False] * 3, -0.0), ([-0.0, -0.0], [True, True], 1.0),
+        ([1.0, 2.0, 3.0], [True, False, False], 0.5), ([1.0, 2.0, 3.0], [False, False, True], 9.0),
+    ]
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        rewards = rng.normal(size=n) * rng.choice([1.0, 1e-300, 1e300])
+        rewards[rng.random(n) < 0.2] = -0.0
+        cases.append((rewards, rng.random(n) < 0.3, float(rng.normal())))
+    for rewards, dones, bootstrap in cases:
+        for gamma in (0.0, 0.9, 0.99, 1.0):
+            for given in (rewards, np.asarray(rewards, dtype=np.float64)):
+                got = compute_nstep_returns(given, dones, bootstrap, gamma)
+                want = old_compute_nstep_returns(given, dones, bootstrap, gamma)
+                assert got.dtype == np.float64 and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Rollout container
 # ---------------------------------------------------------------------------
@@ -703,6 +737,75 @@ def test_a2c_loss_composition():
     assert abs(strat.loss - (pg + 0.5 * vl - 0.01 * ent)) < 1e-12
 
 
+def old_a2c_update(strat, rollout):
+    """A2cStrategy.apply_update as it was before policy_losses: the old
+    returns, policy-gradient, entropy and MSE formulas (test_nn keeps their
+    oracles), each with its own softmax."""
+    from test_nn import old_entropy_loss, old_mse_loss, old_policy_gradient_loss
+
+    per_actor = rollout.by_actor()
+    tail_values = strat.model.forward(per_actor.next_obs[:, -1])["value"][:, 0]
+    returns = np.concatenate([
+        old_compute_nstep_returns(per_actor.reward[a], per_actor.done[a], tail_values[a], strat.gamma)
+        for a in range(rollout.n_actors)
+    ])
+    obs = per_actor.obs.reshape(len(rollout), *per_actor.obs.shape[2:])
+    actions = per_actor.action.reshape(len(rollout))
+    out = strat.model.forward(obs)
+    logits, values = out["policy_logits"], out["value"][:, 0]
+    pg_loss, pg_grad = old_policy_gradient_loss(logits, actions, returns - values)
+    value_loss, value_grad = old_mse_loss(values, returns)
+    entropy, entropy_grad = old_entropy_loss(logits)
+    grads = strat.model.backward({
+        "policy_logits": pg_grad - strat.entropy_coef * entropy_grad,
+        "value": (strat.value_coef * value_grad)[:, None],
+    })
+    grads += strat.grad_accum
+    strat.optimizer.step(strat.model.params, grads)
+    return pg_loss + strat.value_coef * value_loss - strat.entropy_coef * entropy
+
+
+A2C_DONES = {  # per actor, over 5 steps
+    "none": lambda a, t: False,
+    "first-step": lambda a, t: t == 0,
+    "last-step": lambda a, t: t == 4,
+    "every-step": lambda a, t: True,
+    "mixed": lambda a, t: (a + t) % 3 == 0,
+}
+
+
+@pytest.mark.parametrize("saturated", [False, True])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("n_actors", [1, 4])
+@pytest.mark.parametrize("dones", list(A2C_DONES))
+def test_a2c_update_equals_the_old_composition_bitwise(saturated, activation, n_actors, dones):
+    rng = np.random.default_rng(n_actors)
+    models = [Mlp([4, 16, 16, 4], activations=[activation] * 2 + ["identity"],
+                  heads={"policy_logits": 3, "value": 1}, seed=2) for _ in range(2)]
+    for model in models:
+        model.weights[-1][:3] *= 3000.0 if saturated else 1.0  # logit gaps over 746
+    strats = [A2cStrategy(model, Adam(0.05), TrainingBudget(1, Steps(5)), gamma=0.9)
+              for model in models]
+    for update in range(6):
+        rollout = Rollout(n_actors)
+        for t in range(5):
+            obs = rng.normal(size=(n_actors, 4))
+            rewards = rng.choice([-0.0, 1.0, -1.5], size=n_actors)
+            done = np.array([A2C_DONES[dones](a, t) for a in range(n_actors)])
+            rollout.append(obs, rng.integers(0, 3, size=n_actors), rewards, done,
+                           obs + rng.normal(size=obs.shape))
+        if saturated:
+            probs = softmax(models[0].forward(rollout.steps().obs)["policy_logits"])
+            assert (probs == 0.0).any()
+        accum = rng.normal(size=models[0].param_count) * (update % 2)
+        for strat in strats:
+            strat.loss, strat.grad_accum = 0.0, accum.copy()
+        strats[0].apply_update(rollout)
+        want_loss = old_a2c_update(strats[1], rollout)
+        assert np.float64(strats[0].loss).tobytes() == np.float64(want_loss).tobytes()
+        assert models[0].params.tobytes() == models[1].params.tobytes()
+
+
 def test_a2c_empty_rollout_rejected():
     strat = A2cStrategy(a2c_model(), Adam(1e-3), TrainingBudget(1, Steps(1)))
     with pytest.raises(EmptyRollout):
@@ -882,6 +985,36 @@ def test_a2c_sampler_matches_per_actor_choice(n_actors):
             expected = choice_oracle(oracle_rng, softmax(model.forward(obs)["policy_logits"]))
             assert np.array_equal(strat.sample_rollout_action(obs), expected)
         assert strat._action_rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def old_a2c_sample(strat, rng, obs):
+    """A2cStrategy.sample_rollout_action as it was before softmax worked in
+    place."""
+    from test_nn import old_softmax
+
+    cdf = np.cumsum(old_softmax(strat.model.forward(obs)["policy_logits"]), axis=1)
+    cdf /= cdf[:, -1:]
+    u = rng.random(len(cdf))
+    return (cdf <= u[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("n_actors", [1, 4, 7])
+def test_a2c_sampler_equals_the_old_softmax_cdf_bitwise(n_actors):
+    rng = np.random.default_rng(20 + n_actors)
+    for activation in ("relu", "tanh"):
+        for n_actions in (2, 3, 6):
+            model = Mlp([3, 8, n_actions + 1], activations=[activation, "identity"],
+                        heads={"policy_logits": n_actions, "value": 1})
+            strat = A2cStrategy(model, Adam(1e-3), TrainingBudget(1, Steps(1)), action_seed=5)
+            oracle_rng = np.random.default_rng(5)
+            for k in range(300):
+                # a scale of 1000 puts logit gaps over 746: probabilities of exactly 0
+                model.params[...] = rng.normal(size=model.param_count) * (0.1, 1.0, 1000.0)[k % 3]
+                obs = rng.normal(size=(n_actors, 3))
+                want = old_a2c_sample(strat, oracle_rng, obs)
+                got = strat.sample_rollout_action(obs)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert strat._action_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

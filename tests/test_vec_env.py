@@ -218,6 +218,47 @@ def test_final_obs_holds_terminal_rows_and_equals_obs_elsewhere():
     assert np.flatnonzero(final_obs[1]).tolist() == [10]
 
 
+def old_vec_step(venv, actions):
+    """Serial VectorizedEnv.step as it was before final_obs became a copy of
+    obs when no actor is done: a second np.array over the same rows."""
+    actions = actions.tolist() if isinstance(actions, np.ndarray) else actions
+    results = [actor.step(a) for actor, a in zip(venv.actors, actions)]
+    obs, rewards, dones, final_obs = zip(*results)
+    rewards, dones = np.array(rewards, dtype=np.float64), np.array(dones, dtype=bool)
+    return np.array(obs), rewards, dones, np.array(final_obs)
+
+
+@pytest.mark.parametrize("factory", [limited_grid_factory, cartpole_factory])
+@pytest.mark.parametrize("n", [1, 4])
+def test_step_rows_equal_the_old_assembly_bitwise(factory, n):
+    rng = np.random.default_rng(n)
+    plan = rng.integers(0, factory().action_space.n, size=(300, n))
+    new, old = VectorizedEnv(factory, n, base_seed=3), VectorizedEnv(factory, n, base_seed=3)
+    assert new.reset().tobytes() == old.reset().tobytes()
+    done_steps = 0
+    for actions in plan:
+        got, want = new.step(actions), old_vec_step(old, actions)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        done_steps += bool(got[2].any())
+    assert 0 < done_steps < len(plan)
+
+
+@pytest.mark.parametrize("factory", [limited_grid_factory, cartpole_factory])
+def test_final_obs_and_obs_are_distinct_arrays(factory):
+    venv = VectorizedEnv(factory, 2, base_seed=0)
+    venv.reset()
+    seen = set()
+    for _ in range(60):
+        obs, _, dones, final_obs = venv.step([1, 1])
+        assert not np.shares_memory(obs, final_obs)
+        kept = obs.copy()
+        final_obs += 1.0  # writing into final_obs leaves obs as it was
+        assert obs.tobytes() == kept.tobytes()
+        seen.add(bool(dones.any()))
+    assert seen == {False, True}
+
+
 class CountingGrid(GridWorld):
     def __init__(self):
         super().__init__(GridScene(5, 5))
