@@ -50,6 +50,7 @@ from streamrl.training import (
 from streamrl.training.base import EVAL_LANES
 from streamrl.training.dqn import ReplayBuffer
 from streamrl.vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
+from test_nn import old_entropy_loss, old_mse_loss, old_policy_gradient_loss, old_softmax
 
 SPEC_A = EnvSpec("grid_a", lambda: GridWorld(GridScene(5, 5)))
 SPEC_B = EnvSpec("grid_b", lambda: GridWorld(GridScene(5, 5, goal=(0, 4))))
@@ -741,8 +742,6 @@ def old_a2c_update(strat, rollout):
     """A2cStrategy.apply_update as it was before policy_losses: the old
     returns, policy-gradient, entropy and MSE formulas (test_nn keeps their
     oracles), each with its own softmax."""
-    from test_nn import old_entropy_loss, old_mse_loss, old_policy_gradient_loss
-
     per_actor = rollout.by_actor()
     tail_values = strat.model.forward(per_actor.next_obs[:, -1])["value"][:, 0]
     returns = np.concatenate([
@@ -990,8 +989,6 @@ def test_a2c_sampler_matches_per_actor_choice(n_actors):
 def old_a2c_sample(strat, rng, obs):
     """A2cStrategy.sample_rollout_action as it was before softmax worked in
     place."""
-    from test_nn import old_softmax
-
     cdf = np.cumsum(old_softmax(strat.model.forward(obs)["policy_logits"]), axis=1)
     cdf /= cdf[:, -1:]
     u = rng.random(len(cdf))
