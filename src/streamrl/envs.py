@@ -97,7 +97,11 @@ class CartPole(Environment):
 
     def set_state(self, state) -> np.ndarray:
         """Force the physical state (a test hook, and reset's start); keeps the episode active."""
-        self._state = np.asarray(state, dtype=np.float64).tolist()
+        state = np.asarray(state, dtype=np.float64)
+        if state.shape != (4,):
+            raise ValueError(f"cart-pole state needs 4 entries (x, x_dot, theta, theta_dot), "
+                             f"got shape {state.shape}")
+        self._state = state.tolist()
         self._steps = 0
         self._done = False
         self._started = True

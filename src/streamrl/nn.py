@@ -36,6 +36,8 @@ class NonFinite(FloatingPointError):
 # a 0-d float64 array, which spares converting a Python 0.0 on every call.
 _ACTIVATIONS = {"relu": np.maximum, "tanh": np.tanh, "identity": None}
 _ZERO = np.zeros(())
+# The MLP's matrix products: np.dot gives matmul's bits with less per-call overhead
+_dot = np.dot
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
 
@@ -123,7 +125,7 @@ class Mlp:
             raise ShapeMismatch(f"batch inner dim {x.shape[1]} != input size {self.sizes[0]}")
         layer_outs = [x]
         for w_t, b, act in self._plan:
-            x = x @ w_t
+            x = _dot(x, w_t)
             x += b
             if act is np.maximum:
                 np.maximum(x, _ZERO, out=x)
@@ -182,13 +184,13 @@ class Mlp:
             x = layer_outs[i]
             if squared:
                 delta_sq = delta * delta
-                np.matmul(delta_sq.T, x * x, out=d_weights[i])
-                delta_sq.sum(axis=0, out=d_biases[i])
+                _dot(delta_sq.T, x * x, out=d_weights[i])
+                np.add.reduce(delta_sq, axis=0, out=d_biases[i])
             else:
-                np.matmul(delta.T, x, out=d_weights[i])
-                delta.sum(axis=0, out=d_biases[i])
+                _dot(delta.T, x, out=d_weights[i])
+                np.add.reduce(delta, axis=0, out=d_biases[i])
             if i:
-                delta = delta @ self.weights[i]
+                delta = _dot(delta, self.weights[i])
         if not _all_finite(flat):
             raise NonFinite("non-finite gradients in backward pass")
         return flat
@@ -267,7 +269,7 @@ def huber_loss(
     per_elem = np.where(small, 0.5 * r * r, delta * (abs_r - 0.5 * delta))
     grad = np.where(small, r, delta * np.sign(r)) / r.size
     # the add.reduce and division that np.mean performs, without its dispatch
-    return float(per_elem.sum() / r.size), grad
+    return float(np.add.reduce(per_elem, axis=None) / r.size), grad
 
 
 def policy_losses(
@@ -358,8 +360,8 @@ class Adam:
             for state in (self.m, self.v):
                 state[np.abs(state) < _TINY] = 0.0
         self.t += 1
-        # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same IEEE
-        # operations and order as the plain formula, in two scratch rows
+        # params -= lr * m_hat / (sqrt(v_hat) + eps), in the same IEEE operations
+        # and order as the plain formula, in two scratch rows (m_hat is m once 1 - beta1**t is 1)
         step, denom = self._scratch
         np.multiply(grads, 1.0 - self.beta1, out=step)
         self.m *= self.beta1
@@ -368,8 +370,9 @@ class Adam:
         denom *= grads
         self.v *= self.beta2
         self.v += denom
-        np.divide(self.m, 1.0 - self.beta1**self.t, out=step)
-        step *= self.lr
+        bias1 = 1.0 - self.beta1**self.t
+        m_hat = self.m if bias1 == 1.0 else np.divide(self.m, bias1, out=step)
+        np.multiply(m_hat, self.lr, out=step)
         np.divide(self.v, 1.0 - self.beta2**self.t, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.eps

@@ -209,9 +209,10 @@ class ReplayPlugin(StrategyPlugin):
         if n_candidates == 0:
             ends, shifts, n_candidates = [len(self.memory)], [0], len(self.memory)
         rows = self._rng.choice(len(batch), size=n_replace, replace=False)
-        picks = self._rng.integers(0, n_candidates, size=n_replace)
-        slots = picks + np.array(shifts)[np.array(ends).searchsorted(picks, side="right")]
-        batch.put(rows, self.memory.rows(slots))
+        slots = self._rng.integers(0, n_candidates, size=n_replace)
+        slots += shifts[0] if len(shifts) == 1 else (  # one run: the usual case
+            np.array(shifts)[np.array(ends).searchsorted(slots, side="right")])
+        self.memory.copy_rows(slots, batch, rows)
 
     # -- checkpoint integration -------------------------------------------
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Optional, Sequence
 
 import numpy as np
@@ -394,7 +395,7 @@ class RLBaseStrategy:
             # Python floats: the same IEEE float64 adds as a numpy accumulator
             self._ep_return = [ret + r for ret, r in zip(self._ep_return, reward_list)]
             self._ep_length = [length + 1 for length in self._ep_length]
-            for a in dones.nonzero()[0].tolist():
+            for a in compress(count(), dones.tolist()):  # the actors that are done
                 episode_return, length = self._ep_return[a], self._ep_length[a]
                 episodes_finished += 1
                 self._exp_episode_returns.append(episode_return)
@@ -408,13 +409,8 @@ class RLBaseStrategy:
             self.total_env_steps += venv.n_actors
             if self.metrics is not None:
                 self.metrics.global_step = self.total_env_steps
-            if isinstance(condition, Steps):
-                if vec_steps >= condition.n:
-                    break
-            else:
-                if episodes_finished >= condition.n:
-                    break
-        return rollout
+            if (vec_steps if isinstance(condition, Steps) else episodes_finished) >= condition.n:
+                return rollout
 
     def train(
         self,

@@ -50,8 +50,8 @@ class ReplayBuffer:
         self._next = 0
         self._rng = np.random.default_rng(seed)
         # [task label, count] of each run of stored transitions that share a
-        # label, in the order they were stored, oldest first
-        self._runs: deque[list] = deque()
+        # label, in the order they were stored, oldest first; see label_runs()
+        self._runs: deque[list] | None = None
 
     def __len__(self) -> int:
         return self._size
@@ -73,15 +73,18 @@ class ReplayBuffer:
         self._next = end % self.capacity
         evicted = max(self._size + n - self.capacity, 0)
         self._size += n - evicted
-        # the run index: drop the overwritten oldest rows, then add the new
-        # rows' labels as the ring stored them
+        if self._runs is not None:
+            self._index(evicted, self._slots.task_label[slots])
+
+    def _index(self, evicted: int, labels: np.ndarray) -> None:
+        """Drops the `evicted` oldest rows from the run index, then adds `labels`."""
         while evicted:
             oldest = self._runs[0]
             if oldest[1] > evicted:
                 oldest[1] -= evicted
                 break
             evicted -= self._runs.popleft()[1]
-        for label, rows in itertools.groupby(self._slots.task_label[slots].tolist()):
+        for label, rows in itertools.groupby(labels.tolist()):
             count = len(list(rows))
             if self._runs and self._runs[-1][0] == label:
                 self._runs[-1][1] += count
@@ -99,6 +102,11 @@ class ReplayBuffer:
         """Copies of the transitions in the given slots."""
         return self._slots[slots]
 
+    def copy_rows(self, slots: np.ndarray, target: Transitions, rows: np.ndarray) -> None:
+        """Writes the transitions in the given slots over target's rows."""
+        for column, stored in zip(target.columns, self._slots.columns):
+            column[rows] = stored[slots]
+
     def items(self) -> Transitions:
         """The stored transitions in slot order, as views into the ring."""
         return self._slots[: self._size]
@@ -106,9 +114,12 @@ class ReplayBuffer:
     def label_runs(self) -> list[tuple[int, int, int]]:
         """(first slot, slot count, task label) of runs of consecutive slots
         that hold one task label each, in slot order, covering slots
-        0..len-1. They come from the run index that extend() keeps, in
-        O(runs), without reading the task_label column. A run of stored
-        transitions that crosses the end of the ring comes as two."""
+        0..len-1, from the run index in O(runs). The first call builds the
+        index with one scan of the task_label column, and extend() keeps it
+        from then on. A run that crosses the end of the ring comes as two."""
+        if self._runs is None:  # the labels oldest first: the oldest row is in slot 0 or _next
+            self._runs = deque()
+            self._index(0, np.roll(self._slots.task_label[: self._size], self._size - self._next))
         runs, stored = [], 0
         oldest = (self._next - self._size) % self.capacity
         for label, count in self._runs:
@@ -128,7 +139,7 @@ class ReplayBuffer:
     def clear(self) -> None:
         self._size = 0
         self._next = 0
-        self._runs.clear()
+        self._runs = None
 
 
 def compute_dqn_targets(
@@ -148,7 +159,7 @@ def compute_dqn_targets(
         best = np.argmax(q_next_online, axis=1)
         bootstrap = q_next_target[np.arange(len(rewards)), best]
     else:
-        bootstrap = q_next_target.max(axis=1)
+        bootstrap = np.maximum.reduce(q_next_target, axis=1)  # ndarray.max without its wrapper
     return rewards + gamma * not_done * bootstrap
 
 
@@ -216,11 +227,16 @@ class DqnStrategy(RLBaseStrategy):
     # ------------------------------------------------------------------
 
     def sample_rollout_action(self, obs_batch: np.ndarray) -> np.ndarray:
-        actions = self.model.forward(obs_batch)["q_values"].argmax(axis=1)
         eps, rng = self.epsilon, self._action_rng
-        for i in range(len(actions)):  # a random() draw per actor, integers() when exploring
-            if rng.random() < eps:
-                actions[i] = rng.integers(self.n_actions)
+        n = len(obs_batch) if np.ndim(obs_batch) > 1 else 1  # a single observation is one actor
+        # a random() draw per actor, integers() when exploring; Q values only if some are greedy
+        drawn = [rng.integers(self.n_actions) if rng.random() < eps else -1 for _ in range(n)]
+        if -1 not in drawn:
+            return np.array(drawn)
+        actions = self.model.forward(obs_batch)["q_values"].argmax(axis=1)
+        for i, action in enumerate(drawn):
+            if action != -1:
+                actions[i] = action
         return actions
 
     def greedy_action(self, obs_batch: np.ndarray) -> np.ndarray:

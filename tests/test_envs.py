@@ -126,6 +126,16 @@ def test_euler_step_from_origin():
     assert not result.done
 
 
+@pytest.mark.parametrize("state", [(0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0, 0.0)])
+def test_set_state_rejects_a_state_without_four_entries(state):
+    env = CartPole(CartPoleParams())
+    env.reset(seed=0)
+    with pytest.raises(ValueError, match="needs 4 entries"):
+        env.set_state(state)
+    env.set_state((0.0, 0.0, 0.0, 0.0))  # the env still steps from a valid state
+    assert env.step(1).obs[1] == 0.1951219512195122
+
+
 def test_push_right_signs():
     env = CartPole(CartPoleParams())
     env.reset(seed=0)

@@ -1,4 +1,4 @@
-"""Golden output digests: three small continual runs through `streamrl run`
+"""Golden output digests: four small continual runs through `streamrl run`
 must write byte-identical metrics.jsonl and checkpoint.bin to the pinned
 SHA-256 values below.
 
@@ -81,6 +81,34 @@ A2C_EPISODES = {
     "eval": {"episodes": 5, "after_each_experience": True},
 }
 
+# DoubleDQN with 2 gridworld actors and EWC: while epsilon anneals, some
+# acting steps explore on one actor and act greedily on the other, the
+# targets take the double-DQN path, and each experience ends in a DQN
+# Fisher, whose penalty then runs through experience 1. Pinned from the
+# commit before the Q-network pass was skipped on exploring steps and the
+# MLP's products went through np.dot, so that change and everything after
+# it must reproduce these bytes.
+DOUBLE_DQN_EWC = {
+    "scenario": {
+        "generator": "gym_benchmark",
+        "env_specs": [
+            {"name": "A", "env": "gridworld", "map": MAP_A,
+             "params": {"max_steps": 30, "step_reward": -0.1, "goal_reward": 10.0}},
+            {"name": "B", "env": "gridworld", "map": MAP_B,
+             "params": {"max_steps": 30, "step_reward": -0.1, "goal_reward": 10.0}},
+        ],
+        "n_experiences": 2,
+        "order": {"explicit": [0, 1]},
+        "n_parallel_envs": 2,
+    },
+    "strategy": {"name": "double_dqn", "hidden": [16, 16], "gamma": 0.9, "batch_size": 16,
+                 "eps_decay_fraction": 0.5, "target_sync_period": 40},
+    "plugins": [{"name": "ewc", "lam": 50.0, "fisher_sample_count": 200}],
+    "budget": {"updates_per_experience": 200, "rollout": {"steps": 2}},
+    "seeds": {"env": 14, "net": 15, "sampling": 16},
+    "eval": {"episodes": 6, "after_each_experience": True},
+}
+
 # name -> (config, sha256 of metrics.jsonl, sha256 of checkpoint.bin), recorded
 # with numpy 2.4 (OpenBLAS 0.3.31) on x86-64
 GOLDEN = {
@@ -98,6 +126,11 @@ GOLDEN = {
         A2C_EPISODES,
         "0310222eba5a7742f0e992efade3c08ecf43628363a1167d9c9776949dbdec63",
         "606cc293c7562256de400d498510dc655539f9629fb0571b1abdf8958ed5a49f",
+    ),
+    "double-dqn-ewc": (
+        DOUBLE_DQN_EWC,
+        "be435a13f367ac098c9b1c08cec74f76a60e85e3a81842a858acdbeac7c9376f",
+        "970aa3c2b1739a633a067ff326783164a9ec99b440b5463859ced369d7b9285c",
     ),
 }
 

@@ -22,6 +22,7 @@ from streamrl.nn import (
     policy_losses,
     softmax,
 )
+from streamrl.training import Rollout
 
 
 def identity_net(n=2):
@@ -253,6 +254,87 @@ def test_forward_and_backward_equal_the_old_formulas_bitwise(head, batch):
     assert np.array_equal(net.backward({"b": grads["b"]}), old_backward(net, x, {"b": grads["b"]}))
 
 
+def matmul_forward(net, x):
+    """Mlp.forward as it was before its products went through np.dot: each
+    layer's input, then the output."""
+    layer_outs = [np.asarray(x, dtype=np.float64)]
+    for w, b, act in zip(net.weights, net.biases, net.activations):
+        z = layer_outs[-1] @ w.T
+        z += b
+        layer_outs.append(np.maximum(z, 0.0) if act == "relu" else np.tanh(z) if act == "tanh" else z)
+    return layer_outs
+
+
+def matmul_backprop(net, layer_outs, output_grads, squared):
+    """Mlp._backprop as it was before its products went through np.dot."""
+    delta = np.zeros((len(layer_outs[0]), net.sizes[-1]))
+    lo = 0
+    for name, width in net.heads.items():
+        if name in output_grads:
+            delta[:, lo : lo + width] = output_grads[name]
+        lo += width
+    flat = np.empty_like(net.params)
+    d_weights, d_biases, offset = [], [], 0
+    for w in net.weights:
+        d_weights.append(flat[offset : offset + w.size].reshape(w.shape))
+        offset += w.size
+        d_biases.append(flat[offset : offset + w.shape[0]])
+        offset += w.shape[0]
+    for i in range(len(net.weights) - 1, -1, -1):
+        a = layer_outs[i + 1]
+        if net.activations[i] == "relu":
+            delta *= a > 0.0
+        elif net.activations[i] == "tanh":
+            delta *= 1.0 - a * a
+        x = layer_outs[i]
+        if squared:
+            delta_sq = delta * delta
+            np.matmul(delta_sq.T, x * x, out=d_weights[i])
+            delta_sq.sum(axis=0, out=d_biases[i])
+        else:
+            np.matmul(delta.T, x, out=d_weights[i])
+            delta.sum(axis=0, out=d_biases[i])
+        if i:
+            delta = delta @ net.weights[i]
+    return flat
+
+
+def a2c_tail_obs(n_actors, obs_dim, rng):
+    """per_actor.next_obs[:, -1], the strided input of A2C's tail values."""
+    rollout = Rollout(n_actors)
+    for _ in range(5):
+        obs = rng.normal(size=(n_actors, obs_dim))
+        rollout.append(obs, np.zeros(n_actors, dtype=np.int64), np.zeros(n_actors),
+                       np.zeros(n_actors, dtype=bool), obs + 1.0)
+    tail = rollout.by_actor().next_obs[:, -1]
+    assert n_actors == 1 or not tail.flags.c_contiguous
+    return tail
+
+
+# batch 64 is EwcPlugin's FISHER_CHUNK
+@pytest.mark.parametrize("batch", [1, 4, 20, 32, 64])
+@pytest.mark.parametrize("body", ["relu", "tanh"])
+def test_dot_products_equal_the_matmul_formulas_bitwise(body, batch):
+    rng = np.random.default_rng(batch)
+    dqn = Mlp([25, 64, 64, 4], activations=[body, body, "identity"], heads={"q_values": 4}, seed=3)
+    a2c = Mlp([4, 64, 64, 3], activations=[body, body, "identity"],
+              heads={"policy_logits": 2, "value": 1}, seed=4)
+    cases = [
+        (dqn, rng.normal(size=(batch, 25))),
+        (dqn, rng.normal(size=(batch, 3, 25))[:, -1]),  # a strided view
+        (a2c, rng.normal(size=(batch, 4))),
+        (a2c, a2c_tail_obs(batch, 4, rng)),
+    ]
+    for net, x in cases:
+        out = net.forward(x)
+        want = matmul_forward(net, x)
+        assert np.hstack(list(out.values())).tobytes() == want[-1].tobytes()
+        grads = {name: rng.normal(size=(batch, width)) for name, width in net.heads.items()}
+        assert net.backward(grads).tobytes() == matmul_backprop(net, want, grads, False).tobytes()
+        assert (net.squared_grad_sum(grads).tobytes()
+                == matmul_backprop(net, want, grads, True).tobytes())
+
+
 @pytest.mark.parametrize("batch", [1, 4, 32])
 @pytest.mark.parametrize("head", ["relu", "tanh", "identity"])
 def test_forward_follows_every_write_to_params(head, batch):
@@ -377,6 +459,7 @@ def test_huber_loss_equals_the_old_formula_bitwise(n, delta):
         (np.resize(edges, n), np.zeros(n)),
         (rng.normal(scale=2 * delta, size=n), np.zeros(n)),
         (rng.normal(size=n) * 1e3, rng.normal(size=n)),
+        (rng.normal(size=(3, n)), rng.normal(size=(3, n))),  # the mean covers every axis
     ]
     for pred, target in cases:
         with np.errstate(over="ignore"):  # 0.5 * r * r of the 1e300 residuals
@@ -640,17 +723,21 @@ class OldAdam(Adam):
         return params
 
 
-def test_adam_equals_the_old_step_bitwise():
+@pytest.mark.parametrize("beta1", [0.9, 0.5])
+def test_adam_equals_the_old_step_bitwise(beta1):
+    """Past the step where 1 - beta1**t rounds to 1.0 (356 for 0.9, 54 for
+    0.5), Adam skips that division; the parameters keep their bits."""
     rng = np.random.default_rng(11)
     params = rng.normal(size=301)
     expected = params.copy()
-    adam, old = Adam(3e-3), OldAdam(3e-3)
-    for _ in range(50):
+    adam, old = Adam(3e-3, beta1=beta1), OldAdam(3e-3, beta1=beta1)
+    for _ in range(400):
         grads = rng.normal(scale=rng.uniform(1e-6, 1e3), size=301)
         adam.step(params, grads)
         old.step(expected, grads)
-        assert np.array_equal(params, expected)
-        assert np.array_equal(adam.m, old.m) and np.array_equal(adam.v, old.v)
+        assert params.tobytes() == expected.tobytes()
+        assert adam.m.tobytes() == old.m.tobytes() and adam.v.tobytes() == old.v.tobytes()
+    assert 1.0 - beta1**adam.t == 1.0
 
 
 def test_optimizer_length_mismatch():

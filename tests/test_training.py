@@ -960,6 +960,33 @@ def test_dqn_epsilon_greedy_matches_the_per_actor_loop(eps, n_actors):
     assert strat._action_rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n_actors", [1, 4])
+def test_dqn_acting_runs_the_q_network_only_for_greedy_actors(n_actors):
+    model = dqn_model(obs_dim=3, n_actions=5)
+    calls = []
+    forward = model.forward
+    model.forward = lambda batch: calls.append(len(batch)) or forward(batch)
+    obs = np.random.default_rng(0).normal(size=(n_actors, 3))
+    for eps, want in ((1.0, []), (0.0, [n_actors] * 20)):
+        calls.clear()
+        strat = DqnStrategy(model, Adam(1e-3), TrainingBudget(1, Steps(1)),
+                            eps_start=eps, eps_end=eps, action_seed=3)
+        for _ in range(20):
+            assert strat.sample_rollout_action(obs).shape == (n_actors,)
+        assert calls == want  # at eps 0 one forward per call, over the whole batch
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.5, 1.0])
+def test_dqn_acting_takes_a_single_observation_as_one_actor(eps):
+    model = dqn_model(obs_dim=3, n_actions=5)
+    strat = DqnStrategy(model, Adam(1e-3), TrainingBudget(1, Steps(1)),
+                        eps_start=eps, eps_end=eps, action_seed=4)
+    oracle_rng = np.random.default_rng(4)
+    for obs in np.random.default_rng(1).normal(size=(30, 3)):
+        expected = epsilon_greedy_oracle(strat, oracle_rng, obs)
+        assert np.array_equal(strat.sample_rollout_action(obs), expected) and len(expected) == 1
+
+
 # ---------------------------------------------------------------------------
 # Vectorized A2C sampling against the per-actor Generator.choice it replaced
 # ---------------------------------------------------------------------------

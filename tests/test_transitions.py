@@ -6,6 +6,9 @@ drives the ring and the reference with the same data and seeds and requires
 identical rows, in identical order.
 """
 
+import itertools
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -278,6 +281,114 @@ def test_label_runs_tile_the_ring_in_slot_order(capacity):
         assert sum(count for _, count, _ in runs) == len(ring)
         for first, count, label in runs:
             assert count > 0 and (column[first : first + count] == label).all()
+
+
+class EagerRunIndex:
+    """The label-run index as ReplayBuffer.extend kept it on every ring, from
+    the first row stored, before the index was built on demand."""
+
+    def __init__(self, capacity):
+        self.capacity, self.size, self.next, self.runs = capacity, 0, 0, deque()
+
+    def extend(self, labels):
+        labels = list(labels)
+        n = len(labels)
+        if n > self.capacity:
+            self.next = (self.next + n - self.capacity) % self.capacity
+            labels, n = labels[n - self.capacity :], self.capacity
+        self.next = (self.next + n) % self.capacity
+        evicted = max(self.size + n - self.capacity, 0)
+        self.size += n - evicted
+        while evicted:
+            oldest = self.runs[0]
+            if oldest[1] > evicted:
+                oldest[1] -= evicted
+                break
+            evicted -= self.runs.popleft()[1]
+        for label, rows in itertools.groupby(labels):
+            count = len(list(rows))
+            if self.runs and self.runs[-1][0] == label:
+                self.runs[-1][1] += count
+            else:
+                self.runs.append([label, count])
+
+    def clear(self):
+        self.size, self.next = 0, 0
+        self.runs.clear()
+
+    def label_runs(self):
+        runs, stored = [], 0
+        oldest = (self.next - self.size) % self.capacity
+        for label, count in self.runs:
+            first = (oldest + stored) % self.capacity
+            head = min(count, self.capacity - first)
+            runs.append((first, head, label))
+            if count > head:
+                runs.append((0, count - head, label))
+            stored += count
+        runs.sort()
+        return runs
+
+
+@pytest.mark.parametrize("capacity", [1, 7, 40])
+@pytest.mark.parametrize("first_ask", [0, 3, 25, 50])  # 50: built after clear()
+def test_run_index_built_on_demand_equals_the_eager_index(capacity, first_ask):
+    """The first label_runs call scans the ring; from then on extend keeps
+    the index. Either way the runs are those of the index that extend kept
+    from the start, including after clear()."""
+    rng = np.random.default_rng(capacity * 100 + first_ask)
+    ring, eager = ReplayBuffer(capacity), EagerRunIndex(capacity)
+    for k in range(60):
+        if k == 45:
+            ring.clear()
+            eager.clear()
+        labels = (k % 3,) if k % 2 else (0, 1, 2)
+        batch = random_batch(rng, int(rng.integers(0, 2 * capacity + 2)), labels)
+        ring.extend(batch)
+        eager.extend(batch.task_label.tolist())
+        if k >= first_ask and (k == first_ask or rng.random() < 0.5):
+            assert ring.label_runs() == eager.label_runs()
+
+
+def test_run_index_after_a_checkpoint_reload_equals_the_eager_index(tmp_path):
+    plugin = ReplayPlugin(capacity=30)
+    eager = EagerRunIndex(30)
+    rng = np.random.default_rng(12)
+    for n in (20, 17):  # the ring wraps
+        batch = random_batch(rng, n, (0, 1, 3))
+        plugin.memory.extend(batch)
+        eager.extend(batch.task_label.tolist())
+    assert plugin.memory.label_runs() == eager.label_runs()
+    path = tmp_path / "replay.bin"
+    save_checkpoint(path, {}, plugin.state_sections())
+    fresh = ReplayPlugin()
+    fresh.load_state_sections(load_checkpoint(path)[1])
+    reloaded = EagerRunIndex(30)
+    reloaded.extend(plugin.memory.items().task_label.tolist())  # the reload's one extend
+    for k in range(12):
+        if k % 4 == 1:
+            assert fresh.memory.label_runs() == reloaded.label_runs()
+        batch = random_batch(rng, int(rng.integers(1, 9)), (k % 3,))
+        fresh.memory.extend(batch)
+        reloaded.extend(batch.task_label.tolist())
+    assert fresh.memory.label_runs() == reloaded.label_runs()
+
+
+def test_copy_rows_writes_what_put_of_the_copied_rows_writes():
+    ring, _, _ = filled(40, [25, 30], seed=5)
+    rng = np.random.default_rng(6)
+    for slots, rows in [
+        (rng.integers(0, 40, size=16), rng.choice(32, size=16, replace=False)),
+        (np.array([3, 3, 39, 0]), np.array([31, 0, 5, 6])),  # a slot drawn twice
+        (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+    ]:
+        batch = random_batch(rng, 32)
+        want = batch[np.arange(32)]
+        want.put(rows, ring.rows(slots))
+        ring.copy_rows(slots, batch, rows)
+        for got_column, want_column in zip(batch.columns, want.columns):
+            assert got_column.dtype == want_column.dtype
+            assert got_column.tobytes() == want_column.tobytes()
 
 
 def test_ewc_window_is_the_last_k_rows_oldest_first_after_wrap():
