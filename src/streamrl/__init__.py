@@ -95,8 +95,6 @@ from .training import (
     TrainingBudget,
     TrainingReport,
     Transitions,
-    evaluate,
-    train,
 )
 from .vec_env import VectorizedEnv
 

@@ -87,13 +87,12 @@ def gym_benchmark_generator(
     n_experiences: int,
     order: Explicit | RandomSample,
     n_parallel_envs: int = 1,
-    eval_specs: Sequence[EnvSpec] | None = None,
 ) -> RLScenario:
     """Build a scenario from named env constructors.
 
     Explicit orders index into env_specs; RandomSample draws i.i.d. uniform
-    indices from a seeded generator. The eval stream defaults to one
-    single-actor experience per spec.
+    indices from a seeded generator. The eval stream holds one single-actor
+    experience per spec.
     """
     specs = list(env_specs)
     if not specs:
@@ -121,7 +120,6 @@ def gym_benchmark_generator(
         )
         for pos, idx in enumerate(indices)
     )
-    eval_source = list(eval_specs) if eval_specs is not None else specs
     evals = tuple(
         RLExperience(
             env_factory=spec.build,
@@ -130,7 +128,7 @@ def gym_benchmark_generator(
             experience_index=i,
             name=spec.name,
         )
-        for i, spec in enumerate(eval_source)
+        for i, spec in enumerate(specs)
     )
     return RLScenario(train_stream=train, eval_stream=evals)
 

@@ -85,15 +85,22 @@ def save_model(path, model: Mlp, extra_sections: dict[str, np.ndarray] | None = 
     save_checkpoint(path, model.arch(), sections)
 
 
-def load_model(path) -> tuple[Mlp, dict[str, np.ndarray]]:
-    arch, sections = load_checkpoint(path)
-    model = Mlp.from_arch(arch)
-    params = sections.pop("params")
+def _params(sections: dict[str, np.ndarray], model: Mlp) -> np.ndarray:
+    """Removes and returns the "params" section, which must fit `model`."""
+    params = sections.pop("params", None)
+    if params is None:
+        raise CheckpointError("checkpoint has no 'params' section")
     if params.size != model.param_count:
         raise CheckpointError(
             f"checkpoint has {params.size} parameters, architecture needs {model.param_count}"
         )
-    model.unflatten(params)
+    return params
+
+
+def load_model(path) -> tuple[Mlp, dict[str, np.ndarray]]:
+    arch, sections = load_checkpoint(path)
+    model = Mlp.from_arch(arch)
+    model.unflatten(_params(sections, model))
     return model, sections
 
 
@@ -104,5 +111,5 @@ def restore_into(model: Mlp, path) -> dict[str, np.ndarray]:
         raise CheckpointError(
             f"checkpoint architecture {arch} does not match model {model.arch()}"
         )
-    model.unflatten(sections.pop("params"))
+    model.unflatten(_params(sections, model))
     return sections

@@ -44,16 +44,18 @@ from .core_env import (
     RewardClip,
     TimeLimit,
 )
-from .envs import Bandit, BanditParams, CartPole, CartPoleParams, GridWorld, parse_scene
+from .envs import Bandit, BanditParams, CartPole, CartPoleParams, GridScene, GridWorld, parse_scene
 from .evaluation import ForgettingMatrix, JsonlLogger, MetricsCollector, read_metrics_jsonl
 from .nn import Adam, Mlp
 from .plugins import EwcPlugin, NaivePlugin, ReplayPlugin
 from .task_stream import (
     EveryNEpisodes,
     EveryNSteps,
+    MaxEpisodes,
+    MaxSteps,
     OnTaskChange,
     StreamExhausted,
-    task_from_config,
+    build_task,
     task_stream_benchmark_generator,
 )
 from .training import A2cStrategy, DqnStrategy, Episodes, Steps, TrainingBudget
@@ -87,28 +89,39 @@ def _fields(section: dict, path: str, fields: dict, required: tuple = ()) -> dic
     }
 
 
-def _one_key(value, message: str) -> tuple:
+def _choice(value, path: str, table: dict) -> tuple:
+    """A one-key map {kind: arg} whose kind is a key of `table`, which maps each
+    kind to (check, build). Returns the effective {kind: checked arg} and
+    build(checked arg)."""
     if not isinstance(value, dict) or len(value) != 1:
-        raise ConfigError(message)
-    (key, arg), = value.items()
-    return key, arg
+        raise ConfigError(f"{path}: expected a one-key map {{kind: arg}}, kind one of {list(table)}")
+    (kind, arg), = value.items()
+    if kind not in table:
+        raise ConfigError(f"{path}: unknown kind {kind!r} (choose from {', '.join(table)})")
+    check, build = table[kind]
+    arg = check(arg, f"{path}.{kind}")
+    return {kind: arg}, build(arg)
 
 
-def _integer(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _int_from(low: float, requirement: str) -> Callable:
+    """An integer check (a bool is not an integer) that also requires value >= low."""
+
+    def check(value, path: str) -> int:
+        if not isinstance(value, int) or isinstance(value, bool) or value < low:
+            raise ConfigError(f"{path}: expected {requirement}, got {value!r}")
+        return value
+
+    return check
 
 
-def _positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{path}: expected a positive integer, got {value!r}")
-    return value
+_integer = _int_from(-math.inf, "an integer")
+_positive_int = _int_from(1, "a positive integer")
+_seed = _int_from(0, "a non-negative integer")
 
 
-def _seed(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"{path}: expected a non-negative integer, got {value!r}")
+def _true(value, path: str) -> bool:
+    if value is not True:
+        raise ConfigError(f"{path}: only 'true' is accepted")
     return value
 
 
@@ -156,6 +169,50 @@ def _widths(value, path: str) -> list:
     return list(value)
 
 
+def _int_list(value, path: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list of integers")
+    return [_integer(v, path) for v in value]
+
+
+def _int_map(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a {{new: inner}} map of integers")
+    return {_integer(k, path): _integer(v, path) for k, v in value.items()}
+
+
+def _bounds(value, path: str) -> list:
+    """[lo, hi] with lo <= hi; an infinite bound is a one-sided clip."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ConfigError(f"{path}: expected [lo, hi]")
+    bounds = [_number(bound, path, allow_inf=True) for bound in value]
+    if bounds[0] > bounds[1]:
+        raise ConfigError(f"{path}: expected lo <= hi, got {bounds}")
+    return bounds
+
+
+# The one-key choices of the config, each {kind: (check, build)}.
+_WRAPPERS = {
+    "time_limit": (_positive_int, TimeLimit),
+    "frame_stack": (_positive_int, FrameStack),
+    "reward_clip": (_bounds, lambda bounds: RewardClip(*bounds)),
+    "obs_normalize": (_true, lambda _: ObservationNormalize()),
+    "action_remap": (_int_map, ActionRemap.from_dict),
+    "reduced_actions": (_int_list, lambda subset: ReducedActionSet(tuple(subset))),
+}
+_ORDERS = {
+    "explicit": (_int_list, lambda indices: Explicit(tuple(indices))),
+    "random_seed": (_seed, RandomSample),
+}
+_SWAPS = {
+    "on_task_change": (_true, lambda _: OnTaskChange()),
+    "every_n_episodes": (_positive_int, EveryNEpisodes),
+    "every_n_steps": (_positive_int, EveryNSteps),
+}
+_ROLLOUTS = {"steps": (_positive_int, Steps), "episodes": (_positive_int, Episodes)}
+_DURATIONS = {"episodes": (_positive_int, MaxEpisodes), "steps": (_positive_int, MaxSteps)}
+
+
 # ---------------------------------------------------------------------------
 # The config walk. Each function checks its section once and returns the
 # default-expanded ("effective") form together with what that form builds.
@@ -165,44 +222,33 @@ def _widths(value, path: str) -> list:
 def _walk_wrappers(entries, path: str) -> tuple[list, tuple]:
     if not isinstance(entries, list):
         raise ConfigError(f"{path}: expected a list")
-    effective, specs = [], []
-    for i, entry in enumerate(entries):
-        where = f"{path}[{i}]"
-        kind, arg = _one_key(entry, f"{where}: each wrapper is a one-key map")
-        if kind == "time_limit":
-            arg = _positive_int(arg, where)
-            spec = TimeLimit(arg)
-        elif kind == "frame_stack":
-            arg = _positive_int(arg, where)
-            spec = FrameStack(arg)
-        elif kind == "reward_clip":
-            if not isinstance(arg, (list, tuple)) or len(arg) != 2:
-                raise ConfigError(f"{where}.reward_clip: expected [lo, hi]")
-            # an infinite bound is a one-sided clip
-            arg = [_number(arg[0], where, allow_inf=True), _number(arg[1], where, allow_inf=True)]
-            if arg[0] > arg[1]:
-                raise ConfigError(f"{where}.reward_clip: expected lo <= hi, got {arg}")
-            spec = RewardClip(arg[0], arg[1])
-        elif kind == "obs_normalize":
-            if arg is not True:
-                raise ConfigError(f"{where}.obs_normalize: only 'true' is accepted")
-            spec = ObservationNormalize()
-        elif kind == "action_remap":
-            if not isinstance(arg, dict):
-                raise ConfigError(f"{where}.action_remap: expected a {{new: inner}} map")
-            where = f"{where}.action_remap"
-            arg = {_integer(k, where): _integer(v, where) for k, v in arg.items()}
-            spec = ActionRemap.from_dict(arg)
-        elif kind == "reduced_actions":
-            if not isinstance(arg, list) or not arg:
-                raise ConfigError(f"{where}.reduced_actions: expected a non-empty list")
-            arg = [_integer(a, f"{where}.reduced_actions") for a in arg]
-            spec = ReducedActionSet(tuple(arg))
-        else:
-            raise ConfigError(f"{where}: unknown wrapper {kind!r}")
-        effective.append({kind: arg})
-        specs.append(spec)
-    return effective, tuple(specs)
+    walked = [_choice(entry, f"{path}[{i}]", _WRAPPERS) for i, entry in enumerate(entries)]
+    return [effective for effective, _ in walked], tuple(spec for _, spec in walked)
+
+
+def _scene(text, params: dict, map_path: str, params_path: str) -> GridScene:
+    """A gridworld scene from a text map and field overrides. The map's own
+    faults are reported first, under `map_path`, then the overrides'."""
+    if not isinstance(text, str):
+        raise ConfigError(f"{map_path}: expected a text map")
+    try:
+        parse_scene(text)
+    except ValueError as err:
+        raise ConfigError(f"{map_path}: {err}")
+    try:
+        return parse_scene(text, **params)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{params_path}: {err}")
+
+
+def _walk_task(entry, path: str) -> tuple:
+    """One task entry {name, type, duration: {episodes|steps: n}, params} -> (Task, duration)."""
+    _check_keys(entry, path, required=("type", "duration"), optional=("name", "params"))
+    _, duration = _choice(entry["duration"], f"{path}.duration", _DURATIONS)
+    try:
+        return build_task(entry["type"], entry.get("name", ""), **entry.get("params", {})), duration
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: {err}")
 
 
 def _walk_env_spec(entry: dict, path: str) -> tuple[dict, EnvSpec]:
@@ -215,19 +261,8 @@ def _walk_env_spec(entry: dict, path: str) -> tuple[dict, EnvSpec]:
     wrappers, specs = _walk_wrappers(entry.get("wrappers", []), f"{path}.wrappers")
     effective = {"name": name, "env": kind, "params": dict(params), "wrappers": wrappers}
     if kind == "gridworld":
-        if not isinstance(entry.get("map"), str):
-            raise ConfigError(f"{path}.map: gridworld env needs a text map")
+        scene = _scene(entry.get("map"), params, f"{path}.map", f"{path}.params")
         effective["map"] = entry["map"]
-        try:
-            parse_scene(entry["map"])  # the map's own faults first, then the params'
-        except ValueError as err:
-            raise ConfigError(f"{path}.map: {err}")
-        try:
-            scene = parse_scene(entry["map"], **params)
-        except TypeError:
-            raise ConfigError(f"{path}.params: not valid gridworld scene fields")
-        except ValueError as err:
-            raise ConfigError(f"{path}.params: {err}")
         factory = lambda scene=scene: GridWorld(scene)  # noqa: E731
     elif kind == "cartpole":
         try:
@@ -268,19 +303,7 @@ def _walk_scenario(section: dict) -> tuple[dict, RLScenario]:
             required=("generator", "env_specs", "n_experiences", "order"),
             optional=("n_parallel_envs",),
         )
-        order_kind, order_arg = _one_key(
-            section["order"], "scenario.order: one-key map {explicit: [...]} or {random_seed: s}"
-        )
-        if order_kind == "explicit":
-            if not isinstance(order_arg, list):
-                raise ConfigError("scenario.order.explicit: expected a list of spec indices")
-            order_arg = [_integer(i, "scenario.order.explicit") for i in order_arg]
-            order = Explicit(tuple(order_arg))
-        elif order_kind == "random_seed":
-            order_arg = _seed(order_arg, "scenario.order.random_seed")
-            order = RandomSample(order_arg)
-        else:
-            raise ConfigError(f"scenario.order: unknown order kind {order_kind!r}")
+        order_effective, order = _choice(section["order"], "scenario.order", _ORDERS)
         if not isinstance(section["env_specs"], list) or not section["env_specs"]:
             raise ConfigError("scenario.env_specs: expected a non-empty list")
         walked = [
@@ -307,7 +330,7 @@ def _walk_scenario(section: dict) -> tuple[dict, RLScenario]:
             "generator": "gym_benchmark",
             "env_specs": [spec_eff for spec_eff, _ in walked],
             "n_experiences": _positive_int(section["n_experiences"], "scenario.n_experiences"),
-            "order": {order_kind: order_arg},
+            "order": order_effective,
             "n_parallel_envs": _positive_int(
                 section.get("n_parallel_envs", 1), "scenario.n_parallel_envs"
             ),
@@ -363,53 +386,29 @@ def _walk_scenario(section: dict) -> tuple[dict, RLScenario]:
         )
         if not isinstance(section["tasks"], list) or not section["tasks"]:
             raise ConfigError("scenario.tasks: expected a non-empty list")
-        texts = section["scenes"]
-        if not isinstance(texts, list) or not texts or not all(isinstance(t, str) for t in texts):
+        if not isinstance(section["scenes"], list) or not section["scenes"]:
             raise ConfigError("scenario.scenes: expected a non-empty list of text maps")
-        swap_kind, swap_arg = _one_key(
-            section.get("swap", {"on_task_change": True}),
-            "scenario.swap: one-key map among on_task_change/every_n_episodes/every_n_steps",
-        )
-        if swap_kind == "on_task_change":
-            if swap_arg is not True:
-                raise ConfigError("scenario.swap.on_task_change: only 'true' is accepted")
-            policy = OnTaskChange()
-        elif swap_kind == "every_n_episodes":
-            swap_arg = _positive_int(swap_arg, "scenario.swap")
-            policy = EveryNEpisodes(swap_arg)
-        elif swap_kind == "every_n_steps":
-            swap_arg = _positive_int(swap_arg, "scenario.swap")
-            policy = EveryNSteps(swap_arg)
-        else:
-            raise ConfigError(f"scenario.swap: unknown swap policy {swap_kind!r}")
+        swap, policy = _choice(section.get("swap", {"on_task_change": True}), "scenario.swap", _SWAPS)
         scene_params = section.get("scene_params", {})
         if not isinstance(scene_params, dict):
             raise ConfigError("scenario.scene_params: expected a mapping")
-        tasks, durations = [], []
-        for i, entry in enumerate(section["tasks"]):
-            if not isinstance(entry, dict):
-                raise ConfigError(f"scenario.tasks[{i}]: expected a mapping")
-            try:
-                task, duration = task_from_config(entry)
-            except (TypeError, ValueError) as err:
-                raise ConfigError(f"scenario.tasks[{i}]: {err}")
-            tasks.append(task)
-            durations.append(duration)
-        try:
-            for text in texts:  # the maps' own faults first, then the params'
-                parse_scene(text)
-        except ValueError as err:
-            raise ConfigError(f"scenario.scenes: {err}")
-        try:
-            scenes = [parse_scene(text, **scene_params) for text in texts]
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"scenario.scene_params: {err}")
+        for key in ("step_reward", "goal_reward"):
+            if key in scene_params:  # the active task pays every reward
+                raise ConfigError(f"scenario.scene_params: {key} is not read by the task stream; "
+                                  "set it in tasks[i].params")
+        tasks, durations = zip(*(
+            _walk_task(entry, f"scenario.tasks[{i}]") for i, entry in enumerate(section["tasks"])
+        ))
+        scenes = [
+            _scene(text, scene_params, f"scenario.scenes[{i}]", "scenario.scene_params")
+            for i, text in enumerate(section["scenes"])
+        ]
         effective = {
             "generator": "task_stream",
             "tasks": [dict(t) for t in section["tasks"]],
-            "scenes": list(texts),
+            "scenes": list(section["scenes"]),
             "scene_params": dict(scene_params),
-            "swap": {swap_kind: swap_arg},
+            "swap": swap,
         }
         if "n_experiences" in section:
             effective["n_experiences"] = _positive_int(
@@ -517,16 +516,8 @@ def _walk_plugins(entries, seeds: dict) -> tuple[list, list]:
 def _walk_budget(section: dict) -> tuple[dict, TrainingBudget]:
     _check_keys(section, "budget", required=("updates_per_experience",), optional=("rollout",))
     updates = _positive_int(section["updates_per_experience"], "budget.updates_per_experience")
-    kind, n = _one_key(
-        section.get("rollout", {"steps": 5}),
-        "budget.rollout: one-key map {steps: n} or {episodes: n}",
-    )
-    conditions = {"steps": Steps, "episodes": Episodes}
-    if kind not in conditions:
-        raise ConfigError(f"budget.rollout: unknown rollout condition {kind!r}")
-    n = _positive_int(n, "budget.rollout")
-    effective = {"updates_per_experience": updates, "rollout": {kind: n}}
-    return effective, TrainingBudget(updates, conditions[kind](n))
+    rollout, condition = _choice(section.get("rollout", {"steps": 5}), "budget.rollout", _ROLLOUTS)
+    return {"updates_per_experience": updates, "rollout": rollout}, TrainingBudget(updates, condition)
 
 
 @dataclass(frozen=True)

@@ -210,13 +210,11 @@ class _TimeLimitEnv(_Wrapped):
         return super().reset(seed)
 
     def step(self, action) -> StepResult:
-        self._require_active()
-        result = self.env.step(action)
+        result = super().step(action)
         self._elapsed += 1
         if self._elapsed >= self._max_steps:
-            result.done = True
+            result.done = self._done = True
             result.info["time_limit"] = "true"
-        self._done = result.done
         return result
 
 
@@ -250,52 +248,29 @@ class _FrameStackEnv(_Wrapped):
         return self._stacked()
 
     def step(self, action) -> StepResult:
-        self._require_active()
-        result = self.env.step(action)
+        result = super().step(action)
         self._frames = self._frames[1:] + [result.obs]
-        self._done = result.done
         result.obs = self._stacked()
         return result
 
 
-class _ActionRemapEnv(_Wrapped):
-    def __init__(self, env: Environment, mapping: dict[int, int]):
+class _ActionMapEnv(_Wrapped):
+    """Action i of this env is action targets[i] of the inner one."""
+
+    def __init__(self, env: Environment, targets: tuple[int, ...]):
         super().__init__(env)
         inner = env.action_space
         if not isinstance(inner, Discrete):
-            raise IncompatibleSpace("ActionRemap requires a Discrete inner action space")
-        if sorted(mapping) != list(range(len(mapping))):
-            raise IncompatibleSpace("ActionRemap keys must be the contiguous range 0..m-1")
-        if any(v < 0 or v >= inner.n for v in mapping.values()):
-            raise IncompatibleSpace(f"ActionRemap target out of range for Discrete({inner.n})")
-        self._mapping = dict(mapping)
-        self.action_space = Discrete(len(mapping))
+            raise IncompatibleSpace("an action map requires a Discrete inner action space")
+        if not targets or any(t < 0 or t >= inner.n for t in targets):
+            raise IncompatibleSpace(f"action map targets {targets} invalid for Discrete({inner.n})")
+        self._targets = targets
+        self.action_space = Discrete(len(targets))
 
     def step(self, action) -> StepResult:
-        self._require_active()
+        self._require_active()  # a finished episode is reported before a bad action
         self._check_action(action)
-        result = self.env.step(self._mapping[int(action)])
-        self._done = result.done
-        return result
-
-
-class _ReducedActionSetEnv(_Wrapped):
-    def __init__(self, env: Environment, subset: tuple[int, ...]):
-        super().__init__(env)
-        inner = env.action_space
-        if not isinstance(inner, Discrete):
-            raise IncompatibleSpace("ReducedActionSet requires a Discrete inner action space")
-        if len(subset) < 1 or any(a < 0 or a >= inner.n for a in subset):
-            raise IncompatibleSpace(f"subset {subset} invalid for Discrete({inner.n})")
-        self._subset = tuple(subset)
-        self.action_space = Discrete(len(subset))
-
-    def step(self, action) -> StepResult:
-        self._require_active()
-        self._check_action(action)
-        result = self.env.step(self._subset[int(action)])
-        self._done = result.done
-        return result
+        return super().step(self._targets[int(action)])
 
 
 class _RewardClipEnv(_Wrapped):
@@ -348,10 +323,13 @@ def wrap(env: Environment, spec: WrapperSpec) -> Environment:
         return _TimeLimitEnv(env, spec.max_steps)
     if isinstance(spec, FrameStack):
         return _FrameStackEnv(env, spec.k)
-    if isinstance(spec, ActionRemap):
-        return _ActionRemapEnv(env, dict(spec.mapping))
     if isinstance(spec, ReducedActionSet):
-        return _ReducedActionSetEnv(env, tuple(spec.subset))
+        spec = ActionRemap(tuple(enumerate(spec.subset)))
+    if isinstance(spec, ActionRemap):
+        pairs = sorted(spec.mapping)
+        if [new for new, _ in pairs] != list(range(len(pairs))):
+            raise IncompatibleSpace("ActionRemap keys must be the contiguous range 0..m-1")
+        return _ActionMapEnv(env, tuple(inner for _, inner in pairs))
     if isinstance(spec, RewardClip):
         return _RewardClipEnv(env, spec.lo, spec.hi)
     if isinstance(spec, ObservationNormalize):

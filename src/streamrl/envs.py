@@ -251,12 +251,15 @@ class GridWorld(Environment):
     def position(self) -> tuple[int, int]:
         return self._pos
 
+    def _obs(self) -> np.ndarray:
+        return one_hot_cell(self._pos, self.scene.width, self.scene.height)
+
     def reset(self, seed: int | None = None) -> np.ndarray:
         self._pos = self.scene.start
         self._steps = 0
         self._done = False
         self._started = True
-        return one_hot_cell(self._pos, self.scene.width, self.scene.height)
+        return self._obs()
 
     def step(self, action) -> StepResult:
         self._require_active()

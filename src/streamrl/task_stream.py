@@ -25,8 +25,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .benchmarks import RLExperience, RLScenario
-from .core_env import BoxSpace, Discrete, Environment, Space, StepResult
-from .envs import GRID_MOVES, GridScene, one_hot_cell
+from .core_env import Discrete, Environment, Space, StepResult
+from .envs import GRID_MOVES, GridScene, GridWorld
 
 
 class TaskStreamConfigError(ValueError):
@@ -54,25 +54,24 @@ class Task:
     on_activate: Optional[Callable[[object], None]] = None
 
 
-def _check_duration(kind: str, n) -> None:
-    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-        raise TaskStreamConfigError(f"{kind} duration must be an integer >= 1, got {n!r}")
-
-
 @dataclass(frozen=True)
-class MaxSteps:
+class _Count:
+    """A count n >= 1: a task's duration, or a swap policy's period."""
+
     n: int
 
     def __post_init__(self) -> None:
-        _check_duration("MaxSteps", self.n)
+        n = self.n
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise TaskStreamConfigError(f"{type(self).__name__} needs an integer n >= 1, got {n!r}")
 
 
-@dataclass(frozen=True)
-class MaxEpisodes:
-    n: int
+class MaxSteps(_Count):
+    """A task that lasts n env steps."""
 
-    def __post_init__(self) -> None:
-        _check_duration("MaxEpisodes", self.n)
+
+class MaxEpisodes(_Count):
+    """A task that lasts n episodes."""
 
 
 class TaskIterator:
@@ -144,22 +143,12 @@ class OnTaskChange:
     pass
 
 
-@dataclass(frozen=True)
-class EveryNEpisodes:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise TaskStreamConfigError("EveryNEpisodes needs n >= 1")
+class EveryNEpisodes(_Count):
+    """Swap the scene after every n finished episodes."""
 
 
-@dataclass(frozen=True)
-class EveryNSteps:
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise TaskStreamConfigError("EveryNSteps needs n >= 1")
+class EveryNSteps(_Count):
+    """Swap the scene after every n env steps."""
 
 
 class SceneManager:
@@ -192,27 +181,20 @@ class SceneManager:
 
     def maybe_swap(self, event: SwapEvent) -> tuple[GridScene, bool]:
         policy = self.swap_policy
-        should = False
         if isinstance(policy, OnTaskChange):
             should = event is SwapEvent.TASK_CHANGED
-        elif isinstance(policy, EveryNEpisodes):
-            if event is SwapEvent.EPISODE_ENDED:
-                self._count += 1
-                if self._count >= policy.n:
-                    self._count = 0
-                    should = True
         else:
-            if event is SwapEvent.STEP_TAKEN:
+            episodic = isinstance(policy, EveryNEpisodes)
+            if event is (SwapEvent.EPISODE_ENDED if episodic else SwapEvent.STEP_TAKEN):
                 self._count += 1
-                if self._count >= policy.n:
-                    self._count = 0
-                    should = True
+            should = self._count >= policy.n
         if should:
+            self._count = 0
             self.active_index = (self.active_index + 1) % len(self.scenes)
         return self.scenes[self.active_index], should
 
 
-class TaskStreamEnv(Environment):
+class TaskStreamEnv(GridWorld):
     """Gridworld whose reward/termination are delegated to the active Task
     and whose scene can be replaced in flight.
 
@@ -223,15 +205,9 @@ class TaskStreamEnv(Environment):
     """
 
     def __init__(self, scene: GridScene, task: Task):
-        self._scene = scene
-        self._task = task
-        self.action_space = task.action_space
-        n = scene.width * scene.height
-        self.observation_space = BoxSpace(low=np.zeros(n), high=np.ones(n), shape=(n,))
-        self._pos = scene.start
-        self._steps = 0
-        if task.on_activate is not None:
-            task.on_activate(self)
+        super().__init__(scene)
+        self._task = None
+        self.set_active_task(task)
 
     @property
     def active_task(self) -> Task:
@@ -239,11 +215,7 @@ class TaskStreamEnv(Environment):
 
     @property
     def active_scene(self) -> GridScene:
-        return self._scene
-
-    @property
-    def position(self) -> tuple[int, int]:
-        return self._pos
+        return self.scene
 
     def set_active_task(self, task: Task) -> None:
         if task is self._task:
@@ -254,49 +226,42 @@ class TaskStreamEnv(Environment):
             task.on_activate(self)
 
     def set_active_scene(self, scene: GridScene) -> None:
-        if scene is self._scene:
+        if scene is self.scene:
             return
-        if (scene.width, scene.height) != (self._scene.width, self._scene.height):
+        if (scene.width, scene.height) != (self.scene.width, self.scene.height):
             raise TaskStreamConfigError(
                 "replacement scene must match the current grid size"
             )
-        self._scene = scene
+        self.scene = scene
         if self._started and not self._done:
             # mid-episode swap: keep the agent where it is when possible
             if not scene.passable(self._pos):
                 self._pos = scene.start
 
-    def _obs(self) -> np.ndarray:
-        return one_hot_cell(self._pos, self._scene.width, self._scene.height)
-
     def reset(self, seed: int | None = None) -> np.ndarray:
         if self._started and not self._done:
             return self._obs()
-        self._pos = self._scene.start
-        self._steps = 0
-        self._done = False
-        self._started = True
-        return self._obs()
+        return super().reset(seed)
 
     def step(self, action) -> StepResult:
         self._require_active()
         self._check_action(action)
-        state = GridState(self._pos, self._scene)
+        state = GridState(self._pos, self.scene)
         dx, dy = GRID_MOVES[int(action)]
         target = (self._pos[0] + dx, self._pos[1] + dy)
-        if self._scene.passable(target):
+        if self.scene.passable(target):
             self._pos = target
-        next_state = GridState(self._pos, self._scene)
+        next_state = GridState(self._pos, self.scene)
         reward = float(self._task.reward_fn(state, int(action), next_state))
         self._steps += 1
-        done = bool(self._task.goal_test(next_state)) or self._steps >= self._scene.max_steps
+        done = bool(self._task.goal_test(next_state)) or self._steps >= self.scene.max_steps
         self._done = done
         return StepResult(obs=self._obs(), reward=reward, done=done)
 
 
 # ---------------------------------------------------------------------------
-# Task type registry: maps config entries onto Task objects with strict
-# parameter validation (unknown keys are errors).
+# Task type registry: maps a type name and its parameters onto a Task, with
+# strict parameter validation (unknown keys are errors).
 # ---------------------------------------------------------------------------
 
 
@@ -359,32 +324,6 @@ def build_task(type_name: str, name: str = "", **params) -> Task:
     )
 
 
-def task_from_config(entry: dict) -> tuple[Task, MaxSteps | MaxEpisodes]:
-    """One config-file task entry -> (Task, duration). Entry layout:
-    {name, type, duration: {episodes: n} | {steps: n}, params: {...}}."""
-    allowed = {"name", "type", "duration", "params"}
-    unknown = sorted(set(entry) - allowed)
-    if unknown:
-        raise TaskStreamConfigError(f"task entry has unknown key(s) {unknown}")
-    for key in ("type", "duration"):
-        if key not in entry:
-            raise TaskStreamConfigError(f"task entry missing required key {key!r}")
-    duration_map = entry["duration"]
-    if not isinstance(duration_map, dict) or len(duration_map) != 1:
-        raise TaskStreamConfigError(
-            "duration must be a one-key map: {episodes: n} or {steps: n}"
-        )
-    (unit, n), = duration_map.items()
-    if unit == "episodes":
-        duration: MaxSteps | MaxEpisodes = MaxEpisodes(n)
-    elif unit == "steps":
-        duration = MaxSteps(n)
-    else:
-        raise TaskStreamConfigError(f"unknown duration unit {unit!r}")
-    task = build_task(entry["type"], entry.get("name", ""), **entry.get("params", {}))
-    return task, duration
-
-
 # ---------------------------------------------------------------------------
 # Generator: enumerate (task, scene) segments and wrap them as experiences
 # over one shared environment instance.
@@ -444,7 +383,6 @@ def task_stream_benchmark_generator(
     scenes: Sequence[GridScene],
     swap_policy: OnTaskChange | EveryNEpisodes | EveryNSteps = OnTaskChange(),
     n_experiences: Optional[int] = None,
-    n_envs: int = 1,
 ) -> RLScenario:
     """One experience per contiguous (task, scene) segment of the schedule.
 
@@ -454,10 +392,6 @@ def task_stream_benchmark_generator(
     experience is governed by the strategy's budget. The eval stream holds a
     fresh, independent env per distinct (task, scene) pair.
     """
-    if n_envs != 1:
-        raise TaskStreamConfigError(
-            "the shared-instance task stream requires n_envs == 1"
-        )
     if not tasks:
         raise TaskStreamConfigError("need at least one task")
     if len(tasks) != len(durations):

@@ -579,19 +579,3 @@ class RLBaseStrategy:
                     next_episode += 1
             lanes = live
         return returns, lengths
-
-
-def train(
-    strategy: RLBaseStrategy,
-    scenario: RLScenario,
-    plugins: Optional[Sequence[StrategyPlugin]] = None,
-    eval_stream: Optional[Sequence[RLExperience]] = None,
-    eval_episodes: int = 10,
-) -> TrainingReport:
-    return strategy.train(scenario, plugins, eval_stream=eval_stream, eval_episodes=eval_episodes)
-
-
-def evaluate(
-    strategy: RLBaseStrategy, eval_stream: Sequence[RLExperience], n_episodes: int
-) -> list[EvalResult]:
-    return strategy.evaluate(eval_stream, n_episodes)

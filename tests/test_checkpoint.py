@@ -145,6 +145,17 @@ def test_load_model_rejects_wrong_param_count(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("sections", [{"other": np.zeros(3)}, {"params": np.zeros(3)}],
+                         ids=["no-params", "short-params"])
+@pytest.mark.parametrize("load", [load_model, lambda path: restore_into(Mlp([4, 2]), path)],
+                         ids=["load_model", "restore_into"])
+def test_loaders_reject_a_missing_or_short_params_section(tmp_path, load, sections):
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, Mlp([4, 2]).arch(), sections)
+    with pytest.raises(CheckpointError, match="params|parameters"):
+        load(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)

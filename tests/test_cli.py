@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from streamrl.checkpoint import MAGIC, save_model
-from streamrl.cli import load_config, main
+from streamrl.checkpoint import MAGIC, load_model, save_checkpoint, save_model
+from streamrl.cli import load_config, main, walk_config
 from streamrl.envs import GridWorld
 from streamrl.evaluation import read_metrics_jsonl
 from streamrl.nn import Mlp
@@ -247,6 +247,7 @@ INVALID_CONFIGS = [
     ("gravity", control(schedule=[{}, {"gravity": 0.0}]),
      "scenario: bad cart-pole parameters: schedule[1]: gravity"),
     ("stream-too-short", task_stream(n_experiences=5), "scenario.n_experiences"),
+    ("remap-empty", wrap({"action_remap": {}}), "scenario.env_specs[0].wrappers: "),
     # each of these was once accepted
     ("bandit-unknown-param", at(SPEC, {"name": "b", "env": "bandit",
                                        "params": {"means": [0.0], "nois_std": 3}}),
@@ -287,6 +288,11 @@ INVALID_CONFIGS = [
      "scenario.env_specs[0].params: noise_std"),
     ("scene-step-reward-inf", task_stream(scene_params={"step_reward": float("inf")}),
      "scenario.scene_params: step_reward"),
+    # each of these was once accepted and ignored: the task stream's rewards are its tasks'
+    ("scene-step-reward", task_stream(scene_params={"step_reward": -0.5}),
+     "scenario.scene_params: step_reward"),
+    ("scene-goal-reward", task_stream(scene_params={"goal_reward": 500}),
+     "scenario.scene_params: goal_reward is not read by the task stream; set it in tasks[i].params"),
     # each of these was once reported under the map rather than the params
     ("grid-max-steps", at(f"{SPEC}.params", {"max_steps": 0}),
      "scenario.env_specs[0].params: max_steps"),
@@ -421,6 +427,26 @@ def test_invalid_config_exit_2_before_any_artifact(tmp_path, capsys, edit, key_p
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key_path}")
     assert not out.exists()
+
+
+WRAPPERS = [{"time_limit": 5}, {"frame_stack": 2}, {"reward_clip": [float("-inf"), 1]},
+            {"obs_normalize": True}, {"action_remap": {0: 3, 1: 2, 2: 0}}, {"reduced_actions": [0, 2]}]
+
+
+@pytest.mark.parametrize("edits", [
+    [wrap(*WRAPPERS), at("budget.rollout", {"episodes": 2})],
+    [at("scenario.order", {"random_seed": 4})],
+    [task_stream()],
+    [task_stream(swap={"every_n_episodes": 1}, n_experiences=2)],
+    [task_stream(swap={"every_n_steps": 3}, scene_params={"max_steps": 9},
+                 tasks=[{"type": "survive", "duration": {"steps": 7}, "params": {"step_reward": 1}}])],
+], ids=["wrappers-episodes", "random-order", "on-task-change", "every-n-episodes", "every-n-steps"])
+def test_walk_of_the_effective_config_is_the_effective_config(edits):
+    config = base_config("out")
+    for edit in edits:
+        edit(config)
+    effective = walk_config(config).effective
+    assert walk_config(yaml.safe_load(yaml.safe_dump(effective))).effective == effective
 
 
 def test_readme_yaml_blocks_are_valid_configs(tmp_path):
@@ -565,6 +591,18 @@ def test_eval_malformed_checkpoint_exit_2(tmp_path, capsys, payload):
     bad.write_bytes(payload)
     assert main(["eval", str(cfg), str(bad)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sections", [{}, {"params": [0.0, 1.0]}], ids=["no-params", "short-params"])
+def test_eval_checkpoint_without_fitting_params_exit_2(tmp_path, capsys, sections):
+    out = tmp_path / "out"
+    cfg = run_ok(tmp_path, base_config(out))
+    model = load_model(out / "checkpoint.bin")[0]
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, model.arch(), sections)
+    capsys.readouterr()
+    assert main(["eval", str(cfg), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: checkpoint has")
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,39 @@ def test_reduced_action_set_rejects_bad_subset():
         wrap(make_grid(), ReducedActionSet((0, 9)))
 
 
+@pytest.mark.parametrize("spec", [ActionRemap(()), ReducedActionSet(())])
+def test_empty_action_map_rejected(spec):
+    with pytest.raises(IncompatibleSpace):
+        wrap(make_grid(), spec)
+
+
+def test_action_remap_rejects_keys_that_are_not_a_range():
+    for pairs in (((0, 1), (2, 3)), ((0, 1), (0, 2))):
+        with pytest.raises(IncompatibleSpace):
+            wrap(make_grid(), ActionRemap(pairs))
+
+
+def test_action_remap_pair_order_does_not_matter():
+    pairs = ((0, 3), (1, 1), (2, 0))
+    shuffled = wrap(make_grid(), ActionRemap(pairs[::-1]))
+    ordered = wrap(make_grid(), ActionRemap(pairs))
+    shuffled.reset(seed=0)
+    ordered.reset(seed=0)
+    for action in [0, 1, 2, 0, 0, 1, 2, 1]:
+        assert np.array_equal(shuffled.step(action).obs, ordered.step(action).obs)
+
+
+@pytest.mark.parametrize("spec", [ActionRemap(((0, 3),)), ReducedActionSet((3,))])
+def test_action_map_reports_a_done_episode_before_a_bad_action(spec):
+    env = wrap(make_grid(goal=(1, 0)), spec)
+    with pytest.raises(EpisodeAlreadyDone):
+        env.step(5)  # before reset
+    env.reset(seed=0)
+    assert env.step(0).done  # the only action moves Right onto the goal
+    with pytest.raises(EpisodeAlreadyDone):
+        env.step(5)
+
+
 # ---------------------------------------------------------------------------
 # RewardClip / ObservationNormalize
 # ---------------------------------------------------------------------------

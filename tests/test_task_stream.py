@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from streamrl import vec_env
+from streamrl.cli import ConfigError, walk_config
 from streamrl.core_env import Discrete
-from streamrl.envs import GridScene, one_hot_cell, parse_scene
+from streamrl.envs import GridScene, GridWorld, one_hot_cell, parse_scene
 from streamrl.nn import Adam, Mlp
 from streamrl.task_stream import (
     EveryNEpisodes,
@@ -22,7 +23,6 @@ from streamrl.task_stream import (
     TaskStreamConfigError,
     TaskStreamEnv,
     build_task,
-    task_from_config,
     task_stream_benchmark_generator,
 )
 from streamrl.training import DqnStrategy, Steps, StrategyPlugin, TrainingBudget
@@ -227,6 +227,29 @@ def test_walls_block_movement():
     assert env.position == (0, 0)
 
 
+# the grid-dqn-replay benchmark's two maps and scene fields
+BENCH_MAPS = ("S.#..\n..#..\n..#..\n..#..\n.G#..", "..#.S\n..#..\n..#..\n..#..\n..#G.")
+
+
+@pytest.mark.parametrize("text", BENCH_MAPS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reach_goal_stream_env_steps_as_the_gridworld(text, seed):
+    scene = parse_scene(text, max_steps=100, step_reward=-0.1, goal_reward=10.0)
+    task = build_task("reach_goal", step_reward=scene.step_reward, goal_reward=scene.goal_reward)
+    stream, grid = TaskStreamEnv(scene, task), GridWorld(scene)
+    assert np.array_equal(stream.reset(), grid.reset())
+    ends = set()
+    for action in np.random.default_rng(seed).integers(4, size=1500).tolist():
+        mine, theirs = stream.step(action), grid.step(action)
+        assert mine.obs.tobytes() == theirs.obs.tobytes()
+        assert (mine.reward, mine.done) == (theirs.reward, theirs.done)
+        assert type(mine.reward) is type(theirs.reward)
+        if mine.done:
+            ends.add(mine.reward)
+            assert np.array_equal(stream.reset(), grid.reset())
+    assert ends == {10.0, -0.1}  # episodes ended at the goal and at the step cap
+
+
 def test_scene_swap_keeps_position_when_passable():
     env = TaskStreamEnv(SCENE, build_task("survive"))
     env.reset()
@@ -300,17 +323,35 @@ def test_build_task_rejects_non_number_params(value):
         build_task("survive", step_reward=value)
 
 
+def stream_config(tasks, **scenario):
+    """A task_stream run config over two copies of a 3x3 map."""
+    return {
+        "scenario": {"generator": "task_stream", "tasks": tasks,
+                     "scenes": ["S..\n...\n..G"] * 2, **scenario},
+        "strategy": {"name": "dqn"},
+        "budget": {"updates_per_experience": 1},
+        "seeds": {"env": 1, "net": 2, "sampling": 3},
+        "output_dir": "out",
+    }
+
+
 def test_task_from_config_round_trip():
-    task, duration = task_from_config(
-        {"name": "walk", "type": "reach_goal", "duration": {"episodes": 3},
-         "params": {"step_reward": -0.1}}
-    )
-    assert task.name == "walk"
-    assert duration == MaxEpisodes(3)
+    """A config task entry, through the config walk: its name, params, duration
+    count and unit reach the stream, and the entry reads back unchanged."""
+    walk = {"name": "walk", "type": "reach_goal", "duration": {"episodes": 3},
+            "params": {"step_reward": -0.1}}
+    experiment = walk_config(stream_config([walk], swap={"every_n_episodes": 1}))
+    assert experiment.effective["scenario"]["tasks"] == [walk]
+    stream = experiment.scenario.train_stream
+    assert [e.name for e in stream] == ["walk/scene0(len=1)", "walk/scene1(len=1)",
+                                        "walk/scene0(len=1)"]
+    task = stream[0].env_factory().active_task
     assert task.reward_fn(GridState((0, 0), SCENE), 0, GridState((1, 0), SCENE)) == -0.1
 
-    _, steps = task_from_config({"type": "survive", "duration": {"steps": 7}})
-    assert steps == MaxSteps(7)
+    survive = {"type": "survive", "duration": {"steps": 7}}
+    stream = walk_config(stream_config([survive], swap={"every_n_steps": 3})).scenario.train_stream
+    assert [e.name for e in stream] == ["survive/scene0(len=3)", "survive/scene1(len=3)",
+                                        "survive/scene0(len=1)"]
 
 
 @pytest.mark.parametrize(
@@ -325,8 +366,8 @@ def test_task_from_config_round_trip():
     ],
 )
 def test_task_from_config_rejects_bad_entries(entry):
-    with pytest.raises(TaskStreamConfigError):
-        task_from_config(entry)
+    with pytest.raises(ConfigError, match=r"^scenario\.tasks\[0\]"):
+        walk_config(stream_config([entry]))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +439,6 @@ def test_generator_truncates_and_validates_n_experiences():
 
 def test_generator_config_errors():
     tasks, durations = two_task_schedule()
-    with pytest.raises(TaskStreamConfigError):
-        task_stream_benchmark_generator(tasks, durations, [SCENE], n_envs=2)
     with pytest.raises(TaskStreamConfigError):
         task_stream_benchmark_generator([], [], [SCENE])
     with pytest.raises(TaskStreamConfigError):
