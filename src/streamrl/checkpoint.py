@@ -97,9 +97,22 @@ def _params(sections: dict[str, np.ndarray], model: Mlp) -> np.ndarray:
     return params
 
 
+def _model(arch) -> Mlp:
+    """The Mlp a checkpoint's `arch` describes; CheckpointError if it describes none."""
+    if not isinstance(arch, dict):
+        raise CheckpointError(f"checkpoint arch must be an object, got {arch!r}")
+    for key in ("sizes", "activations", "heads"):
+        if key not in arch:
+            raise CheckpointError(f"checkpoint arch has no {key!r}")
+    try:
+        return Mlp.from_arch(arch)
+    except (TypeError, ValueError) as err:  # Mlp's own checks, and malformed entries
+        raise CheckpointError(f"checkpoint arch {arch} is not a valid Mlp: {err}") from err
+
+
 def load_model(path) -> tuple[Mlp, dict[str, np.ndarray]]:
     arch, sections = load_checkpoint(path)
-    model = Mlp.from_arch(arch)
+    model = _model(arch)
     model.unflatten(_params(sections, model))
     return model, sections
 

@@ -289,6 +289,8 @@ def _walk_env_spec(entry: dict, path: str) -> tuple[dict, EnvSpec]:
         raise ConfigError(
             f"{path}.env: unknown env {kind!r} (choose from gridworld, cartpole, bandit)"
         )
+    if "map" in entry and kind != "gridworld":
+        raise ConfigError(f"{path}.map: a {kind} env takes no map (only gridworld does)")
     return effective, EnvSpec(name=name, factory=factory, wrappers=specs)
 
 

@@ -9,6 +9,7 @@ nested serialization.
 from __future__ import annotations
 
 import json
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
@@ -31,6 +32,9 @@ class IncompatibleSpace(EnvError):
     """A wrapper was applied to an environment whose spaces don't support it."""
 
 
+_INTEGERS = (int, np.integer)
+
+
 @dataclass(frozen=True)
 class Discrete:
     """Action/observation space of n distinct integer actions 0..n-1."""
@@ -42,7 +46,8 @@ class Discrete:
             raise ValueError(f"Discrete space needs n >= 1, got {self.n}")
 
     def contains(self, action) -> bool:
-        return isinstance(action, (int, np.integer)) and 0 <= int(action) < self.n
+        # numpy integers compare with Python ints exactly, so no int() is needed
+        return isinstance(action, _INTEGERS) and 0 <= action < self.n
 
 
 @dataclass(frozen=True)
@@ -58,13 +63,13 @@ class BoxSpace:
         high = np.asarray(self.high, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "low", low)
         object.__setattr__(self, "high", high)
-        object.__setattr__(self, "shape", tuple(int(d) for d in self.shape))
-        n = int(np.prod(self.shape)) if self.shape else 1
+        object.__setattr__(self, "shape", tuple(map(int, self.shape)))
+        n = math.prod(self.shape)
         if low.size != n or high.size != n:
             raise ValueError(
                 f"low/high size {low.size}/{high.size} disagree with shape {self.shape}"
             )
-        if np.any(low > high):
+        if np.count_nonzero(low > high):
             raise ValueError("BoxSpace requires low[i] <= high[i] for all i")
 
     def contains(self, value) -> bool:

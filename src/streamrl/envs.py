@@ -86,13 +86,13 @@ class CartPole(Environment):
             [self.params.x_threshold * 2, np.inf, self.params.theta_threshold * 2, np.inf]
         )
         self.observation_space = BoxSpace(low=-high, high=high, shape=(4,))
-        self._rng = np.random.default_rng(0)
+        self._rng = None  # made by the first reset: default_rng(seed), else default_rng(0)
         self._state = [0.0] * 4  # Python floats: the same IEEE sums, less overhead
         self._steps = 0
 
     def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+        if seed is not None or self._rng is None:
+            self._rng = np.random.default_rng(0 if seed is None else seed)
         return self.set_state(self._rng.uniform(-0.05, 0.05, size=4))
 
     def set_state(self, state) -> np.ndarray:
@@ -309,11 +309,11 @@ class Bandit(Environment):
         self.params = params
         self.action_space = Discrete(params.k)
         self.observation_space = BoxSpace(low=np.zeros(1), high=np.zeros(1), shape=(1,))
-        self._rng = np.random.default_rng(0)
+        self._rng = None  # made by the first reset: default_rng(seed), else default_rng(0)
 
     def reset(self, seed: int | None = None) -> np.ndarray:
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
+        if seed is not None or self._rng is None:
+            self._rng = np.random.default_rng(0 if seed is None else seed)
         self._done = False
         self._started = True
         return np.zeros(1)

@@ -547,25 +547,23 @@ class RLBaseStrategy:
         # a factory that returns one env twice (a shared TaskStreamEnv) gets one lane
         width = 1 if envs[-1] is envs[0] else min(n_episodes, EVAL_LANES)
         envs = envs[:width] + [exp.env_factory() for _ in range(width - 2)]
-        space = envs[0].action_space
-
-        def start(k: int, env) -> tuple:
-            return k, env, env.reset(seed=self.eval_env_seed + EPISODE_SEED_STRIDE * k)
-
-        lanes = [start(k, env) for k, env in enumerate(envs)]
+        space, seed = envs[0].action_space, self.eval_env_seed
+        # lane i plays episode ks[i] on envs[i] and last saw obs[i]
+        ks = list(range(width))
+        obs = [env.reset(seed=seed + EPISODE_SEED_STRIDE * k) for k, env in zip(ks, envs)]
         next_episode = width
-        while lanes:
+        while ks:
             try:
-                actions = self.greedy_action(np.stack([obs for _, _, obs in lanes])).tolist()
+                actions = self.greedy_action(np.array(obs)).tolist()
             except NonFinite as err:
                 raise NonFinite(f"{where}: {err}") from err
-            if len(actions) != len(lanes):
-                raise ValueError(f"{where}: need {len(lanes)} actions, got {len(actions)}")
-            for (k, _, _), action in zip(lanes, actions):  # every check before any lane steps
-                if not space.contains(action):
-                    raise ActionOutOfSpace(f"{where}, episode {k}: action {action!r} not in {space}")
-            live = []
-            for (k, env, _), action in zip(lanes, actions):
+            if len(actions) != len(ks):
+                raise ValueError(f"{where}: need {len(ks)} actions, got {len(actions)}")
+            if not all(map(space.contains, actions)):  # every check before any lane steps
+                k, action = next((k, a) for k, a in zip(ks, actions) if not space.contains(a))
+                raise ActionOutOfSpace(f"{where}, episode {k}: action {action!r} not in {space}")
+            live_ks, live_envs, obs = [], [], []
+            for k, env, action in zip(ks, envs, actions):
                 result = env.step(action)
                 reward = float(result.reward)
                 if not math.isfinite(reward):  # before any return or metric
@@ -573,9 +571,14 @@ class RLBaseStrategy:
                 returns[k] += reward
                 lengths[k] += 1
                 if not result.done:
-                    live.append((k, env, result.obs))
+                    live_ks.append(k)
+                    live_envs.append(env)
+                    obs.append(result.obs)
                 elif next_episode < n_episodes:
-                    live.append(start(next_episode, exp.env_factory()))
+                    env = exp.env_factory()
+                    live_ks.append(next_episode)
+                    live_envs.append(env)
+                    obs.append(env.reset(seed=seed + EPISODE_SEED_STRIDE * next_episode))
                     next_episode += 1
-            lanes = live
+            ks, envs = live_ks, live_envs
         return returns, lengths

@@ -156,6 +156,31 @@ def test_loaders_reject_a_missing_or_short_params_section(tmp_path, load, sectio
         load(path)
 
 
+GOOD_ARCH = Mlp([2, 3, 2]).arch()
+
+
+@pytest.mark.parametrize("arch, match", [
+    ([2, 2], "arch must be an object"),
+    ({"sizes": [2, 2]}, "arch has no 'activations'"),
+    ({k: v for k, v in GOOD_ARCH.items() if k != "sizes"}, "arch has no 'sizes'"),
+    ({k: v for k, v in GOOD_ARCH.items() if k != "heads"}, "arch has no 'heads'"),
+    ({**GOOD_ARCH, "heads": [["out", 1]]}, "must sum to final layer size"),
+    ({**GOOD_ARCH, "activations": ["relu", "swish"]}, "unknown activation"),
+    ({**GOOD_ARCH, "activations": ["relu"]}, "need 2 activations"),
+    ({**GOOD_ARCH, "sizes": [2]}, "at least input and output"),
+    ({**GOOD_ARCH, "sizes": [2, "x", 2]}, "not a valid Mlp"),
+    ({**GOOD_ARCH, "heads": [["out"]]}, "not a valid Mlp"),
+    ({**GOOD_ARCH, "heads": 2}, "not a valid Mlp"),
+], ids=["not-a-mapping", "sizes-only", "no-sizes", "no-heads", "heads-do-not-sum",
+        "unknown-activation", "activation-count", "one-size", "size-not-a-number",
+        "head-not-a-pair", "heads-not-a-list"])
+def test_load_model_rejects_an_arch_that_is_no_mlp(tmp_path, arch, match):
+    path = tmp_path / "m.bin"
+    save_checkpoint(path, arch, {"params": np.zeros(Mlp([2, 3, 2]).param_count)})
+    with pytest.raises(CheckpointError, match=match):
+        load_model(path)
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOTACKPT" + b"\x00" * 32)

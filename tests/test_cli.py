@@ -253,6 +253,10 @@ INVALID_CONFIGS = [
                                        "params": {"means": [0.0], "nois_std": 3}}),
      "scenario.env_specs[0].params"),
     ("eval-not-bool", at("eval.after_each_experience", "no"), "eval.after_each_experience"),
+    ("cartpole-map", at(SPEC, {"name": "c", "env": "cartpole", "map": GRID_MAP}),
+     "scenario.env_specs[0].map: a cartpole env takes no map"),
+    ("bandit-map", at(SPEC, {"name": "b", "env": "bandit", "params": {"means": [0.0]}, "map": "S.G"}),
+     "scenario.env_specs[0].map: a bandit env takes no map"),
     # each of these once failed only after writing config_effective.yaml
     ("task-type", task_stream(tasks=[{"type": "fly", "duration": {"episodes": 1}}]),
      "scenario.tasks[0]"),

@@ -1,5 +1,7 @@
 """Environment interface contract: spaces, step results, and wrappers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,16 @@ def test_discrete_membership():
     assert not space.contains(-1)
 
 
+@pytest.mark.parametrize("action", [
+    0, 3, 4, -1, 2**70, True, False, 1.0, "1", None, np.int64(3), np.int64(4), np.int8(-1),
+    np.uint8(0), np.uint64(3), np.uint64(2**64 - 1), np.float64(1.0), np.bool_(True), np.array(1),
+])
+def test_discrete_membership_equals_the_int_conversion(action):
+    """contains compares an integer with n directly; it once converted it with int() first."""
+    assert bool(Discrete(4).contains(action)) == (
+        isinstance(action, (int, np.integer)) and 0 <= int(action) < 4)
+
+
 def test_discrete_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         Discrete(0)
@@ -48,6 +60,19 @@ def test_discrete_rejects_nonpositive_n():
 def test_box_space_bounds_checked():
     with pytest.raises(ValueError):
         BoxSpace(low=np.array([1.0]), high=np.array([0.0]), shape=(1,))
+
+
+@pytest.mark.parametrize("shape, size", [((), 1), ((3,), 3), ((2, 3), 6)])
+def test_box_space_shapes(shape, size):
+    space = BoxSpace(low=np.zeros(size), high=np.ones(size), shape=shape)
+    assert space.shape == shape and space.low.shape == space.high.shape == (size,)
+    assert space.contains(np.full(shape, 0.5))
+    assert not space.contains(np.full(shape, 1.5))
+    with pytest.raises(ValueError, match=rf"^low/high size {size + 1}/{size} disagree with shape "
+                                         rf"{re.escape(str(shape))}$"):
+        BoxSpace(low=np.zeros(size + 1), high=np.ones(size), shape=shape)
+    with pytest.raises(ValueError, match=r"^BoxSpace requires low\[i\] <= high\[i\] for all i$"):
+        BoxSpace(low=np.r_[np.zeros(size - 1), 2.0], high=np.ones(size), shape=shape)
 
 
 def test_box_space_contains():

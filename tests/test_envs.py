@@ -405,6 +405,33 @@ def test_bandit_noise_monte_carlo():
     assert abs(total / n - 0.8) < 0.01
 
 
+@pytest.mark.parametrize("seeds", [
+    (None, None, None), (5, None, None), (None, 7, None, 7), (3, 3, None, 0, None),
+], ids=["unseeded", "seeded-then-unseeded", "unseeded-then-seeded", "mixed"])
+def test_cartpole_starts_follow_one_rng_made_at_the_first_reset(seeds):
+    """The generator is made by the first reset, not by the constructor:
+    default_rng(seed), or default_rng(0) for an unseeded first reset, as the
+    constructor's default_rng(0) once gave; an unseeded reset continues it."""
+    env, rng = CartPole(CartPoleParams()), np.random.default_rng(0)
+    for seed in seeds:
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+        want = rng.uniform(-0.05, 0.05, size=4)
+        assert env.reset(seed=seed).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seeds", [(None,) * 4, (2, None, None), (None, None, 9, None)],
+                         ids=["unseeded", "seeded-then-unseeded", "unseeded-then-seeded"])
+def test_noisy_bandit_draws_follow_one_rng_made_at_the_first_reset(seeds):
+    params = BanditParams(means=(0.0, 0.5), noise_std=2.0)
+    env, rng = Bandit(params), np.random.default_rng(0)
+    for seed in seeds:
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+        env.reset(seed=seed)
+        assert env.step(1).reward == float(rng.normal(0.5, 2.0))
+
+
 def test_bandit_invariants():
     with pytest.raises(InvalidParams):
         BanditParams(means=(), noise_std=0.0)

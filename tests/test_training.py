@@ -1,5 +1,6 @@
 """Strategy engine: rollout/update loop, hooks, DQN family, A2C."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -1261,3 +1262,125 @@ def test_greedy_action_count_must_match_the_lanes(monkeypatch):
     monkeypatch.setattr(strat, "greedy_action", lambda obs: np.zeros(len(obs) - 1, int))
     with pytest.raises(ValueError, match="^eval experience 0: need 5 actions, got 4"):
         strat.evaluate(one_stream(lambda: GridWorld(GridScene(5, 5))), 5)
+
+
+def tuple_lane_play_greedy(strat, exp, n_episodes):
+    """_play_greedy as lanes first ran it: a list of (episode, env, obs)
+    tuples, np.stack of the observations, one action check per lane, and a
+    closure that starts each episode."""
+    where = f"eval experience {exp.experience_index}"
+    returns, lengths = [0.0] * n_episodes, [0] * n_episodes
+    envs = [exp.env_factory() for _ in range(min(n_episodes, 2))]
+    width = 1 if envs[-1] is envs[0] else min(n_episodes, EVAL_LANES)
+    envs = envs[:width] + [exp.env_factory() for _ in range(width - 2)]
+    space = envs[0].action_space
+
+    def start(k, env):
+        return k, env, env.reset(seed=strat.eval_env_seed + EPISODE_SEED_STRIDE * k)
+
+    lanes = [start(k, env) for k, env in enumerate(envs)]
+    next_episode = width
+    while lanes:
+        try:
+            actions = strat.greedy_action(np.stack([obs for _, _, obs in lanes])).tolist()
+        except NonFinite as err:
+            raise NonFinite(f"{where}: {err}") from err
+        if len(actions) != len(lanes):
+            raise ValueError(f"{where}: need {len(lanes)} actions, got {len(actions)}")
+        for (k, _, _), action in zip(lanes, actions):
+            if not space.contains(action):
+                raise ActionOutOfSpace(f"{where}, episode {k}: action {action!r} not in {space}")
+        live = []
+        for (k, env, _), action in zip(lanes, actions):
+            result = env.step(action)
+            reward = float(result.reward)
+            if not math.isfinite(reward):
+                raise ValueError(f"{where}: non-finite reward {reward!r}")
+            returns[k] += reward
+            lengths[k] += 1
+            if not result.done:
+                live.append((k, env, result.obs))
+            elif next_episode < n_episodes:
+                live.append(start(next_episode, exp.env_factory()))
+                next_episode += 1
+        lanes = live
+    return returns, lengths
+
+
+def tuple_lane_eval(strat, eval_stream, n_episodes):
+    strat._play_greedy = lambda exp, n: tuple_lane_play_greedy(strat, exp, n)
+    try:
+        return lane_eval(strat, eval_stream, n_episodes)
+    finally:
+        del strat._play_greedy
+
+
+@pytest.mark.parametrize("kind", ["dqn", "a2c"])
+@pytest.mark.parametrize("case", list(LANE_CASES))
+def test_lane_eval_matches_the_tuple_lane_loop(case, kind):
+    make_stream, obs_dim, n_actions = LANE_CASES[case]
+    strat = eval_strategy(kind, obs_dim, n_actions)
+    got = lane_eval(strat, make_stream(), 33)
+    assert got == tuple_lane_eval(strat, make_stream(), 33)
+    assert all(type(r) is float and type(n) is int for r, n in got[0])
+
+
+@pytest.mark.parametrize("n_episodes", [1, 31, 32, 33, 200])
+@pytest.mark.parametrize("case", ["cartpole", "gridworld"])
+def test_lane_eval_matches_the_tuple_lane_loop_at_every_width(case, n_episodes):
+    make_stream, obs_dim, n_actions = LANE_CASES[case]
+    strat = eval_strategy("a2c", obs_dim, n_actions)
+    episodes, results, batches = lane_eval(strat, make_stream(), n_episodes)
+    assert (episodes, results, batches) == tuple_lane_eval(strat, make_stream(), n_episodes)
+    assert len(episodes) == n_episodes
+
+
+def lane_schedule(lengths, width):
+    """The row count of every greedy_action call when `width` lanes play
+    episodes of these lengths: lanes start with episodes 0..width-1, and a
+    lane whose episode ends takes the next unplayed one, in episode order."""
+    left = list(lengths[:width])  # steps each lane's episode has still to play
+    next_episode, rows = width, []
+    while left:
+        rows.append(len(left))
+        live = []
+        for steps in left:
+            if steps > 1:
+                live.append(steps - 1)
+            elif next_episode < len(lengths):
+                live.append(lengths[next_episode])
+                next_episode += 1
+        left = live
+    return rows
+
+
+def test_lane_schedule_refills_in_episode_order():
+    assert lane_schedule([3, 1, 2, 1], 2) == [2, 2, 2, 1]
+    assert lane_schedule([2, 2], 1) == [1, 1, 1, 1]
+    assert lane_schedule([1, 1, 1], 5) == [3]
+
+
+SCHEDULE_CASES = [(case, 33) for case in LANE_CASES] + [("cartpole", n) for n in (1, 31, 32, 200)]
+
+
+@pytest.mark.parametrize("case, n_episodes", SCHEDULE_CASES,
+                         ids=[f"{case}-{n}" for case, n in SCHEDULE_CASES])
+def test_greedy_action_runs_once_per_lockstep_step_of_the_lane_schedule(case, n_episodes):
+    """perfbench runs its eval yardstick on a cadence of greedy_action calls,
+    so the calls and their row counts are part of what the eval benchmark
+    measures: one call per lockstep step, with one row per running lane."""
+    make_stream, obs_dim, n_actions = LANE_CASES[case]
+    stream = make_stream()
+    episodes, _, batches = lane_eval(eval_strategy("dqn", obs_dim, n_actions), stream, n_episodes)
+    lengths = [n for _, n in episodes]
+    expected = []
+    for i in range(len(stream)):
+        expected += lane_schedule(lengths[i * n_episodes:(i + 1) * n_episodes],
+                                  min(n_episodes, EVAL_LANES))
+    assert batches == expected
+
+
+def test_shared_env_lane_schedule_is_one_row_per_step():
+    (train_exp, *_) = task_stream_scenario().train_stream
+    episodes, _, batches = lane_eval(eval_strategy("dqn", 9, 4), [train_exp], 5)
+    assert batches == lane_schedule([n for _, n in episodes], 1)
