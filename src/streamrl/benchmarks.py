@@ -8,8 +8,9 @@ it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +56,16 @@ class RLScenario:
     @property
     def n_experiences(self) -> int:
         return len(self.train_stream)
+
+
+def experiences(
+    entries: Iterable[tuple[Callable[[], Environment], int, str]], n_envs: int
+) -> tuple[RLExperience, ...]:
+    """One experience per (env_factory, task_label, name) entry, indexed in order."""
+    return tuple(
+        RLExperience(factory, label, n_envs, experience_index=i, name=name)
+        for i, (factory, label, name) in enumerate(entries)
+    )
 
 
 @dataclass(frozen=True)
@@ -110,26 +121,8 @@ def gym_benchmark_generator(
         rng = np.random.default_rng(order.seed)
         indices = [int(i) for i in rng.integers(0, len(specs), size=n_experiences)]
 
-    train = tuple(
-        RLExperience(
-            env_factory=specs[idx].build,
-            task_label=idx,
-            n_envs=n_parallel_envs,
-            experience_index=pos,
-            name=specs[idx].name,
-        )
-        for pos, idx in enumerate(indices)
-    )
-    evals = tuple(
-        RLExperience(
-            env_factory=spec.build,
-            task_label=i,
-            n_envs=1,
-            experience_index=i,
-            name=spec.name,
-        )
-        for i, spec in enumerate(specs)
-    )
+    train = experiences(((specs[i].build, i, specs[i].name) for i in indices), n_parallel_envs)
+    evals = experiences(((spec.build, i, spec.name) for i, spec in enumerate(specs)), n_envs=1)
     return RLScenario(train_stream=train, eval_stream=evals)
 
 
@@ -153,18 +146,9 @@ def continual_control_generator(
             raise type(err)(f"schedule[{i}]: {err}") from err
         variants.append(params)
 
-    def factory_for(params: CartPoleParams) -> Callable[[], Environment]:
-        return lambda: CartPole(params)
-
-    train = tuple(
-        RLExperience(
-            env_factory=factory_for(params),
-            task_label=i,
-            n_envs=n_parallel_envs,
-            experience_index=i,
-            name=f"cartpole_variant_{i}",
-        )
-        for i, params in enumerate(variants)
+    entries = [
+        (partial(CartPole, params), i, f"cartpole_variant_{i}") for i, params in enumerate(variants)
+    ]
+    return RLScenario(
+        train_stream=experiences(entries, n_parallel_envs), eval_stream=experiences(entries, n_envs=1)
     )
-    evals = tuple(replace(exp, n_envs=1) for exp in train)
-    return RLScenario(train_stream=train, eval_stream=evals)

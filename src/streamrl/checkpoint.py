@@ -9,6 +9,7 @@ vector lives in the "params" section; plugins may add their own sections
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -62,18 +63,25 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
     for entry in header["sections"]:
         if not (
             isinstance(entry, dict)
-            and "name" in entry
+            and isinstance(entry.get("name"), str)
             and isinstance(entry.get("shape"), list)
-            and all(isinstance(size, int) and size >= 0 for size in entry["shape"])
+            and all(type(size) is int and size >= 0 for size in entry["shape"])
         ):
             raise CheckpointError(f"{path}: section entry {entry!r} needs a name and a shape")
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        if entry["name"] in sections:
+            raise CheckpointError(f"{path}: section {entry['name']!r} appears twice")
+        count = math.prod(entry["shape"])
         nbytes = count * 8
         if offset + nbytes > len(raw):
             raise CheckpointError(f"section {entry['name']!r} truncated")
-        sections[entry["name"]] = np.frombuffer(
-            raw, dtype=np.float64, count=count, offset=offset
-        ).reshape(entry["shape"]).copy()
+        try:
+            sections[entry["name"]] = np.frombuffer(
+                raw, dtype=np.float64, count=count, offset=offset
+            ).reshape(entry["shape"]).copy()
+        except ValueError as err:  # a shape numpy cannot build, such as [0, 2**63]
+            raise CheckpointError(
+                f"section {entry['name']!r}: numpy cannot build shape {entry['shape']}: {err}"
+            ) from err
         offset += nbytes
     return header["arch"], sections
 

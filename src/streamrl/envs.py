@@ -12,6 +12,7 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,7 @@ class CartPole(Environment):
 # ---------------------------------------------------------------------------
 
 GRID_MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))  # 0=Up(-y) 1=Down(+y) 2=Left(-x) 3=Right(+x)
+GRID_ACTIONS = Discrete(len(GRID_MOVES))  # one space for every gridworld; spaces are immutable
 
 
 class SceneFormatError(ValueError):
@@ -172,6 +174,12 @@ class GridScene:
             raise InvalidParams("start and goal must differ")
         if not self._reachable():
             raise InvalidParams(f"goal {self.goal} unreachable from start {self.start}")
+
+    @cached_property
+    def observation_space(self) -> BoxSpace:
+        """The one-hot cell space, built once and shared by every env on this scene."""
+        n = self.width * self.height
+        return BoxSpace(low=np.zeros(n), high=np.ones(n), shape=(n,))
 
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         x, y = cell
@@ -241,9 +249,8 @@ class GridWorld(Environment):
 
     def __init__(self, scene: GridScene):
         self.scene = scene
-        self.action_space = Discrete(4)
-        n = scene.width * scene.height
-        self.observation_space = BoxSpace(low=np.zeros(n), high=np.ones(n), shape=(n,))
+        self.action_space = GRID_ACTIONS
+        self.observation_space = scene.observation_space
         self._pos = scene.start
         self._steps = 0
 

@@ -16,8 +16,6 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
-import numpy as np
-
 CSV_HEADER = ["global_step", "experience_index", "phase", "metric_name", "value"]
 
 

@@ -19,12 +19,15 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .benchmarks import RLExperience, RLScenario
+from .benchmarks import RLScenario, experiences
 from .core_env import Discrete, Environment, Space, StepResult
 from .envs import GRID_MOVES, GridScene, GridWorld
 
@@ -74,12 +77,32 @@ class MaxEpisodes(_Count):
     """A task that lasts n episodes."""
 
 
+def _schedule_ends(
+    tasks: Sequence[Task], durations: Sequence[MaxSteps | MaxEpisodes]
+) -> tuple[type, list[int]]:
+    """The schedule's one unit (MaxSteps or MaxEpisodes) and the count of
+    that unit at which each task ends: task t covers [ends[t - 1], ends[t])."""
+    if not tasks:
+        raise TaskStreamConfigError("need at least one task")
+    if len(tasks) != len(durations):
+        raise TaskStreamConfigError(
+            f"{len(tasks)} tasks but {len(durations)} durations"
+        )
+    for unit in (MaxSteps, MaxEpisodes):
+        if all(isinstance(d, unit) for d in durations):
+            return unit, list(accumulate(d.n for d in durations))
+    raise TaskStreamConfigError(
+        "all task durations must use the same unit (all episodes or all steps)"
+    )
+
+
 class TaskIterator:
     """Serves the active task given monotone step/episode counters.
 
-    Each task runs for its own duration; when the last task's duration is
-    exhausted the stream ends (no wrap-around). on_activate of a newly
-    active task fires with the bound environment (None if unbound).
+    Every duration counts the same unit, and the task whose span holds that
+    unit's counter is active; when the last task's duration is exhausted the
+    stream ends (no wrap-around). on_activate of each newly active task
+    fires, in order, with the bound environment (None if unbound).
     """
 
     def __init__(
@@ -88,47 +111,30 @@ class TaskIterator:
         durations: Sequence[MaxSteps | MaxEpisodes],
         env: Optional[object] = None,
     ):
-        if not tasks:
-            raise TaskStreamConfigError("TaskIterator needs at least one task")
-        if len(tasks) != len(durations):
-            raise TaskStreamConfigError(
-                f"{len(tasks)} tasks but {len(durations)} durations"
-            )
+        self._unit, self._ends = _schedule_ends(tasks, durations)
         self.tasks = list(tasks)
-        self.durations = list(durations)
         self.env = env
         self.cursor = 0
-        self._base_steps = 0
-        self._base_episodes = 0
 
     @property
     def active_task(self) -> Task:
         return self.tasks[self.cursor]
 
     def current_task(self, steps_taken: int, episodes_done: int) -> tuple[Task, bool]:
-        changed = False
-        while True:
-            duration = self.durations[self.cursor]
-            if isinstance(duration, MaxSteps):
-                used = steps_taken - self._base_steps
-            else:
-                used = episodes_done - self._base_episodes
-            if used < duration.n:
-                break
-            if self.cursor == len(self.tasks) - 1:
-                raise StreamExhausted(
-                    f"task schedule exhausted after {steps_taken} steps / "
-                    f"{episodes_done} episodes"
-                )
-            if isinstance(duration, MaxSteps):
-                self._base_steps += duration.n
-            else:
-                self._base_episodes += duration.n
+        used = steps_taken if self._unit is MaxSteps else episodes_done
+        reached = bisect_right(self._ends, used)
+        target = min(reached, len(self.tasks) - 1)
+        changed = self.cursor < target
+        while self.cursor < target:
             self.cursor += 1
-            changed = True
             task = self.tasks[self.cursor]
             if task.on_activate is not None:
                 task.on_activate(self.env)
+        if reached == len(self.tasks):
+            raise StreamExhausted(
+                f"task schedule exhausted after {steps_taken} steps / "
+                f"{episodes_done} episodes"
+            )
         return self.tasks[self.cursor], changed
 
 
@@ -331,49 +337,25 @@ def build_task(type_name: str, name: str = "", **params) -> Task:
 
 
 def _enumerate_segments(
-    durations: Sequence[MaxSteps | MaxEpisodes],
-    scenes: Sequence[GridScene],
+    ends: Sequence[int],
+    n_scenes: int,
     swap_policy: OnTaskChange | EveryNEpisodes | EveryNSteps,
 ) -> list[tuple[int, int, int]]:
-    """Walk the schedule unit by unit and return (task_idx, scene_idx,
-    length) segments. Durations must share one unit, and the swap policy
-    must count that same unit (OnTaskChange counts neither)."""
-    episode_based = all(isinstance(d, MaxEpisodes) for d in durations)
-    step_based = all(isinstance(d, MaxSteps) for d in durations)
-    if not (episode_based or step_based):
-        raise TaskStreamConfigError(
-            "all task durations must use the same unit (all episodes or all steps)"
-        )
-    if episode_based and isinstance(swap_policy, EveryNSteps):
-        raise TaskStreamConfigError(
-            "EveryNSteps swap policy cannot be scheduled against episode durations"
-        )
-    if step_based and isinstance(swap_policy, EveryNEpisodes):
-        raise TaskStreamConfigError(
-            "EveryNEpisodes swap policy cannot be scheduled against step durations"
-        )
-    unit_event = SwapEvent.EPISODE_ENDED if episode_based else SwapEvent.STEP_TAKEN
-    manager = SceneManager(scenes, swap_policy)
-    total = sum(d.n for d in durations)
-    task_idx, remaining = 0, durations[0].n
-    segments: list[tuple[int, int, int]] = []
-    seg_task, seg_scene, seg_len = 0, manager.active_index, 0
-    for i in range(total):
-        seg_len += 1
-        remaining -= 1
-        events = [unit_event]
-        if remaining == 0 and task_idx < len(durations) - 1:
-            task_idx += 1
-            remaining = durations[task_idx].n
-            events.append(SwapEvent.TASK_CHANGED)
-        for event in events:
-            manager.maybe_swap(event)
-        now = (task_idx, manager.active_index)
-        if i < total - 1 and now != (seg_task, seg_scene):
-            segments.append((seg_task, seg_scene, seg_len))
-            seg_task, seg_scene = now
-            seg_len = 0
-    segments.append((seg_task, seg_scene, seg_len))
+    """(task_idx, scene_idx, length) segments of a schedule whose tasks end
+    at `ends`. Under OnTaskChange task t plays scene t mod n_scenes; under an
+    EveryN* policy of period n, unit u plays scene (u // n) mod n_scenes. So a
+    segment ends at each task end and, with more than one scene, at each
+    multiple of n: the cost grows with the segments, not the schedule's length."""
+    period = None if isinstance(swap_policy, OnTaskChange) else swap_policy.n
+    cuts = set(ends)
+    if period is not None and n_scenes > 1:
+        cuts.update(range(period, ends[-1], period))
+    segments, start = [], 0
+    for cut in sorted(cuts):
+        task = bisect_right(ends, start)
+        scene = task if period is None else start // period
+        segments.append((task, scene % n_scenes, cut - start))
+        start = cut
     return segments
 
 
@@ -390,15 +372,18 @@ def task_stream_benchmark_generator(
     with the segment's task/scene installed at build time; segment lengths
     describe the schedule the configs imply, while actual training time per
     experience is governed by the strategy's budget. The eval stream holds a
-    fresh, independent env per distinct (task, scene) pair.
+    fresh, independent env per distinct (task, scene) pair. The swap policy
+    must count the durations' unit (OnTaskChange counts neither).
     """
-    if not tasks:
-        raise TaskStreamConfigError("need at least one task")
-    if len(tasks) != len(durations):
+    unit, ends = _schedule_ends(tasks, durations)
+    wrong = EveryNSteps if unit is MaxEpisodes else EveryNEpisodes
+    if isinstance(swap_policy, wrong):
         raise TaskStreamConfigError(
-            f"{len(tasks)} tasks but {len(durations)} durations"
+            f"{wrong.__name__} swap policy cannot be scheduled against "
+            f"{'episode' if unit is MaxEpisodes else 'step'} durations"
         )
-    segments = _enumerate_segments(durations, scenes, swap_policy)
+    scenes = SceneManager(scenes, swap_policy).scenes  # non-empty, one grid size
+    segments = _enumerate_segments(ends, len(scenes), swap_policy)
     if n_experiences is not None:
         if n_experiences > len(segments):
             raise StreamExhausted(
@@ -407,8 +392,7 @@ def task_stream_benchmark_generator(
             )
         segments = segments[:n_experiences]
 
-    first_task, first_scene, _ = segments[0]
-    shared = TaskStreamEnv(scenes[first_scene], tasks[first_task])
+    shared = TaskStreamEnv(scenes[0], tasks[0])
 
     def make_factory(task: Task, scene: GridScene) -> Callable[[], Environment]:
         def factory() -> Environment:
@@ -418,29 +402,15 @@ def task_stream_benchmark_generator(
 
         return factory
 
-    train = tuple(
-        RLExperience(
-            env_factory=make_factory(tasks[t], scenes[s]),
-            task_label=t,
-            n_envs=1,
-            experience_index=i,
-            name=f"{tasks[t].name}/scene{s}(len={length})",
-        )
-        for i, (t, s, length) in enumerate(segments)
+    train = experiences(
+        ((make_factory(tasks[t], scenes[s]), t, f"{tasks[t].name}/scene{s}(len={length})")
+         for t, s, length in segments),
+        n_envs=1,
     )
-
-    seen: list[tuple[int, int]] = []
-    for t, s, _ in segments:
-        if (t, s) not in seen:
-            seen.append((t, s))
-    eval_exps = tuple(
-        RLExperience(
-            env_factory=(lambda t=t, s=s: TaskStreamEnv(scenes[s], tasks[t])),
-            task_label=t,
-            n_envs=1,
-            experience_index=i,
-            name=f"eval/{tasks[t].name}/scene{s}",
-        )
-        for i, (t, s) in enumerate(seen)
+    pairs = dict.fromkeys((t, s) for t, s, _ in segments)
+    eval_exps = experiences(
+        ((partial(TaskStreamEnv, scenes[s], tasks[t]), t, f"eval/{tasks[t].name}/scene{s}")
+         for t, s in pairs),
+        n_envs=1,
     )
     return RLScenario(train_stream=train, eval_stream=eval_exps)

@@ -45,19 +45,6 @@ from ..vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
 # well under that threshold.
 EVAL_LANES = 32
 
-HOOKS = (
-    "before_training",
-    "before_training_exp",
-    "before_rollout",
-    "after_rollout",
-    "before_update",
-    "after_update",
-    "after_training_exp",
-    "after_training",
-    "before_eval_exp",
-    "after_eval_exp",
-)
-
 
 class EmptyStream(ValueError):
     """train() was given a scenario with no training experiences."""
@@ -241,6 +228,9 @@ class StrategyPlugin:
 
     def after_eval_exp(self, strategy) -> None:
         pass
+
+
+HOOKS = tuple(name for name in vars(StrategyPlugin) if not name.startswith("_"))
 
 
 @dataclass(frozen=True)

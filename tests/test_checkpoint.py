@@ -247,9 +247,33 @@ def test_non_object_header_rejected(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("entry", [{"shape": [2]}, {"name": "params"}, {"name": "p", "shape": "2"}])
+@pytest.mark.parametrize("entry", [
+    {"shape": [2]}, {"name": "params"}, {"name": "p", "shape": "2"},
+    {"name": "p", "shape": [True, 3]}, {"name": "p", "shape": [2.0]}, {"name": ["p"], "shape": [2]},
+])
 def test_section_entry_without_name_or_shape_rejected(tmp_path, entry):
     path = tmp_path / "c.bin"
     write_raw(path, json.dumps({"version": 1, "arch": {}, "sections": [entry]}).encode())
     with pytest.raises(CheckpointError, match="name and a shape"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("shape, match", [
+    ([2**32, 2**32], "truncated"),  # 2**64 floats: numpy's int64 product would wrap to 0
+    ([0, 2**63], "numpy cannot build"),  # 0 floats, but past numpy's largest dimension
+], ids=["product-wraps", "dimension-too-large"])
+def test_section_shape_numpy_cannot_take_rejected(tmp_path, shape, match):
+    path = tmp_path / "c.bin"
+    entry = {"name": "params", "shape": shape}
+    write_raw(path, json.dumps({"version": 1, "arch": {}, "sections": [entry]}).encode())
+    with pytest.raises(CheckpointError, match=match):
+        load_checkpoint(path)
+
+
+def test_repeated_section_name_rejected(tmp_path):
+    path = tmp_path / "c.bin"
+    entries = [{"name": "params", "shape": [1]}, {"name": "params", "shape": [1]}]
+    header = json.dumps({"version": 1, "arch": {}, "sections": entries}).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + struct.pack("<2d", 1.0, 2.0))
+    with pytest.raises(CheckpointError, match="'params' appears twice"):
         load_checkpoint(path)

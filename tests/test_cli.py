@@ -588,7 +588,9 @@ def test_eval_missing_checkpoint_exit_2(tmp_path, capsys):
     MAGIC + b"\x10\x00\x00",  # cut inside the header length
     MAGIC + struct.pack("<Q", 6) + b"{bad}\n",  # header is not JSON
     MAGIC + struct.pack("<Q", 2) + b"[]",  # header is not an object
-], ids=["cut-length", "bad-json", "not-object"])
+    MAGIC + struct.pack("<Q", 90)  # a section shape past numpy's largest dimension
+    + b'{"version": 1, "arch": {}, "sections": [{"name": "p", "shape": [0, 9223372036854775808]}]}',
+], ids=["cut-length", "bad-json", "not-object", "dimension-too-large"])
 def test_eval_malformed_checkpoint_exit_2(tmp_path, capsys, payload):
     cfg = run_ok(tmp_path, base_config(tmp_path / "out"))
     bad = tmp_path / "bad.bin"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from streamrl.core_env import ActionOutOfSpace, StepResult
+from streamrl.core_env import ActionOutOfSpace, Discrete, StepResult
 from streamrl.envs import (
     Bandit,
     BanditParams,
@@ -294,6 +294,20 @@ def test_max_steps_episode_cap():
     env.step(3)
     env.step(2)
     assert env.step(3).done
+
+
+def test_envs_on_one_scene_share_their_spaces():
+    scene = GridScene(4, 3, goal=(3, 2))
+    first, second = GridWorld(scene), GridWorld(scene)
+    assert first.observation_space is second.observation_space
+    assert first.action_space is second.action_space
+    assert first.action_space is GridWorld(GridScene(5, 5)).action_space
+    assert first.action_space == Discrete(4)
+    space = first.observation_space
+    assert space.shape == (12,)
+    assert np.array_equal(space.low, np.zeros(12)) and np.array_equal(space.high, np.ones(12))
+    assert space.low.dtype == space.high.dtype == np.float64
+    assert GridWorld(GridScene(4, 3, goal=(2, 2))).observation_space is not space
 
 
 def test_scene_invariants():

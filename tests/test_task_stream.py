@@ -1,5 +1,8 @@
 """Task scheduling, scene swapping, and the shared-env stream generator."""
 
+import random
+import time
+
 import numpy as np
 import pytest
 
@@ -22,6 +25,8 @@ from streamrl.task_stream import (
     TaskIterator,
     TaskStreamConfigError,
     TaskStreamEnv,
+    _enumerate_segments,
+    _schedule_ends,
     build_task,
     task_stream_benchmark_generator,
 )
@@ -102,6 +107,28 @@ def test_iterator_config_validation():
         MaxEpisodes(0)
     with pytest.raises(TaskStreamConfigError):
         MaxSteps(0)
+
+
+def test_iterator_refuses_a_mixed_unit_schedule():
+    # episodes finished during a step-timed task would otherwise count
+    # towards the next, episode-timed task
+    tasks = [named_task("a"), named_task("b"), named_task("c")]
+    with pytest.raises(TaskStreamConfigError, match="same unit"):
+        TaskIterator(tasks, [MaxSteps(5), MaxEpisodes(2), MaxSteps(5)])
+
+
+def test_iterator_fires_each_skipped_task_in_order_then_exhausts():
+    seen = []
+    tasks = [named_task(name, on_activate=lambda env, name=name: seen.append((name, env)))
+             for name in "abcd"]
+    it = TaskIterator(tasks, [MaxSteps(2), MaxSteps(1), MaxSteps(3), MaxSteps(1)], env="env")
+    assert it.current_task(5, 0) == (tasks[2], True)  # c spans steps [3, 6)
+    assert seen == [("b", "env"), ("c", "env")]
+    assert it.current_task(5, 9) == (tasks[2], False)  # episodes do not count here
+    with pytest.raises(StreamExhausted, match="after 9 steps / 0 episodes"):
+        it.current_task(9, 0)
+    assert seen[2:] == [("d", "env")]
+    assert it.active_task is tasks[3]
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +493,67 @@ def test_generator_step_durations_with_step_swaps():
     assert len(scn.train_stream) == 2
     scenes = [e.env_factory().active_scene for e in scn.train_stream]
     assert scenes == [SCENE, SCENE_ALT]
+
+
+def walked_segments(durations, scenes, swap_policy):
+    """The unit-by-unit walk the generator once made, kept as the reference
+    for the segment rule: each unit fires its event at a SceneManager, a
+    task's last unit then also fires TASK_CHANGED, and a segment ends
+    wherever (task, scene) changes."""
+    episode_based = isinstance(durations[0], MaxEpisodes)
+    unit_event = SwapEvent.EPISODE_ENDED if episode_based else SwapEvent.STEP_TAKEN
+    manager = SceneManager(scenes, swap_policy)
+    total = sum(d.n for d in durations)
+    task_idx, remaining = 0, durations[0].n
+    segments = []
+    seg_task, seg_scene, seg_len = 0, manager.active_index, 0
+    for i in range(total):
+        seg_len += 1
+        remaining -= 1
+        events = [unit_event]
+        if remaining == 0 and task_idx < len(durations) - 1:
+            task_idx += 1
+            remaining = durations[task_idx].n
+            events.append(SwapEvent.TASK_CHANGED)
+        for event in events:
+            manager.maybe_swap(event)
+        now = (task_idx, manager.active_index)
+        if i < total - 1 and now != (seg_task, seg_scene):
+            segments.append((seg_task, seg_scene, seg_len))
+            seg_task, seg_scene = now
+            seg_len = 0
+    segments.append((seg_task, seg_scene, seg_len))
+    return segments
+
+
+def test_segment_rule_matches_the_unit_walk_on_a_seeded_sweep():
+    rng = random.Random(15)
+    scenes = [SCENE, SCENE_ALT, GridScene(3, 3, goal=(1, 2), max_steps=10)]
+    policies = set()
+    for _ in range(2500):
+        unit, counted = rng.choice([(MaxSteps, EveryNSteps), (MaxEpisodes, EveryNEpisodes)])
+        durations = [unit(rng.randint(1, 12)) for _ in range(rng.randint(1, 5))]
+        n_scenes = rng.randint(1, 3)
+        policy = rng.choice([OnTaskChange(), counted(rng.randint(1, 15))])
+        policies.add(type(policy))
+        _, ends = _schedule_ends([named_task("t")] * len(durations), durations)
+        expected = walked_segments(durations, scenes[:n_scenes], policy)
+        assert _enumerate_segments(ends, n_scenes, policy) == expected, (durations, n_scenes, policy)
+    assert policies == {OnTaskChange, EveryNSteps, EveryNEpisodes}
+
+
+def test_a_long_schedule_builds_in_time_proportional_to_its_segments():
+    start = time.perf_counter()
+    scn = task_stream_benchmark_generator(
+        [build_task("reach_goal"), build_task("survive")], [MaxSteps(10**7), MaxSteps(10**7)],
+        [SCENE, SCENE_ALT], swap_policy=EveryNSteps(10**6),
+    )
+    elapsed = time.perf_counter() - start
+    assert [e.name for e in scn.train_stream] == [
+        f"{task}/scene{k % 2}(len=1000000)" for task in ("reach_goal", "survive") for k in range(10)
+    ]
+    assert [e.task_label for e in scn.train_stream] == [0] * 10 + [1] * 10
+    assert elapsed < 1.0
 
 
 def test_strategy_trains_over_task_stream():

@@ -48,7 +48,7 @@ from streamrl.training import (
     compute_dqn_targets,
     compute_nstep_returns,
 )
-from streamrl.training.base import EVAL_LANES
+from streamrl.training.base import EVAL_LANES, HOOKS
 from streamrl.training.dqn import ReplayBuffer
 from streamrl.vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
 from test_nn import old_entropy_loss, old_mse_loss, old_policy_gradient_loss, old_softmax
@@ -334,6 +334,15 @@ def test_empty_stream_rejected():
 # ---------------------------------------------------------------------------
 # Plugin hooks
 # ---------------------------------------------------------------------------
+
+def test_hooks_are_the_plugin_methods_in_definition_order():
+    assert HOOKS == (
+        "before_training", "before_training_exp", "before_rollout", "after_rollout",
+        "before_update", "after_update", "after_training_exp", "after_training",
+        "before_eval_exp", "after_eval_exp",
+    )
+    assert all(callable(getattr(StrategyPlugin, hook)) for hook in HOOKS)
+
 
 LOOP_HOOKS = ("before_rollout", "after_rollout", "before_update", "after_update")
 
