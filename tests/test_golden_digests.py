@@ -1,4 +1,4 @@
-"""Golden output digests: four small continual runs through `streamrl run`
+"""Golden output digests: five small continual runs through `streamrl run`
 must write byte-identical metrics.jsonl and checkpoint.bin to the pinned
 SHA-256 values below.
 
@@ -109,6 +109,36 @@ DOUBLE_DQN_EWC = {
     "eval": {"episodes": 6, "after_each_experience": True},
 }
 
+# DQN on a task stream: one shared TaskStreamEnv on two walled 4x4 maps, a
+# reach_goal task and then a survive task, the scene swapped every 10 steps of
+# the schedule. All five scene swaps, one per experience boundary, land
+# mid-episode, and two of them move the agent to the new scene's start because
+# its cell is a wall there. Eval plays fresh TaskStreamEnvs, one per (task,
+# scene) pair. Pinned from the commit before gridworld steps came from a
+# per-scene move table, so that change and everything after it must reproduce
+# these bytes.
+MAP_C = "S..#\n.#..\n.#..\n...G"
+MAP_D = "...S\n.#..\n.#.#\nG..."
+TASK_STREAM = {
+    "scenario": {
+        "generator": "task_stream",
+        "tasks": [
+            {"name": "go", "type": "reach_goal", "duration": {"steps": 40},
+             "params": {"step_reward": -0.05, "goal_reward": 2.0}},
+            {"name": "stay", "type": "survive", "duration": {"steps": 20},
+             "params": {"step_reward": 0.02}},
+        ],
+        "scenes": [MAP_C, MAP_D],
+        "swap": {"every_n_steps": 10},
+        "scene_params": {"max_steps": 25},
+    },
+    "strategy": {"name": "dqn", "hidden": [16, 16], "gamma": 0.9, "batch_size": 16,
+                 "eps_decay_fraction": 0.5, "target_sync_period": 30},
+    "budget": {"updates_per_experience": 100, "rollout": {"steps": 3}},
+    "seeds": {"env": 17, "net": 18, "sampling": 19},
+    "eval": {"episodes": 4, "after_each_experience": True},
+}
+
 # name -> (config, sha256 of metrics.jsonl, sha256 of checkpoint.bin), recorded
 # with numpy 2.4 (OpenBLAS 0.3.31) on x86-64
 GOLDEN = {
@@ -131,6 +161,11 @@ GOLDEN = {
         DOUBLE_DQN_EWC,
         "be435a13f367ac098c9b1c08cec74f76a60e85e3a81842a858acdbeac7c9376f",
         "970aa3c2b1739a633a067ff326783164a9ec99b440b5463859ced369d7b9285c",
+    ),
+    "task-stream": (
+        TASK_STREAM,
+        "3bea7da9d23c39d878e6484be518a1967fc3b8f40c21f17f7dfebb1d64cc4bfd",
+        "bf5f5b7b06e94a17be52561e56bd6d1197f3f0f1f78e32a21937c3690553fdba",
     ),
 }
 

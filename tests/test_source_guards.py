@@ -76,3 +76,46 @@ def test_the_unused_import_scan_finds_what_it_should():
         "print(tau, np.zeros(1))\n"
     )
     assert unused_imports(source) == [(2, "os"), (3, "osp"), (5, "pi")]
+
+
+def grid_moves_reads(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing def/class path) of each place `source` reads
+    GRID_MOVES: by name, as a module attribute, or in an import."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == "GRID_MOVES"
+                    and isinstance(child.ctx, ast.Load)
+                    or isinstance(child, ast.Attribute) and child.attr == "GRID_MOVES"
+                    or isinstance(child, ast.alias) and child.name == "GRID_MOVES"):
+                found.append((child.lineno, scope))
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_grid_moves_is_read_only_where_the_move_table_is_built():
+    """GridScene.moves, built by _move_table, is the one gridworld movement
+    rule; a second rule that does its own GRID_MOVES arithmetic cannot come
+    back unseen."""
+    reads = {
+        (path.relative_to(PACKAGE).as_posix(), scope)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for _, scope in grid_moves_reads(path.read_text())
+    }
+    assert reads == {("envs.py", ".GridScene._move_table")}
+
+
+def test_the_grid_moves_scan_finds_what_it_should():
+    source = (
+        "from .envs import GRID_MOVES\n"
+        "from . import envs\n"
+        "GRID_MOVES = ((0, 1),)\n"
+        "class A:\n"
+        "    def f(self):\n"
+        "        return envs.GRID_MOVES, GRID_MOVES[0]\n"
+    )
+    assert grid_moves_reads(source) == [(1, ""), (6, ".A.f"), (6, ".A.f")]

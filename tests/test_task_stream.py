@@ -8,7 +8,7 @@ import pytest
 
 from streamrl import vec_env
 from streamrl.cli import ConfigError, walk_config
-from streamrl.core_env import Discrete
+from streamrl.core_env import Discrete, StepResult
 from streamrl.envs import GridScene, GridWorld, one_hot_cell, parse_scene
 from streamrl.nn import Adam, Mlp
 from streamrl.task_stream import (
@@ -31,6 +31,7 @@ from streamrl.task_stream import (
     task_stream_benchmark_generator,
 )
 from streamrl.training import DqnStrategy, Steps, StrategyPlugin, TrainingBudget
+from test_envs import assert_same_step, old_grid_move, random_walled_scene
 
 SCENE = GridScene(3, 3, goal=(2, 2), max_steps=10)
 SCENE_ALT = GridScene(3, 3, goal=(0, 2), max_steps=10)
@@ -252,6 +253,68 @@ def test_walls_block_movement():
     env.reset()
     env.step(3)  # into the wall
     assert env.position == (0, 0)
+
+
+class OldTaskStreamEnv(TaskStreamEnv):
+    """TaskStreamEnv.step as it was before the move table."""
+
+    def step(self, action):
+        self._require_active()
+        self._check_action(action)
+        state = GridState(self._pos, self.scene)
+        self._pos = old_grid_move(self.scene, self._pos, action)
+        next_state = GridState(self._pos, self.scene)
+        reward = float(self._task.reward_fn(state, int(action), next_state))
+        self._steps += 1
+        done = bool(self._task.goal_test(next_state)) or self._steps >= self.scene.max_steps
+        self._done = done
+        return StepResult(obs=self._obs(), reward=reward, done=done)
+
+
+STREAM_TASKS = [build_task("reach_goal", step_reward=-0.3, goal_reward=4.0),
+                build_task("survive", step_reward=0.7)]
+
+
+@pytest.mark.parametrize("task", STREAM_TASKS, ids=["reach_goal", "survive"])
+@pytest.mark.parametrize("seed", range(8))
+def test_stream_steps_equal_the_old_move_rule_from_every_cell(seed, task):
+    rng = np.random.default_rng(seed)
+    scene = random_walled_scene(rng, int(rng.integers(1, 8)), int(rng.integers(2, 8)),
+                                max_steps=int(rng.integers(1, 4)))
+    new, old = TaskStreamEnv(scene, task), OldTaskStreamEnv(scene, task)
+    for cell in [(x, y) for y in range(scene.height) for x in range(scene.width)]:
+        for action in (0, 1, 2, 3, np.int64(1)):
+            new._done = old._done = True  # end any running episode, so reset starts one
+            new.reset(), old.reset()
+            new._pos = old._pos = cell
+            assert_same_step(new.step(action), old.step(action))
+            assert new.position == old.position
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_stream_walks_with_mid_episode_scene_swaps_equal_the_old_move_rule(seed):
+    """Swaps between two walled scenes of one size every few steps, mostly
+    mid-episode; where the agent's cell is a wall in the new scene, both
+    envs move it to that scene's start and step on from there."""
+    rng = np.random.default_rng(200 + seed)
+    scenes = [random_walled_scene(rng, 6, 5, max_steps=40) for _ in range(2)]
+    new = TaskStreamEnv(scenes[0], STREAM_TASKS[0])
+    old = OldTaskStreamEnv(scenes[0], STREAM_TASKS[0])
+    assert new.reset().tobytes() == old.reset().tobytes()
+    mid_episode_swaps = 0
+    for t, action in enumerate(rng.integers(4, size=3000).tolist()):
+        if t % 7 == 0:
+            scene, task = scenes[t // 7 % 2], STREAM_TASKS[t // 21 % 2]
+            mid_episode_swaps += not new._done
+            for env in (new, old):
+                env.set_active_task(task)
+                env.set_active_scene(scene)
+            assert new.position == old.position
+        got, want = new.step(action), old.step(action)
+        assert_same_step(got, want)
+        if got.done:
+            assert new.reset().tobytes() == old.reset().tobytes()
+    assert mid_episode_swaps > 100
 
 
 # the grid-dqn-replay benchmark's two maps and scene fields
