@@ -124,6 +124,20 @@ class Environment(ABC):
     def step(self, action) -> StepResult:
         """Advance one transition. Raises EpisodeAlreadyDone after a terminal step."""
 
+    @classmethod
+    def step_lanes(cls, envs, actions) -> tuple[np.ndarray, list, list]:
+        """(obs rows, rewards, dones) of stepping lane i's env by actions[i]. The
+        caller has checked each action, and the lanes share one observation
+        shape. This default calls each env's step; an error carries its `lane`."""
+        results = []
+        for lane, (env, action) in enumerate(zip(envs, actions)):
+            try:
+                results.append(env.step(action))
+            except Exception as err:
+                err.lane = lane
+                raise
+        return np.array([r.obs for r in results]), [r.reward for r in results], [r.done for r in results]
+
     # Guard helpers shared by the built-in environments.
     _done: bool = True
     _started: bool = False
@@ -137,6 +151,16 @@ class Environment(ABC):
     def _check_action(self, action) -> None:
         if not self.action_space.contains(action):
             raise ActionOutOfSpace(f"action {action!r} not in {self.action_space}")
+
+
+def lane_stepper(envs):
+    """The step_lanes for one lane set: a class's own, which checks that every
+    lane is active before any moves, when every lane is exactly that class and
+    its step is still the `_lane_step` it was defined with; else the default."""
+    cls = type(envs[0])
+    if cls.step is cls.__dict__.get("_lane_step") and all(type(env) is cls for env in envs):
+        return cls.step_lanes
+    return Environment.step_lanes
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ class CartPoleParams:
         # the state space every env on these parameters shares; set eagerly, as GridScene's
         high = np.array([self.x_threshold * 2, np.inf, self.theta_threshold * 2, np.inf])
         object.__setattr__(self, "observation_space", BoxSpace(-high, high, (4,)))
+        object.__setattr__(self, "constants", (  # what _cartpole_step reads
+            self.gravity, self.force_mag, self.cart_mass + self.pole_mass,
+            self.pole_mass * self.pole_half_length, self.pole_half_length, self.pole_mass,
+            self.dt, self.x_threshold, self.theta_threshold, self.max_steps))
 
     def override(self, **changes) -> "CartPoleParams":
         unknown = set(changes) - set(self.__dataclass_fields__)
@@ -59,19 +63,27 @@ class CartPoleParams:
         return replace(self, **changes)
 
 
-def cartpole_derivatives(state, action: int, p: CartPoleParams):
-    """Accelerations (xacc, thetaacc) of the standard cart-pole equations."""
-    _, _, theta, theta_dot = state
-    force = p.force_mag if action == 1 else -p.force_mag
+def _cartpole_step(state, action, steps: int, p: CartPoleParams):
+    """The cart-pole equations, once: (next state, done, x_acc, theta_acc) of
+    Euler step number `steps` from `state`, with the pre-update accelerations."""
+    x, x_dot, theta, theta_dot = state
+    gravity, force_mag, total_mass, polemass_length, half_length, pole_mass, dt, \
+        x_threshold, theta_threshold, max_steps = p.constants
+    force = force_mag if action == 1 else -force_mag
     sin, cos = math.sin(theta), math.cos(theta)
-    total_mass = p.cart_mass + p.pole_mass
-    polemass_length = p.pole_mass * p.pole_half_length
     temp = (force + polemass_length * theta_dot * theta_dot * sin) / total_mass
-    theta_acc = (p.gravity * sin - cos * temp) / (
-        p.pole_half_length * (4.0 / 3.0 - p.pole_mass * cos * cos / total_mass)
+    theta_acc = (gravity * sin - cos * temp) / (
+        half_length * (4.0 / 3.0 - pole_mass * cos * cos / total_mass)
     )
     x_acc = temp - polemass_length * theta_acc * cos / total_mass
-    return x_acc, theta_acc
+    x, theta = x + dt * x_dot, theta + dt * theta_dot
+    done = abs(x) > x_threshold or abs(theta) > theta_threshold or steps >= max_steps
+    return [x, x_dot + dt * x_acc, theta, theta_dot + dt * theta_acc], done, x_acc, theta_acc
+
+
+def cartpole_derivatives(state, action: int, p: CartPoleParams):
+    """Accelerations (xacc, thetaacc) of the standard cart-pole equations."""
+    return _cartpole_step(state, action, 0, p)[2:]
 
 
 CARTPOLE_ACTIONS = Discrete(2)  # push left, push right; shared by every cart-pole
@@ -111,24 +123,24 @@ class CartPole(Environment):
         return np.array(self._state)
 
     def step(self, action) -> StepResult:
-        self._require_active()
+        if self._done:  # also before the first reset
+            self._require_active()
         self._check_action(action)
-        p = self.params
-        x, x_dot, theta, theta_dot = state = self._state
-        x_acc, theta_acc = cartpole_derivatives(state, int(action), p)
-        x = x + p.dt * x_dot
-        x_dot = x_dot + p.dt * x_acc
-        theta = theta + p.dt * theta_dot
-        theta_dot = theta_dot + p.dt * theta_acc
-        self._state = [x, x_dot, theta, theta_dot]
         self._steps += 1
-        done = (
-            abs(x) > p.x_threshold
-            or abs(theta) > p.theta_threshold
-            or self._steps >= p.max_steps
-        )
-        self._done = done
-        return StepResult(np.array(self._state), 1.0, done)
+        self._state, self._done, _, _ = _cartpole_step(self._state, action, self._steps, self.params)
+        return StepResult(np.array(self._state), 1.0, self._done)
+
+    _lane_step = step  # the step that step_lanes stands in for
+
+    @classmethod
+    def step_lanes(cls, envs, actions) -> tuple[np.ndarray, list, list]:
+        for env in envs:  # every lane active before any lane moves
+            if env._done:
+                env._require_active()
+        for env, action in zip(envs, actions):
+            env._steps += 1
+            env._state, env._done, _, _ = _cartpole_step(env._state, action, env._steps, env.params)
+        return np.array([env._state for env in envs]), [1.0] * len(envs), [env._done for env in envs]
 
 
 # ---------------------------------------------------------------------------
@@ -283,20 +295,41 @@ class GridWorld(Environment):
         self._started = True
         return self._obs()
 
-    def step(self, action) -> StepResult:
-        self._require_active()
-        self._check_action(action)
+    def _advance(self, action) -> tuple[int, float, bool]:
+        """The grid step rule, once: (one-hot index, reward, done) of a move."""
         scene = self.scene
         self._pos, index = scene.moves[self._pos][action]
         self._steps += 1
         if self._pos == scene.goal:
-            reward, done = scene.goal_reward, True
-        else:
-            reward, done = scene.step_reward, self._steps >= scene.max_steps
-        self._done = done
-        obs = np.zeros(scene.width * scene.height)
+            self._done = True
+            return index, scene.goal_reward, True
+        self._done = done = self._steps >= scene.max_steps
+        return index, scene.step_reward, done
+
+    def step(self, action) -> StepResult:
+        if self._done:  # also before the first reset
+            self._require_active()
+        self._check_action(action)
+        index, reward, done = self._advance(action)
+        obs = np.zeros(self.observation_space.shape)
         obs[index] = 1.0
         return StepResult(obs, reward, done)
+
+    _lane_step = step  # the step that step_lanes stands in for
+
+    @classmethod
+    def step_lanes(cls, envs, actions) -> tuple[np.ndarray, list, list]:
+        for env in envs:  # every lane active before any lane moves
+            if env._done:
+                env._require_active()
+        n = envs[0].scene.width * envs[0].scene.height
+        obs, rewards, dones = np.zeros(len(envs) * n), [], []
+        for start, env, action in zip(range(0, len(obs), n), envs, actions):
+            index, reward, done = env._advance(action)
+            obs[start + index] = 1.0
+            rewards.append(reward)
+            dones.append(done)
+        return obs.reshape(len(envs), n), rewards, dones
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .benchmarks import RLScenario, experiences
-from .core_env import Discrete, Environment, Space, StepResult
+from .core_env import Discrete, Environment, Space
 from .envs import GridScene, GridWorld
 
 
@@ -46,6 +46,11 @@ class GridState(NamedTuple):
 
     position: tuple[int, int]
     scene: GridScene
+
+
+# _grid_state((position, scene)) is GridState(position, scene) without the
+# Python-level __new__ of a NamedTuple call, about 0.1 us less per state.
+_grid_state = partial(tuple.__new__, GridState)
 
 
 @dataclass(frozen=True)
@@ -249,20 +254,15 @@ class TaskStreamEnv(GridWorld):
             return self._obs()
         return super().reset(seed)
 
-    def step(self, action) -> StepResult:
-        self._require_active()
-        self._check_action(action)
-        scene = self.scene
-        state = GridState(self._pos, scene)
-        self._pos, index = scene.moves[self._pos][action]
-        next_state = GridState(self._pos, scene)
-        reward = float(self._task.reward_fn(state, int(action), next_state))
-        self._steps += 1
-        done = bool(self._task.goal_test(next_state)) or self._steps >= scene.max_steps
-        self._done = done
-        obs = np.zeros(scene.width * scene.height)
-        obs[index] = 1.0
-        return StepResult(obs, reward, done)
+    def _advance(self, action) -> tuple[int, float, bool]:
+        """The grid's move, with reward and done from the active task."""
+        scene, task = self.scene, self._task
+        state = _grid_state((self._pos, scene))
+        index, _, _ = GridWorld._advance(self, action)
+        next_state = _grid_state((self._pos, scene))
+        reward = float(task.reward_fn(state, int(action), next_state))
+        self._done = done = bool(task.goal_test(next_state)) or self._steps >= scene.max_steps
+        return index, reward, done
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..benchmarks import RLExperience, RLScenario
-from ..core_env import ActionOutOfSpace
+from ..core_env import ActionOutOfSpace, lane_stepper
 from ..core_env import deserialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 from ..evaluation import MetricsCollector
 from ..nn import NonFinite
@@ -532,13 +532,14 @@ class RLBaseStrategy:
         width = 1 if envs[-1] is envs[0] else min(n_episodes, EVAL_LANES)
         envs = envs[:width] + [exp.env_factory() for _ in range(width - 2)]
         space, seed = envs[0].action_space, self.eval_env_seed
+        step_lanes = lane_stepper(envs)
         # lane i plays episode ks[i] on envs[i] and last saw obs[i]
         ks = list(range(width))
-        obs = [env.reset(seed=seed + EPISODE_SEED_STRIDE * k) for k, env in zip(ks, envs)]
+        obs = np.array([env.reset(seed=seed + EPISODE_SEED_STRIDE * k) for k, env in zip(ks, envs)])
         next_episode = width
         while ks:
             try:
-                actions = self.greedy_action(np.array(obs)).tolist()
+                actions = self.greedy_action(obs).tolist()
             except NonFinite as err:
                 raise NonFinite(f"{where}: {err}") from err
             if len(actions) != len(ks):
@@ -546,23 +547,21 @@ class RLBaseStrategy:
             if not all(map(space.contains, actions)):  # every check before any lane steps
                 k, action = next((k, a) for k, a in zip(ks, actions) if not space.contains(a))
                 raise ActionOutOfSpace(f"{where}, episode {k}: action {action!r} not in {space}")
-            live_ks, live_envs, obs = [], [], []
-            for k, env, action in zip(ks, envs, actions):
-                result = env.step(action)
-                reward = float(result.reward)
+            obs, rewards, dones = step_lanes(envs, actions)
+            for k, reward in zip(ks, rewards):
+                reward = float(reward)
                 if not math.isfinite(reward):  # before any return or metric
                     raise ValueError(f"{where}: non-finite reward {reward!r}")
                 returns[k] += reward
                 lengths[k] += 1
-                if not result.done:
-                    live_ks.append(k)
-                    live_envs.append(env)
-                    obs.append(result.obs)
-                elif next_episode < n_episodes:
-                    env = exp.env_factory()
-                    live_ks.append(next_episode)
-                    live_envs.append(env)
-                    obs.append(env.reset(seed=seed + EPISODE_SEED_STRIDE * next_episode))
+            if any(dones):  # a finished lane takes the next episode while any is left
+                finished = list(compress(range(len(ks)), dones))
+                left = n_episodes - next_episode
+                for lane in finished[:left]:
+                    ks[lane], envs[lane] = next_episode, exp.env_factory()
+                    obs[lane] = envs[lane].reset(seed=seed + EPISODE_SEED_STRIDE * next_episode)
                     next_episode += 1
-            ks, envs = live_ks, live_envs
+                live = [lane for lane in range(len(ks)) if lane not in finished[left:]]
+                ks, envs, obs = [ks[i] for i in live], [envs[i] for i in live], obs[live]
+                step_lanes = lane_stepper(envs) if envs else None
         return returns, lengths

@@ -20,18 +20,19 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 from contextlib import suppress
+from itertools import compress
 from typing import Callable, Literal
 
 import numpy as np
 
-from .core_env import ActionOutOfSpace, Environment
+from .core_env import ActionOutOfSpace, Environment, lane_stepper
 from .core_env import serialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 
 EPISODE_SEED_STRIDE = 1_000_000
 
 
 class _Actor:
-    """One env replica plus its seeding schedule and auto-reset behavior."""
+    """One env replica and where it is in its seeding schedule."""
 
     def __init__(self, factory: Callable[[], Environment], index: int, base_seed: int):
         self.env = factory()
@@ -39,43 +40,24 @@ class _Actor:
         self.base_seed = base_seed
         self.episode_index = 0
 
-    def reset(self) -> np.ndarray:
-        self.episode_index = 0
-        return self.env.reset(seed=self.base_seed + self.index)
-
-    def step(self, action) -> tuple:
-        """(obs, reward, done, final_obs); final_obs is obs unless done."""
-        result = self.env.step(action)
-        obs = final = result.obs
-        if result.done:
-            final = np.array(final)  # the reset may reuse the env's buffer
-            self.episode_index += 1
-            obs = self.env.reset(
-                seed=self.base_seed + self.index + EPISODE_SEED_STRIDE * self.episode_index
-            )
-        return obs, result.reward, result.done, final
-
 
 class ActorCrashed(RuntimeError):
     """An actor's worker process raised or died; the message names the actor(s)."""
 
 
 def _worker(conn, factory, shard: range, base_seed: int) -> None:
-    """Serve one shard: each message, one action per actor (None resets it),
-    gets one reply with the shard's rows in actor order; "close" ends it."""
+    """Serve one shard as a serial VectorizedEnv whose actor j is actor shard[j]:
+    each message, None (reset) or one action per actor, gets one reply."""
     try:
-        actors = []
-        for i in shard:
-            actors.append(_Actor(factory, i, base_seed))
+        lanes = VectorizedEnv(factory, len(shard), base_seed + shard.start)
         for actions in iter(conn.recv, "close"):
-            rows = []
-            for i, actor, action in zip(shard, actors, actions):
-                rows.append(actor.reset() if action is None else actor.step(action))
-            conn.send(rows)
+            conn.send(lanes.reset() if actions is None else lanes.step(actions))
     except (EOFError, KeyboardInterrupt):
         pass
     except Exception as err:  # report to the parent, which re-raises it
-        conn.send(ActorCrashed(f"actor {i}: {type(err).__name__}: {err}"))
+        lane = getattr(err, "lane", None)
+        where = f"actors {shard[0]}..{shard[-1]}" if lane is None else f"actor {shard[lane]}"
+        conn.send(ActorCrashed(f"{where}: {type(err).__name__}: {err}"))
     finally:
         conn.close()
 
@@ -101,8 +83,10 @@ class VectorizedEnv:
         self._conns, self._procs = [], []
         if mode == "serial":
             self.actors = [_Actor(env_factory, i, base_seed) for i in range(n_actors)]
-            template = self.actors[0].env
-            replica = self.actors[1].env if n_actors > 1 else None
+            self._envs = [actor.env for actor in self.actors]
+            self._step_lanes = lane_stepper(self._envs)
+            template = self._envs[0]
+            replica = self._envs[1] if n_actors > 1 else None
         else:
             template, replica = env_factory(), env_factory()
         if replica is template:  # a shared env (TaskStreamEnv) runs only as one serial actor
@@ -126,8 +110,23 @@ class VectorizedEnv:
 
     def reset(self) -> np.ndarray:
         if self.mode == "parallel":
-            return np.stack(self._exchange([None] * self.n_actors))
-        return np.stack([actor.reset() for actor in self.actors])
+            return np.concatenate(self._exchange(None))
+        return np.stack(self._start(range(self.n_actors)))
+
+    def _start(self, lanes, next_episode: bool = False) -> list:
+        """Start each of these actors' episode 0, or their next episode; an
+        error carries the `lane` of the actor it came from."""
+        rows = []
+        for lane in lanes:
+            actor = self.actors[lane]
+            actor.episode_index = actor.episode_index + 1 if next_episode else 0
+            seed = actor.base_seed + actor.index + EPISODE_SEED_STRIDE * actor.episode_index
+            try:
+                rows.append(actor.env.reset(seed=seed))
+            except Exception as err:
+                err.lane = lane
+                raise
+        return rows
 
     def step(self, actions):
         if len(actions) != self.n_actors:
@@ -136,22 +135,22 @@ class VectorizedEnv:
         for i, action in enumerate(actions):  # every check before any actor steps
             if not self.action_space.contains(action):
                 raise ActionOutOfSpace(f"actor {i}: action {action!r} not in {self.action_space}")
-        if self.mode == "serial":
-            results = [actor.step(a) for actor, a in zip(self.actors, actions)]
-        else:
-            results = self._exchange(actions)
-        obs, rewards, dones, final_obs = zip(*results)
-        obs = np.array(obs)  # the final_obs rows are the obs rows unless an actor is done
-        final_obs = np.array(final_obs) if any(dones) else obs.copy()
+        if self.mode == "parallel":
+            return tuple(map(np.concatenate, zip(*self._exchange(actions))))
+        obs, rewards, dones = self._step_lanes(self._envs, actions)
+        final_obs = obs.copy()  # the stepped rows; obs takes each finished actor's next start
+        if any(dones):
+            finished = list(compress(range(self.n_actors), dones))
+            obs[finished] = self._start(finished, next_episode=True)
         return obs, np.array(rewards, dtype=np.float64), np.array(dones, dtype=bool), final_obs
 
-    def _exchange(self, actions: list) -> list:
-        """Send each worker its shard's actions, then gather every actor's
-        row in actor order; a worker's error or death raises ActorCrashed."""
+    def _exchange(self, actions: list | None) -> list:
+        """Send each worker its shard's actions (None resets), then gather the
+        replies in shard order; a worker's error or death raises ActorCrashed."""
         for conn, shard in zip(self._conns, self._shards):
             with suppress(ConnectionError):  # a dead worker: receiving from it says so
-                conn.send(actions[shard.start : shard.stop])
-        rows = []
+                conn.send(None if actions is None else actions[shard.start : shard.stop])
+        replies = []
         for conn, proc, shard in zip(self._conns, self._procs, self._shards):
             try:
                 reply = conn.recv()
@@ -161,8 +160,8 @@ class VectorizedEnv:
                 reply = ActorCrashed(f"{where}: worker exited with code {proc.exitcode}")
             if isinstance(reply, ActorCrashed):
                 raise reply
-            rows += reply
-        return rows
+            replies.append(reply)
+        return replies
 
     def close(self) -> None:
         conns, self._conns = self._conns, []

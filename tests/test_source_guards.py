@@ -78,23 +78,29 @@ def test_the_unused_import_scan_finds_what_it_should():
     assert unused_imports(source) == [(2, "os"), (3, "osp"), (5, "pi")]
 
 
-def grid_moves_reads(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing def/class path) of each place `source` reads
-    GRID_MOVES: by name, as a module attribute, or in an import."""
+def scoped_matches(source: str, matches) -> list[tuple[int, str]]:
+    """(line, enclosing def/class path) of each AST node of `source` for
+    which `matches(node)` holds."""
     found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id == "GRID_MOVES"
-                    and isinstance(child.ctx, ast.Load)
-                    or isinstance(child, ast.Attribute) and child.attr == "GRID_MOVES"
-                    or isinstance(child, ast.alias) and child.name == "GRID_MOVES"):
+            if matches(child):
                 found.append((child.lineno, scope))
             named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def grid_moves_reads(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing def/class path) of each place `source` reads
+    GRID_MOVES: by name, as a module attribute, or in an import."""
+    return scoped_matches(source, lambda node: (
+        isinstance(node, ast.Name) and node.id == "GRID_MOVES" and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == "GRID_MOVES"
+        or isinstance(node, ast.alias) and node.name == "GRID_MOVES"))
 
 
 def test_grid_moves_is_read_only_where_the_move_table_is_built():
@@ -119,3 +125,45 @@ def test_the_grid_moves_scan_finds_what_it_should():
         "        return envs.GRID_MOVES, GRID_MOVES[0]\n"
     )
     assert grid_moves_reads(source) == [(1, ""), (6, ".A.f"), (6, ".A.f")]
+
+
+def moves_reads(source: str) -> list[tuple[int, str]]:
+    """Where `source` subscripts an attribute named `moves` (`x.moves[...]`)."""
+    return scoped_matches(source, lambda node: isinstance(node, ast.Subscript)
+                          and isinstance(node.value, ast.Attribute) and node.value.attr == "moves")
+
+
+def test_the_move_table_is_read_only_by_the_grid_step_rule():
+    """GridWorld._advance is the one grid step rule: GridWorld.step, its lane
+    kernel and TaskStreamEnv.step all call it. The only other reader is the
+    scene's own reachability walk, which takes whole rows."""
+    reads = {
+        (path.relative_to(PACKAGE).as_posix(), scope)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for _, scope in moves_reads(path.read_text())
+    }
+    assert reads == {("envs.py", ".GridWorld._advance"), ("envs.py", ".GridScene._reachable")}
+
+
+def test_the_cart_pole_equations_are_written_once():
+    """_cartpole_step holds the cart-pole equations; CartPole.step, its lane
+    kernel and cartpole_derivatives call it, so a second copy of the physics
+    cannot come back unseen."""
+    texts = {path.relative_to(PACKAGE).as_posix(): path.read_text()
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    assert [name for name, text in texts.items() for _ in range(text.count("math.sin("))] == ["envs.py"]
+    trig = {(name, scope) for name, text in texts.items() for _, scope in scoped_matches(
+        text, lambda node: isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
+        and isinstance(node.value, ast.Name) and node.value.id == "math")}
+    assert trig == {("envs.py", "._cartpole_step")}
+
+
+def test_the_moves_scan_finds_what_it_should():
+    source = (
+        "class G:\n"
+        "    def f(self, scene):\n"
+        "        return scene.moves[0][1], self.moves, moves[2]\n"
+        "def g(env):\n"
+        "    return env.scene.moves[(0, 0)]\n"
+    )
+    assert moves_reads(source) == [(3, ".G.f"), (5, ".g")]

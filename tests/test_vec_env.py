@@ -218,11 +218,25 @@ def test_final_obs_holds_terminal_rows_and_equals_obs_elsewhere():
     assert np.flatnonzero(final_obs[1]).tolist() == [10]
 
 
+def old_actor_step(actor, action):
+    """The per-actor step VectorizedEnv ran before lane-batched steps:
+    (obs, reward, done, final_obs), auto-resetting a finished actor."""
+    result = actor.env.step(action)
+    obs = final = result.obs
+    if result.done:
+        final = np.array(final)
+        actor.episode_index += 1
+        obs = actor.env.reset(
+            seed=actor.base_seed + actor.index + EPISODE_SEED_STRIDE * actor.episode_index
+        )
+    return obs, result.reward, result.done, final
+
+
 def old_vec_step(venv, actions):
     """Serial VectorizedEnv.step as it was before final_obs became a copy of
     obs when no actor is done: a second np.array over the same rows."""
     actions = actions.tolist() if isinstance(actions, np.ndarray) else actions
-    results = [actor.step(a) for actor, a in zip(venv.actors, actions)]
+    results = [old_actor_step(actor, a) for actor, a in zip(venv.actors, actions)]
     obs, rewards, dones, final_obs = zip(*results)
     rewards, dones = np.array(rewards, dtype=np.float64), np.array(dones, dtype=bool)
     return np.array(obs), rewards, dones, np.array(final_obs)
