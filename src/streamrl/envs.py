@@ -278,6 +278,7 @@ class GridWorld(Environment):
         self.scene = scene
         self.action_space = GRID_ACTIONS
         self.observation_space = scene.observation_space
+        self._cells = scene.width * scene.height  # the one-hot width; step_lanes checks lanes agree
         self._pos = scene.start
         self._steps = 0
 
@@ -319,10 +320,12 @@ class GridWorld(Environment):
 
     @classmethod
     def step_lanes(cls, envs, actions) -> tuple[np.ndarray, list, list]:
-        for env in envs:  # every lane active before any lane moves
+        n = envs[0]._cells
+        for env in envs:  # every lane active, and of one size, before any lane moves
             if env._done:
                 env._require_active()
-        n = envs[0].scene.width * envs[0].scene.height
+            if env._cells != n:
+                raise ValueError(f"grid lanes of {n} and {env._cells} cells")
         obs, rewards, dones = np.zeros(len(envs) * n), [], []
         for start, env, action in zip(range(0, len(obs), n), envs, actions):
             index, reward, done = env._advance(action)

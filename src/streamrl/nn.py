@@ -235,9 +235,9 @@ class Mlp:
 
 def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(logits less their row max, softmax(logits), row sums of its exp)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     probs = np.exp(shifted)
-    total = probs.sum(axis=-1, keepdims=True)
+    total = np.add.reduce(probs, axis=-1, keepdims=True)
     probs /= total
     return shifted, probs, total
 
@@ -252,7 +252,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if pred.shape != target.shape:
         raise ShapeMismatch(f"pred {pred.shape} vs target {target.shape}")
     diff = pred - target
-    return float((diff * diff).sum() / diff.size), 2.0 * diff / diff.size
+    return float(np.add.reduce(diff * diff, axis=None) / diff.size), 2.0 * diff / diff.size
 
 
 def huber_loss(
@@ -283,14 +283,16 @@ def policy_losses(
     if actions.shape != (n,) or advantages.shape != (n,):
         raise ShapeMismatch("actions/advantages must be vectors matching the batch size")
     shifted, probs, total = _softmax_parts(logits)
-    picked = shifted[np.arange(n), actions] - np.log(total[:, 0])  # log softmax(logits)[action]
-    pg_grad = advantages[:, None] * (probs - np.eye(probs.shape[1])[actions]) / n
+    rows = np.arange(n)
+    picked = shifted[rows, actions] - np.log(total[:, 0])  # log softmax(logits)[action]
     # dH/dz_j = -p_j (log p_j + H); a p of 0 contributes 0 * log(1) = 0
     safe_log = np.log(np.where(probs > 0.0, probs, 1.0))
-    row_entropy = -(probs * safe_log).sum(axis=1)
+    row_entropy = -np.add.reduce(probs * safe_log, axis=1)
     entropy_grad = -probs * (safe_log + row_entropy[:, None]) / n
+    probs[rows, actions] -= 1.0  # probs - onehot(actions): subtracting 0.0 keeps every other bit
+    pg_grad = advantages[:, None] * probs / n
     # each mean as the add.reduce and division that np.mean performs, without its dispatch
-    pg_loss, entropy = (-picked * advantages).sum() / n, row_entropy.sum() / n
+    pg_loss, entropy = np.add.reduce(-picked * advantages) / n, np.add.reduce(row_entropy) / n
     return (float(pg_loss), pg_grad), (float(entropy), entropy_grad)
 
 

@@ -24,21 +24,27 @@ from ..nn import mse_loss, policy_gradient_loss, policy_losses, softmax
 from .base import EmptyRollout, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
 
-def compute_nstep_returns(
-    rewards, dones, bootstrap_value: float, gamma: float
-) -> np.ndarray:
+def _nstep_returns(rewards, dones, tails, gamma: float) -> np.ndarray:
+    """The returns of every actor, actor-major: rewards and dones are lists of
+    per-actor lists of Python floats and bools, tails the bootstrap values."""
+    returns = []
+    for actor_rewards, actor_dones, acc in zip(rewards, dones, tails):
+        actor_returns = [0.0] * len(actor_rewards)
+        for t in range(len(actor_rewards) - 1, -1, -1):
+            if actor_dones[t]:
+                acc = 0.0
+            acc = actor_rewards[t] + gamma * acc
+            actor_returns[t] = acc
+        returns += actor_returns
+    return np.array(returns, dtype=np.float64)
+
+
+def compute_nstep_returns(rewards, dones, bootstrap_value: float, gamma: float) -> np.ndarray:
     """Discounted returns for one actor's ordered step sequence. The
     bootstrap seeds the recursion and a done at position t cuts the chain so
     nothing leaks across auto-reset episode boundaries."""
     rewards = np.asarray(rewards, dtype=np.float64).tolist()  # Python floats: the same IEEE ops
-    returns = [0.0] * len(rewards)
-    acc = float(bootstrap_value)
-    for t in range(len(rewards) - 1, -1, -1):
-        if dones[t]:
-            acc = 0.0
-        acc = rewards[t] + gamma * acc
-        returns[t] = acc
-    return np.array(returns, dtype=np.float64)
+    return _nstep_returns([rewards], [dones], [float(bootstrap_value)], gamma)
 
 
 class A2cStrategy(RLBaseStrategy):
@@ -67,10 +73,10 @@ class A2cStrategy(RLBaseStrategy):
     def sample_rollout_action(self, obs_batch: np.ndarray) -> np.ndarray:
         logits = self.model.forward(obs_batch)["policy_logits"]
         # rng.choice(n, p=row) for all rows, draw for draw: random() vs the normalised cdf
-        cdf = softmax(logits).cumsum(axis=1)
+        cdf = np.add.accumulate(softmax(logits), axis=1)
         cdf /= cdf[:, -1:]
-        u = self._action_rng.random(len(cdf))
-        return (cdf <= u[:, None]).sum(axis=1)
+        u = self._action_rng.random((len(cdf), 1))  # the draws of random(len(cdf)), as a column
+        return np.add.reduce(cdf <= u, axis=1)
 
     def greedy_action(self, obs_batch: np.ndarray) -> np.ndarray:
         logits = self.model.forward(obs_batch)["policy_logits"]
@@ -83,18 +89,15 @@ class A2cStrategy(RLBaseStrategy):
         if rollout is None or len(rollout) == 0:
             raise EmptyRollout("A2C update needs a non-empty rollout")
 
-        # Bootstrap values for every actor's final step, before the main
-        # forward pass (forward() caches activations for backward()).
-        per_actor = rollout.by_actor()
-        tail_values = self.model.forward(per_actor.next_obs[:, -1])["value"][:, 0]
-        returns = np.concatenate([
-            compute_nstep_returns(rewards, dones, tail, self.gamma)
-            for rewards, dones, tail in zip(
-                per_actor.reward.tolist(), per_actor.done.tolist(), tail_values.tolist()
-            )
-        ])
-        obs = per_actor.obs.reshape(len(rollout), *per_actor.obs.shape[2:])
-        actions = per_actor.action.reshape(len(rollout))
+        # Bootstrap values for every actor's final step, before the main forward pass
+        # (forward() caches activations for backward()). Time-major row t * n + a is
+        # actor a's step t, so (T, n) reshapes, transposed, read actor-major.
+        steps, n = rollout.steps(), rollout.n_actors
+        tail_values = self.model.forward(steps.next_obs[-n:])["value"][:, 0]
+        rewards, dones = (column.reshape(-1, n).T.tolist() for column in (steps.reward, steps.done))
+        returns = _nstep_returns(rewards, dones, tail_values.tolist(), self.gamma)
+        obs = steps.obs.reshape(-1, n, *steps.obs.shape[1:]).swapaxes(0, 1).reshape(steps.obs.shape)
+        actions = steps.action.reshape(-1, n).T.reshape(-1)
 
         out = self.model.forward(obs)
         logits = out["policy_logits"]

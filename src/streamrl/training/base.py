@@ -34,7 +34,7 @@ from ..benchmarks import RLExperience, RLScenario
 from ..core_env import ActionOutOfSpace, lane_stepper
 from ..core_env import deserialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 from ..evaluation import MetricsCollector
-from ..nn import NonFinite
+from ..nn import NonFinite, _all_finite
 from ..vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
 
 # Eval episodes that run side by side, one greedy forward over all of them per
@@ -82,7 +82,7 @@ class Transitions:
     task_label: np.ndarray
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.reward).all():
+        if not _all_finite(self.reward):
             raise ValueError(f"non-finite reward {self.reward!r}")
         if np.shape(self.obs) != np.shape(self.next_obs):
             raise ValueError(

@@ -1,4 +1,4 @@
-"""Golden output digests: five small continual runs through `streamrl run`
+"""Golden output digests: six small continual runs through `streamrl run`
 must write byte-identical metrics.jsonl and checkpoint.bin to the pinned
 SHA-256 values below.
 
@@ -139,6 +139,33 @@ TASK_STREAM = {
     "eval": {"episodes": 4, "after_each_experience": True},
 }
 
+# A2C with 2 gridworld actors and EWC on two walled maps: four actions, so
+# the sampler's cdf and the policy and entropy losses run over more than two
+# columns (every other A2C pin is a 2-action cart-pole), short rollouts that
+# episode ends cut inside and at their last step, and an A2C Fisher whose
+# penalty runs through experience 1. Pinned from the commit before the A2C
+# acting step and update called numpy's reductions as ufuncs, so that change
+# and everything after it must reproduce these bytes.
+A2C_GRID_EWC = {
+    "scenario": {
+        "generator": "gym_benchmark",
+        "env_specs": [
+            {"name": "A", "env": "gridworld", "map": MAP_A,
+             "params": {"max_steps": 30, "step_reward": -0.1, "goal_reward": 10.0}},
+            {"name": "B", "env": "gridworld", "map": MAP_B,
+             "params": {"max_steps": 30, "step_reward": -0.1, "goal_reward": 10.0}},
+        ],
+        "n_experiences": 2,
+        "order": {"explicit": [0, 1]},
+        "n_parallel_envs": 2,
+    },
+    "strategy": {"name": "a2c", "hidden": [16, 16], "gamma": 0.9},
+    "plugins": [{"name": "ewc", "lam": 50.0, "fisher_sample_count": 200}],
+    "budget": {"updates_per_experience": 200, "rollout": {"steps": 5}},
+    "seeds": {"env": 20, "net": 21, "sampling": 22},
+    "eval": {"episodes": 6, "after_each_experience": True},
+}
+
 # name -> (config, sha256 of metrics.jsonl, sha256 of checkpoint.bin), recorded
 # with numpy 2.4 (OpenBLAS 0.3.31) on x86-64
 GOLDEN = {
@@ -166,6 +193,11 @@ GOLDEN = {
         TASK_STREAM,
         "3bea7da9d23c39d878e6484be518a1967fc3b8f40c21f17f7dfebb1d64cc4bfd",
         "bf5f5b7b06e94a17be52561e56bd6d1197f3f0f1f78e32a21937c3690553fdba",
+    ),
+    "a2c-grid-ewc": (
+        A2C_GRID_EWC,
+        "2a61460fc4e3497cbd624508a27994b2a0cd22b80833f4789674d0de4694bcb4",
+        "c97b2051d8e4ae541395ee1cb05fa7bec85e7e249b6b6f099a0f0dc8d170a882",
     ),
 }
 

@@ -167,3 +167,76 @@ def test_the_moves_scan_finds_what_it_should():
         "    return env.scene.moves[(0, 0)]\n"
     )
     assert moves_reads(source) == [(3, ".G.f"), (5, ".g")]
+
+
+NDARRAY_REDUCTIONS = ("sum", "max", "cumsum", "mean", "all")
+
+
+def method_reductions(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing def/class path) of each `.sum(`, `.max(`, `.cumsum(`,
+    `.mean(` or `.all(` call in `source`. numpy runs the ndarray methods
+    .sum, .max, .mean and .all through a Python-level wrapper before the ufunc."""
+    return scoped_matches(source, lambda node: isinstance(node, ast.Call)
+                          and isinstance(node.func, ast.Attribute)
+                          and node.func.attr in NDARRAY_REDUCTIONS)
+
+
+def test_the_a2c_acting_step_and_losses_call_numpy_reductions_as_ufuncs():
+    """The A2C sampler and update, and the softmax and losses they call, reduce
+    with np.maximum.reduce, np.add.reduce and np.add.accumulate: the same IEEE
+    operations as the ndarray methods, without their per-call wrapper."""
+    a2c = (PACKAGE / "training" / "a2c.py").read_text()
+    assert method_reductions(a2c) == []
+    nn = [scope for _, scope in method_reductions((PACKAGE / "nn.py").read_text())]
+    assert not set(nn) & {"._softmax_parts", ".policy_losses", ".mse_loss"}
+
+
+def test_the_reduction_scan_finds_what_it_should():
+    source = (
+        "def f(x):\n"
+        "    return x.sum(axis=1), np.add.reduce(x), sum(x), x.max()\n"
+        "class A:\n"
+        "    def g(self, y):\n"
+        "        return (y * y).mean() + y.cumsum().all(), y.argmax()\n"
+    )
+    assert method_reductions(source) == [(2, ".f"), (2, ".f"), (5, ".A.g"), (5, ".A.g"), (5, ".A.g")]
+
+
+def discounted_recursions(source: str) -> list[tuple[int, str]]:
+    """Where `source` assigns `acc = <term> + <factor> * acc` (any names): a
+    discounted recursion, as the n-step returns run."""
+    def matches(node):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Add)):
+            return False
+        name = node.targets[0].id
+        return any(isinstance(term, ast.BinOp) and isinstance(term.op, ast.Mult)
+                   and any(isinstance(side, ast.Name) and side.id == name
+                           for side in (term.left, term.right))
+                   for term in (node.value.left, node.value.right))
+    return scoped_matches(source, matches)
+
+
+def test_the_nstep_recursion_is_written_once():
+    """compute_nstep_returns and A2cStrategy.apply_update share _nstep_returns,
+    so a second copy of the return recursion cannot come back unseen."""
+    found = [
+        (path.relative_to(PACKAGE).as_posix(), scope)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for _, scope in discounted_recursions(path.read_text())
+    ]
+    assert found == [("training/a2c.py", "._nstep_returns")]
+
+
+def test_the_recursion_scan_finds_what_it_should():
+    source = (
+        "def f(rewards, gamma):\n"
+        "    acc = 0.0\n"
+        "    for r in rewards:\n"
+        "        acc = r + gamma * acc\n"
+        "        total = gamma * total + r\n"
+        "        other = r + gamma * acc\n"
+        "    return acc\n"
+    )
+    assert discounted_recursions(source) == [(4, ".f"), (5, ".f")]

@@ -127,6 +127,25 @@ def test_grids_of_two_sizes_never_reach_a_lane_kernel():
     assert [env._steps for env in made] == [3] * EVAL_LANES + [0]
 
 
+@pytest.mark.parametrize("order", [(5, 4), (4, 5), (5, 5, 4)])
+def test_the_grid_kernel_refuses_lanes_of_two_sizes_before_any_lane_moves(order):
+    """Called directly, GridWorld.step_lanes checks that every lane's grid has
+    the first lane's cell count, whatever its scene object, before any lane moves."""
+    lanes = [GridWorld(GridScene(side, side, goal=(side - 1, side - 1))) for side in order]
+    for env in lanes:
+        env.reset()
+    assert lane_stepper(lanes) == GridWorld.step_lanes
+    before = lane_states(lanes)
+    with pytest.raises(ValueError, match=r"grid lanes of (25 and 16|16 and 25) cells"):
+        GridWorld.step_lanes(lanes, [1] * len(lanes))
+    assert lane_states(lanes) == before
+    walled = random_walled_scene(np.random.default_rng(3), 5, 5)
+    same_size = [GridWorld(GridScene(5, 5)), GridWorld(walled)]  # two scenes of 25 cells
+    for env in same_size:
+        env.reset()
+    assert GridWorld.step_lanes(same_size, [1, 1])[0].shape == (2, 25)
+
+
 # ---------------------------------------------------------------------------
 # Lane sets that take the per-env default
 # ---------------------------------------------------------------------------
