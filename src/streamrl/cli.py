@@ -20,9 +20,11 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import yaml
 
@@ -67,40 +69,126 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending key."""
 
 
-def _check_keys(section: dict, path: str, required: tuple, optional: tuple) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected a mapping, got {type(section).__name__}")
-    unknown = sorted(set(section) - set(required) - set(optional))
+# ---------------------------------------------------------------------------
+# The schema. Every section is a table {key: (check, default)}. A check takes
+# (value, path), raises a ConfigError naming `path` when the value is bad, and
+# returns the checked value, or _Built(its effective form, what it built).
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()  # the default of a key that must be present
+_OPTIONAL = object()  # the default of a key that stays absent when it is absent
+
+
+class _Built(NamedTuple):
+    """A checked value's default-expanded ("effective") form and what it builds."""
+
+    effective: object
+    value: object
+
+
+def _split(checked) -> tuple:
+    return checked if isinstance(checked, _Built) else (checked, checked)
+
+
+def _fields(section, path: str, fields: dict) -> tuple[dict, dict]:
+    """Checks `section` against `fields` and returns its effective form and
+    its built values, each {key: ...}, with the default for an absent key. The
+    top level's path is ""; its own faults are reported under "config"."""
+    where = path or "config"
+    _mapping(section, where)
+    unknown = sorted(set(section) - set(fields), key=str)  # YAML keys may be ints or bools
     if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {unknown}")
-    for key in required:
-        if key not in section:
-            raise ConfigError(f"{path}.{key}: missing required key")
+        raise ConfigError(f"{where}: unknown key(s) {unknown}")
+    for key, (_, default) in fields.items():
+        if default is _REQUIRED and key not in section:
+            raise ConfigError(f"{where}.{key}: missing required key")
+    effective, values = {}, {}
+    for key, (check, default) in fields.items():
+        if key in section or default is not _OPTIONAL:
+            checked = check(section.get(key, default), f"{path}.{key}" if path else key)
+            effective[key], values[key] = _split(checked)
+    return effective, values
 
 
-def _fields(section: dict, path: str, fields: dict, required: tuple = ()) -> dict:
-    """Checks `section` against `fields` ({key: (check, default)}) and returns
-    every field's checked value, with the default for an absent key. Keys in
-    `required` must be present; the caller checks their values."""
-    _check_keys(section, path, required, tuple(fields))
-    return {
-        key: check(section.get(key, default), f"{path}.{key}")
-        for key, (check, default) in fields.items()
-    }
+def _lookup(table: dict, kind, path: str, noun: str):
+    """table[kind]; an unknown kind is reported with every kind of the table."""
+    if not isinstance(kind, str) or kind not in table:
+        raise ConfigError(f"{path}: unknown {noun} {kind!r} (choose from {', '.join(table)})")
+    return table[kind]
 
 
-def _choice(value, path: str, table: dict) -> tuple:
-    """A one-key map {kind: arg} whose kind is a key of `table`, which maps each
-    kind to (check, build). Returns the effective {kind: checked arg} and
-    build(checked arg)."""
-    if not isinstance(value, dict) or len(value) != 1:
-        raise ConfigError(f"{path}: expected a one-key map {{kind: arg}}, kind one of {list(table)}")
-    (kind, arg), = value.items()
-    if kind not in table:
-        raise ConfigError(f"{path}: unknown kind {kind!r} (choose from {', '.join(table)})")
-    check, build = table[kind]
-    arg = check(arg, f"{path}.{kind}")
-    return {kind: arg}, build(arg)
+@contextmanager
+def _at(path: str, errors=(TypeError, ValueError)):
+    """Reports `errors` raised by the library calls inside as ConfigErrors under `path`."""
+    try:
+        yield
+    except errors as err:
+        raise ConfigError(f"{path}: {err}")
+
+
+@dataclass(frozen=True)
+class _Section:
+    """A mapping checked against `fields`; build(values, path), if given, makes
+    what the section declares from its checked values."""
+
+    fields: dict
+    build: Callable | None = None
+
+    def __call__(self, section, path: str):
+        effective, values = _fields(section, path, self.fields)
+        return effective if self.build is None else _Built(effective, self.build(values, path))
+
+
+@dataclass(frozen=True)
+class _Kinded:
+    """A mapping whose `key` names its kind, checked as that kind's _Section in `table`."""
+
+    key: str
+    noun: str
+    table: dict
+
+    def __call__(self, section, path: str):
+        _mapping(section, path)
+        if self.key not in section:
+            raise ConfigError(f"{path}.{self.key}: missing required key")
+        return _lookup(self.table, section[self.key], f"{path}.{self.key}", self.noun)(section, path)
+
+
+@dataclass(frozen=True)
+class _Choice:
+    """A one-key map {kind: arg}; `table` maps each kind to (check, build)."""
+
+    table: dict
+
+    def __call__(self, value, path: str) -> _Built:
+        if not isinstance(value, dict) or len(value) != 1:
+            raise ConfigError(
+                f"{path}: expected a one-key map {{kind: arg}}, kind one of {list(self.table)}")
+        (kind, arg), = value.items()
+        check, build = _lookup(self.table, kind, path, "kind")
+        effective, arg = _split(check(arg, f"{path}.{kind}"))
+        return _Built({kind: effective}, build(arg))
+
+
+@dataclass(frozen=True)
+class _ListOf:
+    """A list whose entries each pass `entry`; `non_empty` refuses an empty one."""
+
+    entry: Callable
+    non_empty: bool = True
+
+    def __call__(self, value, path: str) -> _Built:
+        if not isinstance(value, list) or (self.non_empty and not value):
+            raise ConfigError(f"{path}: expected a {'non-empty ' * self.non_empty}list")
+        pairs = [_split(self.entry(item, f"{path}[{i}]")) for i, item in enumerate(value)]
+        return _Built([effective for effective, _ in pairs], [built for _, built in pairs])
+
+
+def _any(value, path: str):
+    return value
+
+
+_AS_WRITTEN = (_any, _REQUIRED)  # a required key kept as written: a kind, a name, a task type
 
 
 def _int_from(low: float, requirement: str) -> Callable:
@@ -131,6 +219,18 @@ def _bool(value, path: str) -> bool:
     return value
 
 
+def _text(value, path: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{path}: expected a non-empty string")
+    return value
+
+
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path}: expected a mapping")
+    return dict(value)
+
+
 def _number(value, path: str, allow_inf: bool = False) -> float:
     """A real number: never NaN, and infinite only where `allow_inf` says so."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -142,6 +242,9 @@ def _number(value, path: str, allow_inf: bool = False) -> float:
     if math.isnan(number) or (math.isinf(number) and not allow_inf):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return number
+
+
+_real = partial(_number, allow_inf=True)
 
 
 def _number_where(holds: Callable[[float], bool], requirement: str) -> Callable:
@@ -161,20 +264,6 @@ _positive = _number_where(lambda v: v > 0.0, "be > 0")
 _non_negative = _number_where(lambda v: v >= 0.0, "be >= 0")
 
 
-def _widths(value, path: str) -> list:
-    if not isinstance(value, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in value
-    ):
-        raise ConfigError(f"{path}: expected a list of positive layer widths")
-    return list(value)
-
-
-def _int_list(value, path: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of integers")
-    return [_integer(v, path) for v in value]
-
-
 def _int_map(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected a {{new: inner}} map of integers")
@@ -185,10 +274,55 @@ def _bounds(value, path: str) -> list:
     """[lo, hi] with lo <= hi; an infinite bound is a one-sided clip."""
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{path}: expected [lo, hi]")
-    bounds = [_number(bound, path, allow_inf=True) for bound in value]
+    bounds = [_real(bound, path) for bound in value]
     if bounds[0] > bounds[1]:
         raise ConfigError(f"{path}: expected lo <= hi, got {bounds}")
     return bounds
+
+
+def _scene_text(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a text map")
+    with _at(path, ValueError):
+        parse_scene(value)
+    return value
+
+
+def _scene(text: str, params: dict, path: str) -> GridScene:
+    """The scene of a checked text map with field overrides, reported under `path`."""
+    with _at(path):
+        return parse_scene(text, **params)
+
+
+def _no_map(kind: str, value, path: str):
+    raise ConfigError(f"{path}: a {kind} env takes no map (only gridworld does)")
+
+
+def _cartpole_params(value, path: str) -> _Built:
+    """Cart-pole parameter overrides; the effective config keeps them as written."""
+    params = _mapping(value, path)
+    with _at(path):
+        return _Built(params, CartPoleParams().override(**params))
+
+
+def _bandit_params(values: dict, path: str) -> BanditParams:
+    with _at(path):  # BanditParams refuses a negative or infinite noise_std
+        return BanditParams(**values)
+
+
+def _scene_params(value, path: str) -> dict:
+    params = _mapping(value, path)
+    for key in ("step_reward", "goal_reward"):
+        if key in params:  # the active task pays every reward
+            raise ConfigError(f"{path}: {key} is not read by the task stream; set it in tasks[i].params")
+    return params
+
+
+def _task(values: dict, path: str) -> tuple:
+    """(Task, duration) of one task entry."""
+    with _at(path):
+        task = build_task(values["type"], values.get("name", ""), **values.get("params", {}))
+    return task, values["duration"]
 
 
 # The one-key choices of the config, each {kind: (check, build)}.
@@ -198,10 +332,10 @@ _WRAPPERS = {
     "reward_clip": (_bounds, lambda bounds: RewardClip(*bounds)),
     "obs_normalize": (_true, lambda _: ObservationNormalize()),
     "action_remap": (_int_map, ActionRemap.from_dict),
-    "reduced_actions": (_int_list, lambda subset: ReducedActionSet(tuple(subset))),
+    "reduced_actions": (_ListOf(_integer), lambda subset: ReducedActionSet(tuple(subset))),
 }
 _ORDERS = {
-    "explicit": (_int_list, lambda indices: Explicit(tuple(indices))),
+    "explicit": (_ListOf(_integer), lambda indices: Explicit(tuple(indices))),
     "random_seed": (_seed, RandomSample),
 }
 _SWAPS = {
@@ -213,313 +347,178 @@ _ROLLOUTS = {"steps": (_positive_int, Steps), "episodes": (_positive_int, Episod
 _DURATIONS = {"episodes": (_positive_int, MaxEpisodes), "steps": (_positive_int, MaxSteps)}
 
 
-# ---------------------------------------------------------------------------
-# The config walk. Each function checks its section once and returns the
-# default-expanded ("effective") form together with what that form builds.
-# ---------------------------------------------------------------------------
-
-
-def _walk_wrappers(entries, path: str) -> tuple[list, tuple]:
-    if not isinstance(entries, list):
-        raise ConfigError(f"{path}: expected a list")
-    walked = [_choice(entry, f"{path}[{i}]", _WRAPPERS) for i, entry in enumerate(entries)]
-    return [effective for effective, _ in walked], tuple(spec for _, spec in walked)
-
-
-def _scene(text, params: dict, map_path: str, params_path: str) -> GridScene:
-    """A gridworld scene from a text map and field overrides. The map's own
-    faults are reported first, under `map_path`, then the overrides'."""
-    if not isinstance(text, str):
-        raise ConfigError(f"{map_path}: expected a text map")
-    try:
-        parse_scene(text)
-    except ValueError as err:
-        raise ConfigError(f"{map_path}: {err}")
-    try:
-        return parse_scene(text, **params)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{params_path}: {err}")
-
-
-def _walk_task(entry, path: str) -> tuple:
-    """One task entry {name, type, duration: {episodes|steps: n}, params} -> (Task, duration)."""
-    _check_keys(entry, path, required=("type", "duration"), optional=("name", "params"))
-    _, duration = _choice(entry["duration"], f"{path}.duration", _DURATIONS)
-    try:
-        return build_task(entry["type"], entry.get("name", ""), **entry.get("params", {})), duration
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}")
-
-
-def _walk_env_spec(entry: dict, path: str) -> tuple[dict, EnvSpec]:
-    _check_keys(entry, path, required=("name", "env"), optional=("map", "params", "wrappers"))
-    name = entry["name"]
-    kind = entry["env"]
-    params = entry.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError(f"{path}.params: expected a mapping")
-    wrappers, specs = _walk_wrappers(entry.get("wrappers", []), f"{path}.wrappers")
-    effective = {"name": name, "env": kind, "params": dict(params), "wrappers": wrappers}
-    if kind == "gridworld":
-        scene = _scene(entry.get("map"), params, f"{path}.map", f"{path}.params")
-        effective["map"] = entry["map"]
-        factory = lambda scene=scene: GridWorld(scene)  # noqa: E731
-    elif kind == "cartpole":
-        try:
-            cp = CartPoleParams().override(**params)
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{path}.params: {err}")
-        factory = lambda cp=cp: CartPole(cp)  # noqa: E731
-    elif kind == "bandit":
-        if "means" not in params:
-            raise ConfigError(f"{path}.params.means: bandit env needs arm means")
-        if not isinstance(params["means"], list):
-            raise ConfigError(f"{path}.params.means: expected a list of numbers")
-        checked = {
-            "means": [_number(m, f"{path}.params.means") for m in params["means"]],
-            "noise_std": _number(params.get("noise_std", 0.0), f"{path}.params: noise_std"),
-        }
-        try:
-            bp = BanditParams(**{**params, **checked})
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"{path}.params: {err}")
-        effective["params"] = {"means": list(bp.means), "noise_std": bp.noise_std}
-        factory = lambda bp=bp: Bandit(bp)  # noqa: E731
-    else:
-        raise ConfigError(
-            f"{path}.env: unknown env {kind!r} (choose from gridworld, cartpole, bandit)"
-        )
-    if "map" in entry and kind != "gridworld":
-        raise ConfigError(f"{path}.map: a {kind} env takes no map (only gridworld does)")
-    return effective, EnvSpec(name=name, factory=factory, wrappers=specs)
-
-
-def _walk_scenario(section: dict) -> tuple[dict, RLScenario]:
-    if not isinstance(section, dict):
-        raise ConfigError("scenario: expected a mapping")
-    generator = section.get("generator")
-    if generator == "gym_benchmark":
-        _check_keys(
-            section,
-            "scenario",
-            required=("generator", "env_specs", "n_experiences", "order"),
-            optional=("n_parallel_envs",),
-        )
-        order_effective, order = _choice(section["order"], "scenario.order", _ORDERS)
-        if not isinstance(section["env_specs"], list) or not section["env_specs"]:
-            raise ConfigError("scenario.env_specs: expected a non-empty list")
-        walked = [
-            _walk_env_spec(entry, f"scenario.env_specs[{i}]")
-            for i, entry in enumerate(section["env_specs"])
-        ]
-        # one network serves every experience, so every spec's env (wrappers
-        # included) must match the first one's observation shape and actions
-        envs = []
-        for i, (_, spec) in enumerate(walked):
-            try:
-                envs.append(spec.build())
-            except EnvError as err:  # a wrapper that does not fit its env's spaces
-                raise ConfigError(f"scenario.env_specs[{i}].wrappers: {err}")
-        first = (envs[0].observation_space.shape, envs[0].action_space)
-        for i, env in enumerate(envs[1:], 1):
-            if (env.observation_space.shape, env.action_space) != first:
-                raise ConfigError(
-                    f"scenario.env_specs[{i}]: observation shape "
-                    f"{env.observation_space.shape} and {env.action_space} differ from "
-                    f"env_specs[0]'s {first[0]} and {first[1]}"
-                )
-        effective = {
-            "generator": "gym_benchmark",
-            "env_specs": [spec_eff for spec_eff, _ in walked],
-            "n_experiences": _positive_int(section["n_experiences"], "scenario.n_experiences"),
-            "order": order_effective,
-            "n_parallel_envs": _positive_int(
-                section.get("n_parallel_envs", 1), "scenario.n_parallel_envs"
-            ),
-        }
-        try:
-            scenario = gym_benchmark_generator(
-                [spec for _, spec in walked],
-                n_experiences=effective["n_experiences"],
-                order=order,
-                n_parallel_envs=effective["n_parallel_envs"],
-            )
-        except ValueError as err:
-            raise ConfigError(f"scenario.order: {err}")
-        return effective, scenario
-    if generator == "continual_control":
-        _check_keys(
-            section,
-            "scenario",
-            required=("generator", "schedule"),
-            optional=("base_params", "n_parallel_envs"),
-        )
-        if not isinstance(section["schedule"], list) or not section["schedule"]:
-            raise ConfigError("scenario.schedule: expected a non-empty list of override maps")
-        base = section.get("base_params", {})
-        if not isinstance(base, dict):
-            raise ConfigError("scenario.base_params: expected a mapping")
-        for i, overrides in enumerate(section["schedule"]):
-            if not isinstance(overrides, dict):
-                raise ConfigError(f"scenario.schedule[{i}]: expected a mapping")
-        effective = {
-            "generator": "continual_control",
-            "base_params": dict(base),
-            "schedule": [dict(s) for s in section["schedule"]],
-            "n_parallel_envs": _positive_int(
-                section.get("n_parallel_envs", 1), "scenario.n_parallel_envs"
-            ),
-        }
-        try:
-            scenario = continual_control_generator(
-                CartPoleParams().override(**base),
-                effective["schedule"],
-                n_parallel_envs=effective["n_parallel_envs"],
-            )
-        except (TypeError, ValueError) as err:
-            raise ConfigError(f"scenario: bad cart-pole parameters: {err}")
-        return effective, scenario
-    if generator == "task_stream":
-        _check_keys(
-            section,
-            "scenario",
-            required=("generator", "tasks", "scenes"),
-            optional=("swap", "scene_params", "n_experiences"),
-        )
-        if not isinstance(section["tasks"], list) or not section["tasks"]:
-            raise ConfigError("scenario.tasks: expected a non-empty list")
-        if not isinstance(section["scenes"], list) or not section["scenes"]:
-            raise ConfigError("scenario.scenes: expected a non-empty list of text maps")
-        swap, policy = _choice(section.get("swap", {"on_task_change": True}), "scenario.swap", _SWAPS)
-        scene_params = section.get("scene_params", {})
-        if not isinstance(scene_params, dict):
-            raise ConfigError("scenario.scene_params: expected a mapping")
-        for key in ("step_reward", "goal_reward"):
-            if key in scene_params:  # the active task pays every reward
-                raise ConfigError(f"scenario.scene_params: {key} is not read by the task stream; "
-                                  "set it in tasks[i].params")
-        tasks, durations = zip(*(
-            _walk_task(entry, f"scenario.tasks[{i}]") for i, entry in enumerate(section["tasks"])
-        ))
-        scenes = [
-            _scene(text, scene_params, f"scenario.scenes[{i}]", "scenario.scene_params")
-            for i, text in enumerate(section["scenes"])
-        ]
-        effective = {
-            "generator": "task_stream",
-            "tasks": [dict(t) for t in section["tasks"]],
-            "scenes": list(section["scenes"]),
-            "scene_params": dict(scene_params),
-            "swap": swap,
-        }
-        if "n_experiences" in section:
-            effective["n_experiences"] = _positive_int(
-                section["n_experiences"], "scenario.n_experiences"
-            )
-        try:
-            scenario = task_stream_benchmark_generator(
-                tasks,
-                durations,
-                scenes,
-                swap_policy=policy,
-                n_experiences=effective.get("n_experiences"),
-            )
-        except StreamExhausted as err:
-            raise ConfigError(f"scenario.n_experiences: {err}")
-        except ValueError as err:
-            raise ConfigError(f"scenario: {err}")
-        return effective, scenario
-    raise ConfigError(
-        f"scenario.generator: unknown generator {generator!r} "
-        "(choose from gym_benchmark, continual_control, task_stream)"
-    )
-
-
-def _walk_strategy(section: dict, seeds: dict) -> tuple[dict, Callable]:
-    """Returns the effective strategy section and a function
-    (obs_dim, n_actions, budget, metrics) -> strategy."""
-    if not isinstance(section, dict):
-        raise ConfigError("strategy: expected a mapping")
-    name = section.get("name")
+def _env(map_field: tuple, params_check: Callable, factory: Callable) -> _Section:
+    """An env_specs entry of one kind; factory(values, path) makes its env factory."""
     fields = {
-        "gamma": (_unit_interval, 0.99),
-        "lr": (_positive, 0.001),
-        "hidden": (_widths, [64, 64]),
+        "name": _AS_WRITTEN,
+        "env": _AS_WRITTEN,
+        "map": map_field,
+        "params": (params_check, {}),
+        "wrappers": (_ListOf(_Choice(_WRAPPERS), non_empty=False), []),
     }
-    # heads: output name -> width, where None means one output per action
-    if name == "a2c":
-        fields.update(value_coef=(_number, 0.5), entropy_coef=(_number, 0.01))
-        cls, heads, extra = A2cStrategy, {"policy_logits": None, "value": 1}, {}
-    elif name in ("dqn", "double_dqn"):
-        fields.update(
-            batch_size=(_positive_int, 32),
-            replay_capacity=(_positive_int, 10_000),
-            target_sync_period=(_positive_int, 100),
-            eps_start=(_number, 1.0),
-            eps_end=(_number, 0.05),
-            eps_decay_fraction=(_number, 0.1),
-        )
-        cls, heads = DqnStrategy, {"q_values": None}
-        extra = {"double": name == "double_dqn", "replay_seed": seeds["sampling"] + 1}
-    else:
-        raise ConfigError(
-            f"strategy.name: unknown strategy {name!r} (choose from dqn, double_dqn, a2c)"
-        )
-    effective = {"name": name, **_fields(section, "strategy", fields, required=("name",))}
-    hyper = {key: effective[key] for key in fields if key not in ("lr", "hidden")}
+    return _Section(fields, lambda values, path: EnvSpec(
+        values["name"], factory(values, path), tuple(values["wrappers"])))
 
-    def build(obs_dim: int, n_actions: int, budget: TrainingBudget, metrics):
+
+_ENVS = {
+    "gridworld": _env((_scene_text, _REQUIRED), _mapping, lambda values, path: partial(
+        GridWorld, _scene(values["map"], values["params"], f"{path}.params"))),
+    "cartpole": _env((partial(_no_map, "cartpole"), _OPTIONAL), _cartpole_params,
+                     lambda values, _: partial(CartPole, values["params"])),
+    "bandit": _env(
+        (partial(_no_map, "bandit"), _OPTIONAL),
+        _Section({"means": (_ListOf(_number), _REQUIRED), "noise_std": (_real, 0.0)}, _bandit_params),
+        lambda values, _: partial(Bandit, values["params"])),
+}
+
+
+def _gym_benchmark(values: dict, path: str) -> RLScenario:
+    # one network serves every experience, so every spec's env (wrappers
+    # included) must match the first one's observation shape and actions
+    envs = []
+    for i, spec in enumerate(values["env_specs"]):
+        with _at(f"{path}.env_specs[{i}].wrappers", EnvError):  # a wrapper that misfits its env
+            envs.append(spec.build())
+    first = (envs[0].observation_space.shape, envs[0].action_space)
+    for i, env in enumerate(envs[1:], 1):
+        if (env.observation_space.shape, env.action_space) != first:
+            raise ConfigError(
+                f"{path}.env_specs[{i}]: observation shape {env.observation_space.shape} and "
+                f"{env.action_space} differ from env_specs[0]'s {first[0]} and {first[1]}"
+            )
+    with _at(f"{path}.order", ValueError):
+        return gym_benchmark_generator(
+            values["env_specs"], values["n_experiences"], values["order"], values["n_parallel_envs"])
+
+
+def _continual_control(values: dict, path: str) -> RLScenario:
+    with _at(f"{path}: bad cart-pole parameters"):
+        return continual_control_generator(
+            CartPoleParams().override(**values["base_params"]),
+            values["schedule"],
+            n_parallel_envs=values["n_parallel_envs"],
+        )
+
+
+def _task_stream(values: dict, path: str) -> RLScenario:
+    tasks, durations = zip(*values["tasks"])
+    scenes = [_scene(text, values["scene_params"], f"{path}.scene_params") for text in values["scenes"]]
+    # ValueError is caught innermost: a ConfigError is one, and must not be rewrapped
+    with _at(f"{path}.n_experiences", StreamExhausted), _at(path, ValueError):
+        return task_stream_benchmark_generator(
+            tasks, durations, scenes, swap_policy=values["swap"],
+            n_experiences=values.get("n_experiences"),
+        )
+
+
+_PARALLEL = {"n_parallel_envs": (_positive_int, 1)}
+_GENERATORS = {
+    "gym_benchmark": _Section({
+        "generator": _AS_WRITTEN,
+        "order": (_Choice(_ORDERS), _REQUIRED),
+        "env_specs": (_ListOf(_Kinded("env", "env", _ENVS)), _REQUIRED),
+        "n_experiences": (_positive_int, _REQUIRED),
+        **_PARALLEL,
+    }, _gym_benchmark),
+    "continual_control": _Section({
+        "generator": _AS_WRITTEN,
+        "schedule": (_ListOf(_mapping), _REQUIRED),
+        "base_params": (_mapping, {}),
+        **_PARALLEL,
+    }, _continual_control),
+    "task_stream": _Section({
+        "generator": _AS_WRITTEN,
+        "tasks": (_ListOf(_Section({
+            "type": _AS_WRITTEN,
+            "duration": (_Choice(_DURATIONS), _REQUIRED),
+            "name": (_any, _OPTIONAL),
+            "params": (_mapping, _OPTIONAL),
+        }, _task)), _REQUIRED),
+        "scenes": (_ListOf(_scene_text), _REQUIRED),
+        "swap": (_Choice(_SWAPS), {"on_task_change": True}),
+        "scene_params": (_scene_params, {}),
+        "n_experiences": (_positive_int, _OPTIONAL),
+    }, _task_stream),
+}
+
+
+def _strategy(cls, heads: dict, hyper: dict, seeded: Callable) -> _Section:
+    """A strategy kind. gamma and the `hyper` fields go to `cls` by name, with
+    seeded(seeds); `heads` maps each network output to its width, None for one
+    per action. Builds make(seeds, obs_dim, n_actions, budget, metrics)."""
+
+    def make(values, seeds, obs_dim: int, n_actions: int, budget: TrainingBudget, metrics):
         widths = {head: width or n_actions for head, width in heads.items()}
-        sizes = [obs_dim] + effective["hidden"] + [sum(widths.values())]
         return cls(
-            Mlp(sizes, heads=widths, seed=seeds["net"]),
-            Adam(effective["lr"]),
+            Mlp([obs_dim, *values["hidden"], sum(widths.values())], heads=widths, seed=seeds["net"]),
+            Adam(values["lr"]),
             budget,
             env_seed=seeds["env"],
             eval_env_seed=seeds["env"] + EVAL_SEED_OFFSET,
             metrics=metrics,
             action_seed=seeds["sampling"],
-            **hyper,
-            **extra,
+            **{key: values[key] for key in ("gamma", *hyper)},
+            **seeded(seeds),
         )
 
-    return effective, build
+    fields = {
+        "name": _AS_WRITTEN,
+        "gamma": (_unit_interval, 0.99),
+        "lr": (_positive, 0.001),
+        "hidden": (_ListOf(_positive_int, non_empty=False), [64, 64]),
+        **hyper,
+    }
+    return _Section(fields, lambda values, path: partial(make, values))
 
 
-def _walk_plugins(entries, seeds: dict) -> tuple[list, list]:
-    if entries is None:
-        entries = []
-    if not isinstance(entries, list):
-        raise ConfigError("plugins: expected a list")
-    effective, plugins = [], []
-    for i, entry in enumerate(entries):
-        path = f"plugins[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{path}: expected a mapping")
-        name = entry.get("name")
-        if name == "naive":
-            cls, fields, extra = NaivePlugin, {}, {}
-        elif name == "ewc":
-            cls, extra = EwcPlugin, {}
-            fields = {"lam": (_non_negative, 100.0), "fisher_sample_count": (_positive_int, 512)}
-        elif name == "replay":
-            cls, extra = ReplayPlugin, {"seed": seeds["sampling"] + 2}
-            fields = {"capacity": (_positive_int, 10_000), "mix_ratio": (_unit_interval, 0.5)}
-        else:
-            raise ConfigError(
-                f"{path}.name: unknown plugin {name!r} (choose from naive, ewc, replay)"
-            )
-        values = _fields(entry, path, fields, required=("name",))
-        effective.append({"name": name, **values})
-        plugins.append(cls(**values, **extra))
-    return effective, plugins
+_DQN = {
+    "batch_size": (_positive_int, 32),
+    "replay_capacity": (_positive_int, 10_000),
+    "target_sync_period": (_positive_int, 100),
+    "eps_start": (_number, 1.0),
+    "eps_end": (_number, 0.05),
+    "eps_decay_fraction": (_number, 0.1),
+}
+_STRATEGIES = {
+    "dqn": _strategy(DqnStrategy, {"q_values": None}, _DQN,
+                     lambda seeds: {"double": False, "replay_seed": seeds["sampling"] + 1}),
+    "double_dqn": _strategy(DqnStrategy, {"q_values": None}, _DQN,
+                            lambda seeds: {"double": True, "replay_seed": seeds["sampling"] + 1}),
+    "a2c": _strategy(A2cStrategy, {"policy_logits": None, "value": 1},
+                     {"value_coef": (_number, 0.5), "entropy_coef": (_number, 0.01)}, lambda seeds: {}),
+}
 
 
-def _walk_budget(section: dict) -> tuple[dict, TrainingBudget]:
-    _check_keys(section, "budget", required=("updates_per_experience",), optional=("rollout",))
-    updates = _positive_int(section["updates_per_experience"], "budget.updates_per_experience")
-    rollout, condition = _choice(section.get("rollout", {"steps": 5}), "budget.rollout", _ROLLOUTS)
-    return {"updates_per_experience": updates, "rollout": rollout}, TrainingBudget(updates, condition)
+def _plugin(cls, fields: dict, seeded: Callable = lambda seeds: {}) -> _Section:
+    """A plugin kind whose `fields` go to `cls` by name, with seeded(seeds). Builds make(seeds)."""
+    return _Section({"name": _AS_WRITTEN, **fields}, lambda values, path: lambda seeds: cls(
+        **{key: values[key] for key in fields}, **seeded(seeds)))
+
+
+_PLUGIN_LIST = _ListOf(_Kinded("name", "plugin", {
+    "naive": _plugin(NaivePlugin, {}),
+    "ewc": _plugin(EwcPlugin, {"lam": (_non_negative, 100.0),
+                               "fisher_sample_count": (_positive_int, 512)}),
+    "replay": _plugin(ReplayPlugin, {"capacity": (_positive_int, 10_000),
+                                     "mix_ratio": (_unit_interval, 0.5)},
+                      lambda seeds: {"seed": seeds["sampling"] + 2}),
+}), non_empty=False)
+
+
+_CONFIG = {
+    "seeds": (_Section(dict.fromkeys(("env", "net", "sampling"), (_seed, _REQUIRED))), _REQUIRED),
+    "eval": (_Section({"episodes": (_positive_int, 10), "after_each_experience": (_bool, True)}), {}),
+    "output_dir": (_text, _REQUIRED),
+    "scenario": (_Kinded("generator", "generator", _GENERATORS), _REQUIRED),
+    "strategy": (_Kinded("name", "strategy", _STRATEGIES), _REQUIRED),
+    # `plugins:` with no entries reads as null
+    "plugins": (lambda value, path: _PLUGIN_LIST([] if value is None else value, path), []),
+    "budget": (_Section(
+        {"updates_per_experience": (_positive_int, _REQUIRED),
+         "rollout": (_Choice(_ROLLOUTS), {"steps": 5})},
+        lambda values, path: TrainingBudget(values["updates_per_experience"], values["rollout"]),
+    ), _REQUIRED),
+}
 
 
 @dataclass(frozen=True)
@@ -541,37 +540,10 @@ class Experiment:
 
 def walk_config(raw: dict) -> Experiment:
     """Checks the parsed YAML, each key once, and builds what it declares."""
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a top-level mapping")
-    _check_keys(
-        raw,
-        "config",
-        required=("scenario", "strategy", "budget", "seeds", "output_dir"),
-        optional=("plugins", "eval"),
-    )
-    keys = ("env", "net", "sampling")
-    seeds = _fields(raw["seeds"], "seeds", dict.fromkeys(keys, (_seed, None)), required=keys)
-    eval_eff = _fields(
-        raw.get("eval", {}),
-        "eval",
-        {"episodes": (_positive_int, 10), "after_each_experience": (_bool, True)},
-    )
-    if not isinstance(raw["output_dir"], str) or not raw["output_dir"]:
-        raise ConfigError("output_dir: expected a non-empty string")
-    scenario_eff, scenario = _walk_scenario(raw["scenario"])
-    strategy_eff, make_strategy = _walk_strategy(raw["strategy"], seeds)
-    plugins_eff, plugins = _walk_plugins(raw.get("plugins"), seeds)
-    budget_eff, budget = _walk_budget(raw["budget"])
-    effective = {
-        "scenario": scenario_eff,
-        "strategy": strategy_eff,
-        "plugins": plugins_eff,
-        "budget": budget_eff,
-        "seeds": seeds,
-        "eval": eval_eff,
-        "output_dir": raw["output_dir"],
-    }
-    return Experiment(effective, scenario, budget, plugins, make_strategy)
+    effective, built = _fields(raw, "", _CONFIG)
+    seeds = built["seeds"]
+    return Experiment(effective, built["scenario"], built["budget"],
+                      [make(seeds) for make in built["plugins"]], partial(built["strategy"], seeds))
 
 
 def load_config(path) -> Experiment:
@@ -601,11 +573,8 @@ def _resolve_output_dir(config: dict) -> Path:
 def cmd_run(config_path: str) -> int:
     experiment = load_config(config_path)
     out_dir = _resolve_output_dir(experiment.effective)
-    effective = dict(experiment.effective)
-    effective["output_dir"] = str(out_dir)
-    (out_dir / "config_effective.yaml").write_text(
-        yaml.safe_dump(effective, sort_keys=True)
-    )
+    effective = {**experiment.effective, "output_dir": str(out_dir)}
+    (out_dir / "config_effective.yaml").write_text(yaml.safe_dump(effective, sort_keys=True))
 
     collector = MetricsCollector(window=10, loggers=[JsonlLogger(out_dir / "metrics.jsonl")])
     try:

@@ -154,10 +154,6 @@ class Rollout:
             self._steps = Transitions(*columns, np.full(len(self), self.task_label))
         return self._steps
 
-    def by_actor(self) -> Transitions:
-        """Actor-major columns of shape [n_actors, T, ...]."""
-        return self.steps()[np.arange(len(self)).reshape(len(self._rows), self.n_actors).T]
-
 
 @dataclass(frozen=True)
 class Steps:
@@ -346,9 +342,6 @@ class RLBaseStrategy:
     def on_experience_start(self, experience: RLExperience) -> None:
         pass
 
-    def on_experience_end(self, experience: RLExperience) -> None:
-        pass
-
     # ------------------------------------------------------------------
     # engine
     # ------------------------------------------------------------------
@@ -448,7 +441,6 @@ class RLBaseStrategy:
                     self.global_update_index += 1
                 phase = "fisher"  # where regularization plugins measure importance
                 self._fire("after_training_exp")
-                self.on_experience_end(exp)
             except NonFinite as err:
                 where = f"experience {exp.experience_index}, update {self.update_index}, {phase}"
                 raise NonFinite(f"{where}: {err}") from err

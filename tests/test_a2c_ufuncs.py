@@ -13,6 +13,7 @@ import pytest
 
 from streamrl.nn import Adam, Mlp, mse_loss, policy_losses, softmax
 from streamrl.training import A2cStrategy, Rollout, Steps, TrainingBudget, compute_nstep_returns
+from test_transitions import by_actor
 
 ACTIONS = range(2, 10)
 BATCHES = (1, 4, 20, 33)
@@ -66,7 +67,7 @@ def parent_nstep_returns(rewards, dones, bootstrap_value, gamma):
 def parent_update(strat, rollout):
     """A2cStrategy.apply_update with the oracles above and one returns array
     per actor, joined."""
-    per_actor = rollout.by_actor()
+    per_actor = by_actor(rollout)
     tail_values = strat.model.forward(per_actor.next_obs[:, -1])["value"][:, 0]
     returns = np.concatenate([
         parent_nstep_returns(rewards, dones, tail, strat.gamma)

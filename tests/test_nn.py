@@ -23,6 +23,7 @@ from streamrl.nn import (
     softmax,
 )
 from streamrl.training import Rollout
+from test_transitions import by_actor
 
 
 def identity_net(n=2):
@@ -306,7 +307,7 @@ def a2c_tail_obs(n_actors, obs_dim, rng):
         obs = rng.normal(size=(n_actors, obs_dim))
         rollout.append(obs, np.zeros(n_actors, dtype=np.int64), np.zeros(n_actors),
                        np.zeros(n_actors, dtype=bool), obs + 1.0)
-    tail = rollout.by_actor().next_obs[:, -1]
+    tail = by_actor(rollout).next_obs[:, -1]
     assert n_actors == 1 or not tail.flags.c_contiguous
     return tail
 

@@ -240,3 +240,44 @@ def test_the_recursion_scan_finds_what_it_should():
         "    return acc\n"
     )
     assert discounted_recursions(source) == [(4, ".f"), (5, ".f")]
+
+
+def literal_comparisons(source: str) -> list[tuple[int, str]]:
+    """(line, enclosing def/class path) of each ==, !=, in or not in comparison
+    in `source` with a str constant on either side, alone or in a tuple, list
+    or set literal: the test an if/elif kind ladder is made of."""
+    def text(node):
+        return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                or isinstance(node, (ast.Tuple, ast.List, ast.Set)) and any(map(text, node.elts)))
+
+    return scoped_matches(source, lambda node: isinstance(node, ast.Compare)
+                          and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+                                  for op in node.ops)
+                          and any(map(text, (node.left, *node.comparators))))
+
+
+def test_the_config_walk_selects_every_kind_by_table_lookup():
+    """cli.py picks each config kind (generator, env, strategy, plugin and the
+    one-key choices) by one lookup in its table, whose keys also write the
+    "choose from" message, so a hand-kept kind ladder cannot come back unseen.
+    main's subcommand dispatch and the module's __main__ check read no config."""
+    found = [(line, scope) for line, scope in literal_comparisons((PACKAGE / "cli.py").read_text())
+             if scope not in ("", ".main")]
+    assert found == []
+
+
+def test_the_literal_comparison_scan_finds_what_it_should():
+    source = (
+        "def walk(section, other):\n"
+        "    kind = section.get('env')\n"
+        "    if kind == 'gridworld' or 'map' in section:\n"
+        "        return 1\n"
+        "    elif kind in ('cartpole', 'bandit') or kind != other:\n"
+        "        return 2\n"
+        "    return TABLE[kind] if kind is not None and 'x' < kind else 0\n"
+        "class Main:\n"
+        "    def main(self, args):\n"
+        "        return args.command == 'run' or ['eval'] != args.rest\n"
+    )
+    assert literal_comparisons(source) == [
+        (3, ".walk"), (3, ".walk"), (5, ".walk"), (10, ".Main.main"), (10, ".Main.main")]

@@ -52,6 +52,7 @@ from streamrl.training.base import EVAL_LANES, HOOKS
 from streamrl.training.dqn import ReplayBuffer
 from streamrl.vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
 from test_nn import old_entropy_loss, old_mse_loss, old_policy_gradient_loss, old_softmax
+from test_transitions import by_actor
 
 SPEC_A = EnvSpec("grid_a", lambda: GridWorld(GridScene(5, 5)))
 SPEC_B = EnvSpec("grid_b", lambda: GridWorld(GridScene(5, 5, goal=(0, 4))))
@@ -752,7 +753,7 @@ def old_a2c_update(strat, rollout):
     """A2cStrategy.apply_update as it was before policy_losses: the old
     returns, policy-gradient, entropy and MSE formulas (test_nn keeps their
     oracles), each with its own softmax."""
-    per_actor = rollout.by_actor()
+    per_actor = by_actor(rollout)
     tail_values = strat.model.forward(per_actor.next_obs[:, -1])["value"][:, 0]
     returns = np.concatenate([
         old_compute_nstep_returns(per_actor.reward[a], per_actor.done[a], tail_values[a], strat.gamma)
@@ -883,7 +884,7 @@ class RolloutLog(StrategyPlugin):
         self.rollouts = []
 
     def after_rollout(self, strategy):
-        self.rollouts.append(strategy.rollout.by_actor())
+        self.rollouts.append(by_actor(strategy.rollout))
 
 
 def test_episode_bookkeeping_matches_per_actor_oracle():

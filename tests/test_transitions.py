@@ -20,6 +20,14 @@ from streamrl.plugins import EwcPlugin, ReplayPlugin
 from streamrl.training import DqnStrategy, Rollout, Steps, TrainingBudget, Transitions
 from streamrl.training.dqn import ReplayBuffer
 
+
+def by_actor(rollout: Rollout) -> Transitions:
+    """The rollout's actor-major columns, of shape [n_actors, T, ...]: a
+    fancy-indexed copy of its time-major steps, the reference that A2C's
+    reshaped views are checked against."""
+    return rollout.steps()[np.arange(len(rollout)).reshape(-1, rollout.n_actors).T]
+
+
 FIELDS = ("obs", "action", "reward", "done", "next_obs", "task_label")
 
 
@@ -134,7 +142,7 @@ def test_rollout_time_major_and_actor_major_orders():
     flat = rollout.steps()
     assert flat.obs[:, 0].tolist() == [10.0 * a + t for t in range(4) for a in range(3)]
     assert flat.task_label.tolist() == [5] * 12
-    per_actor = rollout.by_actor()
+    per_actor = by_actor(rollout)
     assert per_actor.obs.shape == (3, 4, 2)
     assert per_actor.obs[:, :, 0].reshape(-1).tolist() == [
         10.0 * a + t for a in range(3) for t in range(4)
