@@ -14,6 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .checks import count
 from .core_env import Environment, WrapperSpec, wrap_all
 from .envs import CartPole, CartPoleParams, InvalidParams
 
@@ -37,8 +38,7 @@ class RLExperience:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.n_envs < 1:
-            raise ValueError("n_envs must be >= 1")
+        count(self.n_envs, "n_envs")
 
 
 @dataclass(frozen=True)

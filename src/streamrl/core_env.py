@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import count
+
 
 class EnvError(Exception):
     """Base class for environment contract violations."""
@@ -42,8 +44,7 @@ class Discrete:
     n: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"Discrete space needs n >= 1, got {self.n}")
+        count(self.n, "Discrete(n)")
 
     def contains(self, action) -> bool:
         # numpy integers compare with Python ints exactly, so no int() is needed
@@ -228,10 +229,8 @@ class _Wrapped(Environment):
 
 class _TimeLimitEnv(_Wrapped):
     def __init__(self, env: Environment, max_steps: int):
-        if max_steps < 1:
-            raise ValueError("TimeLimit needs max_steps >= 1")
         super().__init__(env)
-        self._max_steps = max_steps
+        self._max_steps = count(max_steps, "TimeLimit max_steps")
         self._elapsed = 0
 
     def reset(self, seed: int | None = None) -> np.ndarray:
@@ -255,10 +254,8 @@ class _FrameStackEnv(_Wrapped):
     """
 
     def __init__(self, env: Environment, k: int):
-        if k < 1:
-            raise ValueError("FrameStack needs k >= 1")
         super().__init__(env)
-        self._k = k
+        self._k = count(k, "FrameStack k")
         self._frames: list[np.ndarray] = []
         space = env.observation_space
         if isinstance(space, BoxSpace):

@@ -9,12 +9,12 @@ one-step environment small enough to check policies against closed forms.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .checks import count, finite
 from .core_env import BoxSpace, Discrete, Environment, StepResult
 
 
@@ -36,18 +36,14 @@ class CartPoleParams:
 
     def __post_init__(self) -> None:
         for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise InvalidParams(f"{name} must be a finite number, got {value!r}")
+            value = finite(getattr(self, name), name, InvalidParams)
             # gravity/force_mag of exactly 0 are allowed for degenerate test setups
             if name in ("gravity", "force_mag"):
                 if value < 0:
                     raise InvalidParams(f"{name} must be >= 0, got {value}")
             elif value <= 0:
                 raise InvalidParams(f"{name} must be > 0, got {value}")
-        if not isinstance(self.max_steps, numbers.Integral):
-            raise InvalidParams(f"max_steps must be an integer, got {self.max_steps!r}")
+        count(self.max_steps, "max_steps", InvalidParams)
         # the state space every env on these parameters shares; set eagerly, as GridScene's
         high = np.array([self.x_threshold * 2, np.inf, self.theta_threshold * 2, np.inf])
         object.__setattr__(self, "observation_space", BoxSpace(-high, high, (4,)))
@@ -173,17 +169,10 @@ class GridScene:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "walls", frozenset(tuple(w) for w in self.walls))
-        if self.width < 1 or self.height < 1:
-            raise InvalidParams("scene dimensions must be >= 1")
-        if not isinstance(self.max_steps, numbers.Integral) or isinstance(self.max_steps, bool):
-            raise InvalidParams(f"max_steps must be an integer, got {self.max_steps!r}")
-        if self.max_steps < 1:
-            raise InvalidParams("max_steps must be >= 1")
+        for name in ("width", "height", "max_steps"):
+            count(getattr(self, name), name, InvalidParams)
         for name in ("step_reward", "goal_reward"):
-            value = getattr(self, name)
-            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise InvalidParams(f"{name} must be a finite number, got {value!r}")
+            finite(getattr(self, name), name, InvalidParams)
         for name, cell in (("start", self.start), ("goal", self.goal)):
             if not self.in_bounds(cell):
                 raise InvalidParams(f"{name} {cell} outside {self.width}x{self.height} grid")
@@ -346,13 +335,12 @@ class BanditParams:
     noise_std: float = 0.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "means", tuple(float(m) for m in self.means))
+        means = tuple(float(finite(m, "bandit means", InvalidParams)) for m in self.means)
+        object.__setattr__(self, "means", means)
         if len(self.means) < 1:
             raise InvalidParams("bandit needs k >= 1 arms")
-        if not all(math.isfinite(m) for m in self.means):
-            raise InvalidParams("bandit means must be finite")
-        if not (self.noise_std >= 0 and math.isfinite(self.noise_std)):
-            raise InvalidParams(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if finite(self.noise_std, "noise_std", InvalidParams) < 0:
+            raise InvalidParams(f"noise_std must be >= 0, got {self.noise_std!r}")
 
     @property
     def k(self) -> int:

@@ -16,6 +16,8 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 
+from .checks import count
+
 CSV_HEADER = ["global_step", "experience_index", "phase", "metric_name", "value"]
 
 
@@ -41,10 +43,8 @@ class WindowedScalar:
     """Arithmetic mean over the last `window` pushed values."""
 
     def __init__(self, window: int = 10):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self._values: deque[float] = deque(maxlen=window)
+        self.window = count(window, "window")
+        self._values: deque[float] = deque(maxlen=int(window))
 
     def push(self, value: float) -> None:
         self._values.append(float(value))

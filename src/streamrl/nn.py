@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .checks import finite
+
 
 class ShapeMismatch(ValueError):
     """Input shapes disagree with the network or with each other."""
@@ -316,8 +318,8 @@ def entropy_loss(logits: np.ndarray) -> tuple[float, np.ndarray]:
 
 class Sgd:
     def __init__(self, lr: float):
-        if lr <= 0:
-            raise ValueError("lr must be > 0")
+        if finite(lr, "lr") <= 0:
+            raise ValueError(f"lr must be > 0, got {lr!r}")
         self.lr = float(lr)
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
@@ -340,8 +342,8 @@ class Adam:
     def __init__(
         self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
     ):
-        if lr <= 0:
-            raise ValueError("lr must be > 0")
+        if finite(lr, "lr") <= 0:
+            raise ValueError(f"lr must be > 0, got {lr!r}")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)

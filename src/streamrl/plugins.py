@@ -9,13 +9,12 @@ against.
 
 from __future__ import annotations
 
-import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import count, finite
 from .nn import LengthMismatch
 from .training.base import StrategyPlugin, Transitions
 from .training.dqn import ReplayBuffer
@@ -41,19 +40,12 @@ class EwcState:
         return len(self.anchors)
 
 
-def ewc_penalty_and_grad(
-    model, state: EwcState, scratch: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def ewc_penalty_and_grad(model, state: EwcState) -> tuple[float, np.ndarray]:
     """penalty = sum_k (lam/2) * sum_i F_k[i] * (theta[i] - theta*_k[i])^2
-    and its exact gradient sum_k lam * F_k * (theta - theta*_k).
-
-    `scratch`, a float64 array of shape (3, param_count), is where the work
-    is done; the returned gradient is then its first row, valid until the
-    next call that gets the same scratch. Without it, a new one is allocated."""
+    and its exact gradient sum_k lam * F_k * (theta - theta*_k)."""
     params = model.params
-    grad, diff, term = np.empty((3, params.size)) if scratch is None else scratch
+    grad, diff, term = np.zeros((3, params.size))
     penalty = 0.0
-    grad.fill(0.0)
     for anchor, fisher in zip(state.anchors, state.fishers):
         if anchor.size != params.size or fisher.size != params.size:
             raise LengthMismatch(
@@ -93,16 +85,10 @@ class EwcPlugin(StrategyPlugin):
     """
 
     def __init__(self, lam: float = 100.0, fisher_sample_count: int = 512):
-        if not (math.isfinite(lam) and lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {lam!r}")
-        if (not isinstance(fisher_sample_count, numbers.Integral)
-                or isinstance(fisher_sample_count, bool) or fisher_sample_count < 1):
-            raise ValueError(
-                f"fisher_sample_count must be an integer >= 1, got {fisher_sample_count!r}"
-            )
-        self.state = EwcState(float(lam), fisher_sample_count)
+        if finite(lam, "lam") < 0:
+            raise ValueError(f"lam must be >= 0, got {lam!r}")
+        self.state = EwcState(float(lam), count(fisher_sample_count, "fisher_sample_count"))
         self._recent = ReplayBuffer(fisher_sample_count)
-        self._scratch = np.empty((3, 0))  # ewc_penalty_and_grad's, sized by the model
 
     def before_training_exp(self, strategy) -> None:
         self._recent.clear()
@@ -113,9 +99,7 @@ class EwcPlugin(StrategyPlugin):
     def before_update(self, strategy) -> None:
         if not self.state.anchors:
             return
-        if self._scratch.shape[1] != strategy.model.params.size:
-            self._scratch = np.empty((3, strategy.model.params.size))
-        penalty, grad = ewc_penalty_and_grad(strategy.model, self.state, self._scratch)
+        penalty, grad = ewc_penalty_and_grad(strategy.model, self.state)
         strategy.loss += penalty
         strategy.grad_accum += grad
 

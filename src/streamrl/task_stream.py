@@ -17,8 +17,6 @@ is invalid in the new scene it is moved to that scene's start.
 from __future__ import annotations
 
 import enum
-import math
-import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
@@ -28,6 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .benchmarks import RLScenario, experiences
+from .checks import Count, finite
 from .core_env import Discrete, Environment, Space
 from .envs import GridScene, GridWorld
 
@@ -48,11 +47,6 @@ class GridState(NamedTuple):
     scene: GridScene
 
 
-# _grid_state((position, scene)) is GridState(position, scene) without the
-# Python-level __new__ of a NamedTuple call, about 0.1 us less per state.
-_grid_state = partial(tuple.__new__, GridState)
-
-
 @dataclass(frozen=True)
 class Task:
     name: str
@@ -62,24 +56,16 @@ class Task:
     on_activate: Optional[Callable[[object], None]] = None
 
 
-@dataclass(frozen=True)
-class _Count:
-    """A count n >= 1: a task's duration, or a swap policy's period."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        n = self.n
-        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
-            raise TaskStreamConfigError(f"{type(self).__name__} needs an integer n >= 1, got {n!r}")
-
-
-class MaxSteps(_Count):
+class MaxSteps(Count):
     """A task that lasts n env steps."""
 
+    error = TaskStreamConfigError
 
-class MaxEpisodes(_Count):
+
+class MaxEpisodes(Count):
     """A task that lasts n episodes."""
+
+    error = TaskStreamConfigError
 
 
 def _schedule_ends(
@@ -154,12 +140,16 @@ class OnTaskChange:
     pass
 
 
-class EveryNEpisodes(_Count):
+class EveryNEpisodes(Count):
     """Swap the scene after every n finished episodes."""
 
+    error = TaskStreamConfigError
 
-class EveryNSteps(_Count):
+
+class EveryNSteps(Count):
     """Swap the scene after every n env steps."""
+
+    error = TaskStreamConfigError
 
 
 class SceneManager:
@@ -257,9 +247,9 @@ class TaskStreamEnv(GridWorld):
     def _advance(self, action) -> tuple[int, float, bool]:
         """The grid's move, with reward and done from the active task."""
         scene, task = self.scene, self._task
-        state = _grid_state((self._pos, scene))
+        state = GridState(self._pos, scene)
         index, _, _ = GridWorld._advance(self, action)
-        next_state = _grid_state((self._pos, scene))
+        next_state = GridState(self._pos, scene)
         reward = float(task.reward_fn(state, int(action), next_state))
         self._done = done = bool(task.goal_test(next_state)) or self._steps >= scene.max_steps
         return index, reward, done
@@ -311,13 +301,7 @@ def build_task(type_name: str, name: str = "", **params) -> Task:
             f"task type {type_name!r} got unknown parameter(s) {unknown}; "
             f"declared: {sorted(schema)}"
         )
-    for key, value in params.items():
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and math.isfinite(value)):
-            raise TaskStreamConfigError(
-                f"parameter {key!r}: expected a finite number, got {value!r}"
-            )
-    values = {**schema, **{k: float(v) for k, v in params.items()}}
+    values = {**schema, **{k: float(finite(v, k, TaskStreamConfigError)) for k, v in params.items()}}
     if type_name == "reach_goal":
         reward_fn, goal_test = _make_reach_goal(values["step_reward"], values["goal_reward"])
     else:

@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .. import checks
 from ..benchmarks import RLExperience, RLScenario
 from ..core_env import ActionOutOfSpace, lane_stepper
 from ..core_env import deserialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
@@ -129,9 +130,7 @@ class Rollout:
     """
 
     def __init__(self, n_actors: int, task_label: int = 0):
-        if n_actors < 1:
-            raise ValueError("n_actors must be >= 1")
-        self.n_actors = n_actors
+        self.n_actors = checks.count(n_actors, "n_actors")
         self.task_label = task_label
         self._rows: list[tuple] = []
         self._steps: Optional[Transitions] = None
@@ -155,26 +154,12 @@ class Rollout:
         return self._steps
 
 
-@dataclass(frozen=True)
-class Steps:
+class Steps(checks.Count):
     """Roll for n vectorized env steps (n transitions per actor)."""
 
-    n: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("Steps(n) needs n >= 1")
-
-
-@dataclass(frozen=True)
-class Episodes:
+class Episodes(checks.Count):
     """Roll until n episodes have completed, summed across actors."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("Episodes(n) needs n >= 1")
 
 
 @dataclass(frozen=True)
@@ -183,8 +168,7 @@ class TrainingBudget:
     rollout_condition: Steps | Episodes
 
     def __post_init__(self) -> None:
-        if self.updates_per_experience < 1:
-            raise ValueError("updates_per_experience must be >= 1")
+        checks.count(self.updates_per_experience, "updates_per_experience")
 
 
 class StrategyPlugin:
@@ -479,8 +463,7 @@ class RLBaseStrategy:
         episodes run side by side with one greedy_action call per step; a
         factory that returns one env twice plays them one at a time. Records
         and results come in episode order."""
-        if n_episodes < 1:
-            raise InvalidEpisodeCount(f"n_episodes must be >= 1, got {n_episodes}")
+        checks.count(n_episodes, "n_episodes", InvalidEpisodeCount)
         saved = None
         if self.metrics is not None:
             saved = (self.metrics.phase, self.metrics.experience_index)

@@ -24,13 +24,13 @@ are meant to control explicitly.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections import deque
 from typing import Optional
 
 import numpy as np
 
 from ..benchmarks import RLExperience
+from ..checks import count
 from ..nn import huber_loss
 from .base import InsufficientReplay, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
@@ -42,9 +42,7 @@ class ReplayBuffer:
     overwrites the oldest one."""
 
     def __init__(self, capacity: int, seed: int = 0):
-        if not isinstance(capacity, numbers.Integral) or isinstance(capacity, bool) or capacity < 1:
-            raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
-        self.capacity = capacity
+        self.capacity = count(capacity, "capacity")
         self._slots = Transitions.zeros((0,), ())  # allocated by the first extend()
         self._size = 0
         self._next = 0
@@ -184,14 +182,10 @@ class DqnStrategy(RLBaseStrategy):
         super().__init__(model, optimizer, budget, gamma=gamma, **kwargs)
         if "q_values" not in model.heads:
             raise ValueError("DQN model must expose a 'q_values' head")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if target_sync_period < 1:
-            raise ValueError("target_sync_period must be >= 1")
         self.n_actions = model.heads["q_values"]
-        self.batch_size = batch_size
+        self.batch_size = count(batch_size, "batch_size")
         self.double = double
-        self.target_sync_period = target_sync_period
+        self.target_sync_period = count(target_sync_period, "target_sync_period")
         self.eps_start = float(eps_start)
         self.eps_end = float(eps_end)
         self.eps_decay_fraction = float(eps_decay_fraction)

@@ -25,6 +25,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
+from .checks import count
 from .core_env import ActionOutOfSpace, Environment, lane_stepper
 from .core_env import serialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 
@@ -73,11 +74,9 @@ class VectorizedEnv:
         base_seed: int = 0,
         mode: Literal["serial", "parallel"] = "serial",
     ):
-        if n_actors < 1:
-            raise ValueError("n_actors must be >= 1")
+        self.n_actors = count(n_actors, "n_actors")
         if mode not in ("serial", "parallel"):
             raise ValueError(f"unknown mode {mode!r}")
-        self.n_actors = n_actors
         self.base_seed = base_seed
         self.mode = mode
         self._conns, self._procs = [], []

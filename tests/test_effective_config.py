@@ -75,7 +75,7 @@ IRREGULAR = {
 }
 
 EFFECTIVE_CONFIGS = {
-    **{f"golden-{name}": {**config, "output_dir": "out"} for name, (config, _, _) in GOLDEN.items()},
+    **{f"golden-{name}": {**config, "output_dir": "out"} for name, config in GOLDEN.items()},
     **{f"readme-{i}": config for i, config in enumerate(readme_configs())},
     **IRREGULAR,
 }

@@ -5,19 +5,37 @@ SHA-256 values below.
 The pins make "bitwise identical" a property the suite enforces: a change
 that is meant to keep every float64 value must leave them as they are, and
 one that changes results on purpose must say so and re-pin them. The values
-depend on the numpy build (BLAS kernels, summation order), so they are
-recorded with numpy's major.minor version, and the test skips on another.
+depend on the numpy build and on the kernel its bundled OpenBLAS picks for
+the CPU when it loads (np.dot's bits differ between kernels), so there is
+one pin set per (numpy major.minor, OpenBLAS kernel). The runs in this
+process check the set of the kernel in use, and skip, naming the numpy
+version and the kernel, when there is none. Each other kernel with a pin set
+is checked in a subprocess that forces it with OPENBLAS_CORETYPE, where the
+CPU has the instructions it needs.
+
+Run as a script, this module prints the OpenBLAS kernel and the digests of
+every golden config as JSON: `OPENBLAS_CORETYPE=Haswell python
+tests/test_golden_digests.py` records a pin set for another kernel.
 """
 
+import contextlib
+import ctypes
 import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import streamrl
 from streamrl.cli import main
 
-NUMPY_VERSION = "2.4"
+NUMPY_VERSION = ".".join(np.__version__.split(".")[:2])
 
 MAP_A = "S.#..\n..#..\n..#..\n..#..\n.G#.."
 MAP_B = "..#.S\n..#..\n..#..\n..#..\n..#G."
@@ -166,55 +184,138 @@ A2C_GRID_EWC = {
     "eval": {"episodes": 6, "after_each_experience": True},
 }
 
-# name -> (config, sha256 of metrics.jsonl, sha256 of checkpoint.bin), recorded
-# with numpy 2.4 (OpenBLAS 0.3.31) on x86-64
+# name -> config
 GOLDEN = {
-    "dqn-replay": (
-        DQN_REPLAY,
-        "82e32928cdea7dbfe04736323ff68951de9f5c93d2e13d913c2d6f517e4ee2c7",
-        "138537762d990e3078eb7ba051451d4fdae82dfc8d684896d0cf273be8ba0af5",
-    ),
-    "a2c-ewc": (
-        A2C_EWC,
-        "06b5280e070a8c77340b725e5180c92e80dd0b6e4c722fb22ac57df83f9071a8",
-        "a7133a4d8f9b7d4327e3436af025beca39724665350bde25679d6be21f22b65f",
-    ),
-    "a2c-episodes": (
-        A2C_EPISODES,
-        "0310222eba5a7742f0e992efade3c08ecf43628363a1167d9c9776949dbdec63",
-        "606cc293c7562256de400d498510dc655539f9629fb0571b1abdf8958ed5a49f",
-    ),
-    "double-dqn-ewc": (
-        DOUBLE_DQN_EWC,
-        "be435a13f367ac098c9b1c08cec74f76a60e85e3a81842a858acdbeac7c9376f",
-        "970aa3c2b1739a633a067ff326783164a9ec99b440b5463859ced369d7b9285c",
-    ),
-    "task-stream": (
-        TASK_STREAM,
-        "3bea7da9d23c39d878e6484be518a1967fc3b8f40c21f17f7dfebb1d64cc4bfd",
-        "bf5f5b7b06e94a17be52561e56bd6d1197f3f0f1f78e32a21937c3690553fdba",
-    ),
-    "a2c-grid-ewc": (
-        A2C_GRID_EWC,
-        "2a61460fc4e3497cbd624508a27994b2a0cd22b80833f4789674d0de4694bcb4",
-        "c97b2051d8e4ae541395ee1cb05fa7bec85e7e249b6b6f099a0f0dc8d170a882",
-    ),
+    "dqn-replay": DQN_REPLAY,
+    "a2c-ewc": A2C_EWC,
+    "a2c-episodes": A2C_EPISODES,
+    "double-dqn-ewc": DOUBLE_DQN_EWC,
+    "task-stream": TASK_STREAM,
+    "a2c-grid-ewc": A2C_GRID_EWC,
 }
 
+# (numpy major.minor, OpenBLAS kernel) -> name -> (sha256 of metrics.jsonl,
+# sha256 of checkpoint.bin), recorded with numpy 2.4 (OpenBLAS 0.3.31) on x86-64
+PINS = {
+    ("2.4", "SkylakeX"): {
+        "dqn-replay": ("82e32928cdea7dbfe04736323ff68951de9f5c93d2e13d913c2d6f517e4ee2c7",
+                       "138537762d990e3078eb7ba051451d4fdae82dfc8d684896d0cf273be8ba0af5"),
+        "a2c-ewc": ("06b5280e070a8c77340b725e5180c92e80dd0b6e4c722fb22ac57df83f9071a8",
+                    "a7133a4d8f9b7d4327e3436af025beca39724665350bde25679d6be21f22b65f"),
+        "a2c-episodes": ("0310222eba5a7742f0e992efade3c08ecf43628363a1167d9c9776949dbdec63",
+                         "606cc293c7562256de400d498510dc655539f9629fb0571b1abdf8958ed5a49f"),
+        "double-dqn-ewc": ("be435a13f367ac098c9b1c08cec74f76a60e85e3a81842a858acdbeac7c9376f",
+                           "970aa3c2b1739a633a067ff326783164a9ec99b440b5463859ced369d7b9285c"),
+        "task-stream": ("3bea7da9d23c39d878e6484be518a1967fc3b8f40c21f17f7dfebb1d64cc4bfd",
+                        "bf5f5b7b06e94a17be52561e56bd6d1197f3f0f1f78e32a21937c3690553fdba"),
+        "a2c-grid-ewc": ("2a61460fc4e3497cbd624508a27994b2a0cd22b80833f4789674d0de4694bcb4",
+                         "c97b2051d8e4ae541395ee1cb05fa7bec85e7e249b6b6f099a0f0dc8d170a882"),
+    },
+    ("2.4", "Haswell"): {
+        "dqn-replay": ("1daa4003f580e8149d6a602163cbb46a8754e23580c344d6f8d8ba6a15bebb88",
+                       "844c72371466bbe852cca893722d64535d3d6360c9db8f82ee0c7c4b9cb920bb"),
+        "a2c-ewc": ("03f171cfcd8b1339a82a98dedd9ba9251a40f26de3261f75159ec369c1c5b12a",
+                    "ddadab5201463dd44959e1aa7f9ef792f890c18d0c0f6910e3538f9616e05d76"),
+        "a2c-episodes": ("22e5d0abce4929f12f42d1d96e8a7a3e3689a08a315c3304c13ad029949a2776",
+                         "ce02d674d0152277ae7c35bc0ec55be7d2e490c2dba40353ced247fa30afc92c"),
+        "double-dqn-ewc": ("be435a13f367ac098c9b1c08cec74f76a60e85e3a81842a858acdbeac7c9376f",
+                           "970aa3c2b1739a633a067ff326783164a9ec99b440b5463859ced369d7b9285c"),
+        "task-stream": ("3bea7da9d23c39d878e6484be518a1967fc3b8f40c21f17f7dfebb1d64cc4bfd",
+                        "bf5f5b7b06e94a17be52561e56bd6d1197f3f0f1f78e32a21937c3690553fdba"),
+        "a2c-grid-ewc": ("f2fc80627ce1263fa5f68b331935cfabdf806d485039a8203dbf6c055ae2cf48",
+                         "ea4f416bc810f23c584e0c658001944211a40c7cd8bf35269f7d5d3a26abc61e"),
+    },
+}
 
-@pytest.mark.skipif(
-    ".".join(np.__version__.split(".")[:2]) != NUMPY_VERSION,
-    reason=f"digests were recorded with numpy {NUMPY_VERSION}, this is numpy {np.__version__}",
-)
+# the x86 CPU flag each pinned kernel's code needs, as /proc/cpuinfo names it
+KERNEL_FLAGS = {"SkylakeX": "avx512f", "Haswell": "avx2"}
+
+
+def blas_kernel() -> str | None:
+    """The kernel numpy's bundled scipy-openblas picked when it loaded (for
+    example "SkylakeX"), or None for a numpy without one."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        return None
+    # the library is loaded already, so this is numpy's own instance
+    corename = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+KERNEL = blas_kernel()
+
+
+def run_digests(config: dict, workdir: Path) -> tuple[str, str]:
+    """SHA-256 of the metrics.jsonl and checkpoint.bin that `streamrl run` writes."""
+    path = workdir / "config.yaml"
+    path.write_text(yaml.safe_dump({**config, "output_dir": str(workdir / "out")}))
+    assert main(["run", str(path)]) == 0
+    return tuple(hashlib.sha256((workdir / "out" / artifact).read_bytes()).hexdigest()
+                 for artifact in ("metrics.jsonl", "checkpoint.bin"))
+
+
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_run_outputs_match_the_pinned_digests(name, tmp_path, monkeypatch):
+    pins = PINS.get((NUMPY_VERSION, KERNEL))
+    if pins is None:
+        pytest.skip(f"no digests pinned for numpy {np.__version__} with OpenBLAS kernel {KERNEL}")
     monkeypatch.delenv("STREAMRL_OUTPUT_DIR", raising=False)
-    config, metrics_sha, checkpoint_sha = GOLDEN[name]
-    path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump({**config, "output_dir": str(tmp_path / "out")}))
-    assert main(["run", str(path)]) == 0
-    digest = {
-        artifact: hashlib.sha256((tmp_path / "out" / artifact).read_bytes()).hexdigest()
-        for artifact in ("metrics.jsonl", "checkpoint.bin")
-    }
-    assert digest == {"metrics.jsonl": metrics_sha, "checkpoint.bin": checkpoint_sha}
+    assert run_digests(GOLDEN[name], tmp_path) == pins[name]
+
+
+def cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.partition(":")[2].split()}
+
+
+OTHER_KERNELS = [kernel for numpy_version, kernel in PINS
+                 if numpy_version == NUMPY_VERSION and kernel != KERNEL]
+
+
+@pytest.fixture(scope="module")
+def forced_kernel_digests():
+    """kernel -> what this module, run as a script with OPENBLAS_CORETYPE set
+    to that kernel, prints; computed once per kernel."""
+    cache = {}
+
+    def digests(kernel):
+        if kernel not in cache:
+            env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [
+                       str(Path(streamrl.__file__).parent.parent), os.environ.get("PYTHONPATH")]))}
+            env.pop("STREAMRL_OUTPUT_DIR", None)
+            done = subprocess.run([sys.executable, __file__], env=env, capture_output=True,
+                                  text=True, timeout=600)
+            assert done.returncode == 0, done.stderr
+            cache[kernel] = json.loads(done.stdout)
+        return cache[kernel]
+
+    return digests
+
+
+@pytest.mark.skipif(KERNEL is None, reason="numpy has no bundled scipy-openblas")
+@pytest.mark.parametrize("kernel,name", [(kernel, name) for kernel in OTHER_KERNELS
+                                         for name in GOLDEN])
+def test_another_kernel_reproduces_its_pins_in_a_subprocess(kernel, name, forced_kernel_digests):
+    if KERNEL_FLAGS[kernel] not in cpu_flags():
+        pytest.skip(f"this CPU lacks {KERNEL_FLAGS[kernel]}, which OpenBLAS's {kernel} kernel needs")
+    printed = forced_kernel_digests(kernel)
+    assert printed["kernel"] == kernel
+    assert tuple(printed["digests"][name]) == PINS[(NUMPY_VERSION, kernel)][name]
+
+
+if __name__ == "__main__":
+    # the runs' progress lines go to stderr, so stdout holds only the JSON
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
+        digests = {}
+        for name, config in GOLDEN.items():
+            (Path(tmp) / name).mkdir()
+            digests[name] = run_digests(config, Path(tmp) / name)
+    print(json.dumps({"numpy": np.__version__, "kernel": KERNEL, "digests": digests}, indent=1))

@@ -161,8 +161,8 @@ def old_ewc_penalty_and_grad(model, state):
 @pytest.mark.parametrize("n_anchors", [1, 2, 3])
 def test_ewc_before_update_equals_the_old_composition_bitwise(n_anchors, prior):
     """loss += penalty and grad_accum += grad, bit for bit as with the old
-    allocating function, over updates that reuse the plugin's scratch rows,
-    also when a preceding plugin already put a gradient in grad_accum."""
+    function, over several updates, also when a preceding plugin already put
+    a gradient in grad_accum."""
     rng = np.random.default_rng(n_anchors)
     model = Mlp([4, 16, 3], seed=n_anchors)
     plugin = EwcPlugin(lam=37.5)
@@ -184,7 +184,7 @@ def test_ewc_before_update_equals_the_old_composition_bitwise(n_anchors, prior):
         assert np.float64(strategy.loss).tobytes() == np.float64(want_loss).tobytes()
         assert strategy.grad_accum.tobytes() == want_accum.tobytes()
         model.params[...] += rng.normal(size=model.param_count) * 0.1
-    penalty, grad = ewc_penalty_and_grad(model, plugin.state)  # the allocating form
+    penalty, grad = ewc_penalty_and_grad(model, plugin.state)
     want_penalty, want_grad = old_ewc_penalty_and_grad(model, plugin.state)
     assert penalty == want_penalty and grad.tobytes() == want_grad.tobytes()
 

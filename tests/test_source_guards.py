@@ -4,7 +4,11 @@ strips. No line is longer than MAX_LINE, so a line count measures code,
 not how densely it is packed. And no module imports a name it never uses."""
 
 import ast
+import subprocess
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import streamrl
 
@@ -281,3 +285,69 @@ def test_the_literal_comparison_scan_finds_what_it_should():
     )
     assert literal_comparisons(source) == [
         (3, ".walk"), (3, ".walk"), (5, ".walk"), (10, ".Main.main"), (10, ".Main.main")]
+
+
+# the commit before the shared argument checks of checks.py
+BEFORE_SHARED_CHECKS = "ac614bbfd8a17580d2e09695d4bf6d6a96e2e831"
+CHECK_MODULES = ("checks.py", "cli.py")
+
+
+def hand_written_checks(source: str) -> list[tuple[int, str]]:
+    """(line, mark) of each import of `numbers` in `source` and each
+    isinstance(..., bool) test, bool alone or in a tuple of types: the two
+    marks of an argument check written out by hand."""
+    def bool_test(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            return False
+        types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(isinstance(t, ast.Name) and t.id == "bool" for t in types)
+
+    def numbers_import(node):
+        return (isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "numbers")
+
+    return sorted((node.lineno, "import numbers" if numbers_import(node) else "isinstance bool")
+                  for node in ast.walk(ast.parse(source)) if numbers_import(node) or bool_test(node))
+
+
+def test_argument_checks_go_through_the_checks_module():
+    """checks.count and checks.finite hold the count and finite-number rules;
+    cli.py keeps its schema checks, which report key paths."""
+    found = [
+        f"{path.relative_to(PACKAGE)}:{line} {mark}"
+        for path in sorted(PACKAGE.rglob("*.py")) if path.name not in CHECK_MODULES
+        for line, mark in hand_written_checks(path.read_text())
+    ]
+    assert found == [], f"hand-written argument checks; call streamrl.checks instead: {found}"
+
+
+def test_the_hand_written_check_scan_finds_what_it_should():
+    source = (
+        "import math, numbers\n"
+        "from numbers import Integral\n"
+        "def f(x):\n"
+        "    if isinstance(x, bool) or not isinstance(x, (int, float)):\n"
+        "        return isinstance(x, (np.bool_, bool)) or type(x) is bool\n"
+    )
+    assert hand_written_checks(source) == [
+        (1, "import numbers"), (2, "import numbers"), (4, "isinstance bool"), (5, "isinstance bool")]
+
+
+def test_the_hand_written_check_scan_finds_the_copies_the_checks_module_replaced():
+    root = PACKAGE.parent.parent
+    listed = subprocess.run(["git", "-C", str(root), "ls-tree", "-r", "--name-only",
+                             BEFORE_SHARED_CHECKS, "src/streamrl"], capture_output=True, text=True,
+                            timeout=60)
+    if listed.returncode != 0:
+        pytest.skip(f"no git history with commit {BEFORE_SHARED_CHECKS[:7]} here")
+    found = Counter()
+    for name in listed.stdout.split():
+        if name.endswith(".py") and Path(name).name not in CHECK_MODULES:
+            source = subprocess.run(["git", "-C", str(root), "show", f"{BEFORE_SHARED_CHECKS}:{name}"],
+                                    capture_output=True, text=True, check=True, timeout=60).stdout
+            found.update((name.removeprefix("src/streamrl/"), mark)
+                         for _, mark in hand_written_checks(source))
+    assert {name: n for (name, mark), n in found.items() if mark == "import numbers"} == {
+        "training/dqn.py": 1, "plugins.py": 1, "envs.py": 1, "task_stream.py": 1}
+    assert sum(n for (_, mark), n in found.items() if mark == "isinstance bool") == 7
