@@ -1,7 +1,9 @@
-"""The two argument rules the public constructors share. A count is an
-integer >= 1; a finite number is a real that is neither NaN nor infinite.
-Neither is a bool. Each check names the argument it refuses and raises the
-caller's error class, so a module keeps its own ValueError subclass."""
+"""The argument rules the public constructors and the config walk share. An
+integer may need a lower bound, and a count is an integer >= 1; a finite
+number is a real that is neither NaN nor infinite. None is a bool. Each
+check names the argument it refuses (the config walk names its key path)
+and raises the caller's error class, so a module keeps its own ValueError
+subclass."""
 
 from __future__ import annotations
 
@@ -13,15 +15,20 @@ from typing import ClassVar
 _FLOAT_MAX = sys.float_info.max
 
 
+def integer(value, what: str, error: type[ValueError] = ValueError, low: int | None = None):
+    """`value` if it is an integer, not a bool, and >= `low` when `low` is
+    given; else raises `error`."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{what} must be >= {low}, got {value!r}")
+    return value
+
+
 def count(value, what: str, error: type[ValueError] = ValueError):
     """`value` if it is an integer >= 1 and not a bool; else raises `error`."""
     # a plain int skips the ABC isinstance, which costs about 0.5 us
-    if type(value) is not int and (
-            not isinstance(value, numbers.Integral) or isinstance(value, bool)):
-        raise error(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise error(f"{what} must be >= 1, got {value!r}")
-    return value
+    return value if type(value) is int and value >= 1 else integer(value, what, error, 1)
 
 
 def finite(value, what: str, error: type[ValueError] = ValueError):

@@ -28,6 +28,7 @@ from typing import Callable, NamedTuple
 
 import yaml
 
+from . import checks
 from .benchmarks import (
     EnvSpec,
     Explicit,
@@ -191,20 +192,9 @@ def _any(value, path: str):
 _AS_WRITTEN = (_any, _REQUIRED)  # a required key kept as written: a kind, a name, a task type
 
 
-def _int_from(low: float, requirement: str) -> Callable:
-    """An integer check (a bool is not an integer) that also requires value >= low."""
-
-    def check(value, path: str) -> int:
-        if not isinstance(value, int) or isinstance(value, bool) or value < low:
-            raise ConfigError(f"{path}: expected {requirement}, got {value!r}")
-        return value
-
-    return check
-
-
-_integer = _int_from(-math.inf, "an integer")
-_positive_int = _int_from(1, "a positive integer")
-_seed = _int_from(0, "a non-negative integer")
+_integer = partial(checks.integer, error=ConfigError)
+_positive_int = partial(checks.count, error=ConfigError)
+_seed = partial(checks.integer, error=ConfigError, low=0)
 
 
 def _true(value, path: str) -> bool:
@@ -214,7 +204,7 @@ def _true(value, path: str) -> bool:
 
 
 def _bool(value, path: str) -> bool:
-    if not isinstance(value, bool):
+    if type(value) is not bool:
         raise ConfigError(f"{path}: expected true or false, got {value!r}")
     return value
 
@@ -231,35 +221,28 @@ def _mapping(value, path: str) -> dict:
     return dict(value)
 
 
-def _number(value, path: str, allow_inf: bool = False) -> float:
-    """A real number: never NaN, and infinite only where `allow_inf` says so."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}: expected a finite number, got an int beyond the float range")
-    if math.isnan(number) or (math.isinf(number) and not allow_inf):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return number
+def _number(value, path: str) -> float:
+    return float(checks.finite(value, path, ConfigError))
 
 
-_real = partial(_number, allow_inf=True)
+def _real(value, path: str) -> float:
+    """A number or +-inf: a one-sided reward clip bound, or a noise_std for BanditParams to refuse."""
+    return float(value) if value in (-math.inf, math.inf) else _number(value, path)
 
 
 def _number_where(holds: Callable[[float], bool], requirement: str) -> Callable:
     """A number check that also requires `holds(value)`."""
 
     def check(value, path: str) -> float:
-        value = _number(value, path)
-        if not holds(value):
-            raise ConfigError(f"{path}: must {requirement}")
-        return value
+        number = _number(value, path)
+        if not holds(number):
+            raise ConfigError(f"{path} must {requirement}, got {value!r}")
+        return number
 
     return check
 
 
-_unit_interval = _number_where(lambda v: 0.0 <= v <= 1.0, "lie in [0, 1]")
+_unit_interval = _number_where(lambda v: 0.0 <= v <= 1.0, "be in [0, 1]")
 _positive = _number_where(lambda v: v > 0.0, "be > 0")
 _non_negative = _number_where(lambda v: v >= 0.0, "be >= 0")
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import finite
+from .checks import count, finite
 
 
 class ShapeMismatch(ValueError):
@@ -78,7 +78,7 @@ class Mlp:
     ):
         if len(sizes) < 2:
             raise ValueError("Mlp needs at least input and output sizes")
-        self.sizes = tuple(int(s) for s in sizes)
+        self.sizes = tuple(int(count(s, f"sizes[{i}]")) for i, s in enumerate(sizes))
         n_layers = len(self.sizes) - 1
         if activations is None:
             activations = ["relu"] * (n_layers - 1) + ["identity"]
@@ -344,6 +344,11 @@ class Adam:
     ):
         if finite(lr, "lr") <= 0:
             raise ValueError(f"lr must be > 0, got {lr!r}")
+        for name, beta in (("beta1", beta1), ("beta2", beta2)):
+            if not 0 <= finite(beta, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {beta!r}")
+        if finite(eps, "eps") <= 0:
+            raise ValueError(f"eps must be > 0, got {eps!r}")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)

@@ -165,8 +165,8 @@ class ReplayPlugin(StrategyPlugin):
     """
 
     def __init__(self, capacity: int = 10_000, mix_ratio: float = 0.5, seed: int = 0):
-        if not 0.0 <= mix_ratio <= 1.0:
-            raise ValueError("mix_ratio must lie in [0, 1]")
+        if not 0.0 <= finite(mix_ratio, "mix_ratio") <= 1.0:
+            raise ValueError(f"mix_ratio must be in [0, 1], got {mix_ratio!r}")
         self.memory = ReplayBuffer(capacity, seed=seed)
         self.mix_ratio = float(mix_ratio)
         self._rng = np.random.default_rng(seed + 1)

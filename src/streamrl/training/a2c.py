@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..checks import finite
 from ..nn import mse_loss, policy_gradient_loss, policy_losses, softmax
 from .base import EmptyRollout, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
@@ -66,8 +67,8 @@ class A2cStrategy(RLBaseStrategy):
         if model.heads["value"] != 1:
             raise ValueError("the 'value' head must have width 1")
         self.n_actions = model.heads["policy_logits"]
-        self.value_coef = float(value_coef)
-        self.entropy_coef = float(entropy_coef)
+        self.value_coef = float(finite(value_coef, "value_coef"))
+        self.entropy_coef = float(finite(entropy_coef, "entropy_coef"))
         self._action_rng = np.random.default_rng(action_seed)
 
     def sample_rollout_action(self, obs_batch: np.ndarray) -> np.ndarray:
@@ -119,8 +120,8 @@ class A2cStrategy(RLBaseStrategy):
 
         self.loss += base_loss
         self.updates_applied_this_exp += 1
-        self._record("loss", self.loss)
-        self._record("entropy", entropy)
+        self.metrics.record_custom("loss", self.loss)
+        self.metrics.record_custom("entropy", entropy)
 
     def per_sample_loss_grad(self, step: Transitions) -> np.ndarray:
         """One row: the gradient of -log pi(a|s) for the taken action

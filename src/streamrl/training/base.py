@@ -169,6 +169,9 @@ class TrainingBudget:
 
     def __post_init__(self) -> None:
         checks.count(self.updates_per_experience, "updates_per_experience")
+        condition = self.rollout_condition
+        if not isinstance(condition, (Steps, Episodes)):
+            raise TypeError(f"rollout_condition must be Steps or Episodes, got {condition!r}")
 
 
 class StrategyPlugin:
@@ -256,15 +259,15 @@ class RLBaseStrategy:
         metrics: Optional[MetricsCollector] = None,
         vec_mode: str = "serial",
     ):
-        if not 0.0 <= gamma <= 1.0:
-            raise ValueError(f"gamma must lie in [0, 1], got {gamma}")
+        if not 0.0 <= checks.finite(gamma, "gamma") <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {gamma!r}")
         self.model = model
         self.optimizer = optimizer
         self.budget = budget
         self.gamma = float(gamma)
-        self.env_seed = env_seed
-        self.eval_env_seed = eval_env_seed
-        self.metrics = metrics
+        self.env_seed = checks.integer(env_seed, "env_seed", low=0)
+        self.eval_env_seed = checks.integer(eval_env_seed, "eval_env_seed", low=0)
+        self.metrics = MetricsCollector() if metrics is None else metrics
         self.vec_mode = vec_mode
         self.plugins: list[StrategyPlugin] = []
         # state visible to plugins
@@ -334,10 +337,6 @@ class RLBaseStrategy:
         for plugin in self.plugins:
             getattr(plugin, hook)(self)
 
-    def _record(self, name: str, value: float) -> None:
-        if self.metrics is not None:
-            self.metrics.record_custom(name, value)
-
     def collect_rollout(self, venv: VectorizedEnv, condition: Steps | Episodes) -> Rollout:
         """Gathers transitions until the condition is met. The observation
         carried in self.current_obs persists across calls, so consecutive
@@ -360,16 +359,14 @@ class RLBaseStrategy:
                 episode_return, length = self._ep_return[a], self._ep_length[a]
                 episodes_finished += 1
                 self._exp_episode_returns.append(episode_return)
-                if self.metrics is not None:
-                    self.metrics.record_episode(episode_return, length)
+                self.metrics.record_episode(episode_return, length)
                 self._ep_return[a] = 0.0
                 self._ep_length[a] = 0
             self.current_obs = obs
             vec_steps += 1
             self.env_steps_this_exp += venv.n_actors
             self.total_env_steps += venv.n_actors
-            if self.metrics is not None:
-                self.metrics.global_step = self.total_env_steps
+            self.metrics.global_step = self.total_env_steps
             if (vec_steps if isinstance(condition, Steps) else episodes_finished) >= condition.n:
                 return rollout
 
@@ -390,10 +387,9 @@ class RLBaseStrategy:
         evals: list[tuple[EvalResult, ...]] = []
         for exp in scenario.train_stream:
             self.experience = exp
-            if self.metrics is not None:
-                self.metrics.phase = "train"
-                self.metrics.experience_index = exp.experience_index
-                self.metrics.reset_phase_windows("train")
+            self.metrics.phase = "train"
+            self.metrics.experience_index = exp.experience_index
+            self.metrics.reset_phase_windows("train")
             venv = VectorizedEnv(
                 exp.env_factory, exp.n_envs, base_seed=self.env_seed, mode=self.vec_mode
             )
@@ -464,21 +460,17 @@ class RLBaseStrategy:
         factory that returns one env twice plays them one at a time. Records
         and results come in episode order."""
         checks.count(n_episodes, "n_episodes", InvalidEpisodeCount)
-        saved = None
-        if self.metrics is not None:
-            saved = (self.metrics.phase, self.metrics.experience_index)
+        saved = (self.metrics.phase, self.metrics.experience_index)
         results: list[EvalResult] = []
         for exp in eval_stream:
             self.eval_experience = exp
             self._fire("before_eval_exp")
-            if self.metrics is not None:
-                self.metrics.phase = "eval"
-                self.metrics.experience_index = exp.experience_index
-                self.metrics.reset_phase_windows("eval")
+            self.metrics.phase = "eval"
+            self.metrics.experience_index = exp.experience_index
+            self.metrics.reset_phase_windows("eval")
             returns, lengths = self._play_greedy(exp, n_episodes)
-            if self.metrics is not None:
-                for episode_return, length in zip(returns, lengths):
-                    self.metrics.record_episode(episode_return, length)
+            for episode_return, length in zip(returns, lengths):
+                self.metrics.record_episode(episode_return, length)
             result = EvalResult(
                 experience_index=exp.experience_index,
                 task_label=exp.task_label,
@@ -487,13 +479,11 @@ class RLBaseStrategy:
                 mean_length=float(np.mean(lengths)),
             )
             results.append(result)
-            if self.metrics is not None:
-                self.metrics.record_custom("eval_return", result.mean_return)
-                self.metrics.record_custom("eval_return_std", result.std_return)
-                self.metrics.record_custom("eval_length", result.mean_length)
+            self.metrics.record_custom("eval_return", result.mean_return)
+            self.metrics.record_custom("eval_return_std", result.std_return)
+            self.metrics.record_custom("eval_length", result.mean_length)
             self._fire("after_eval_exp")
-        if saved is not None:
-            self.metrics.phase, self.metrics.experience_index = saved
+        self.metrics.phase, self.metrics.experience_index = saved
         self.eval_experience = None
         return results
 

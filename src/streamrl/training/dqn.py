@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ..benchmarks import RLExperience
-from ..checks import count
+from ..checks import count, finite
 from ..nn import huber_loss
 from .base import InsufficientReplay, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
@@ -186,9 +186,9 @@ class DqnStrategy(RLBaseStrategy):
         self.batch_size = count(batch_size, "batch_size")
         self.double = double
         self.target_sync_period = count(target_sync_period, "target_sync_period")
-        self.eps_start = float(eps_start)
-        self.eps_end = float(eps_end)
-        self.eps_decay_fraction = float(eps_decay_fraction)
+        self.eps_start = float(finite(eps_start, "eps_start"))
+        self.eps_end = float(finite(eps_end, "eps_end"))
+        self.eps_decay_fraction = float(finite(eps_decay_fraction, "eps_decay_fraction"))
         self.replay = ReplayBuffer(replay_capacity, seed=replay_seed)
         self.target_model = model.clone()
         self._action_rng = np.random.default_rng(action_seed)
@@ -246,7 +246,7 @@ class DqnStrategy(RLBaseStrategy):
     def apply_update(self, batch: Optional[Transitions]) -> None:
         if batch is None:
             self.updates_skipped_this_exp += 1
-            self._record("update_skipped", 1.0)
+            self.metrics.record_custom("update_skipped", 1.0)
             return
         obs, actions, next_obs = batch.obs, batch.action, batch.next_obs
         rewards, dones = batch.reward, batch.done
@@ -272,8 +272,8 @@ class DqnStrategy(RLBaseStrategy):
         if self._updates_since_sync >= self.target_sync_period:
             self.target_model.copy_params_from(self.model)
             self._updates_since_sync = 0
-        self._record("loss", self.loss)
-        self._record("epsilon", self.epsilon)
+        self.metrics.record_custom("loss", self.loss)
+        self.metrics.record_custom("epsilon", self.epsilon)
 
     def per_sample_loss_grad(self, step: Transitions) -> np.ndarray:
         """One row per action a: dQ_a(s)/dtheta. Their squared sum is the

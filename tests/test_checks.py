@@ -1,6 +1,7 @@
 """The shared argument rules of streamrl.checks, and every public constructor
-that takes a count or a finite number refusing what the rules refuse, with
-the argument's name in the message and its module's error class."""
+that takes a count, a seed or a finite number refusing what the rules refuse,
+and a number out of its range, with the argument's name in the message and
+its module's error class."""
 
 import re
 
@@ -8,12 +9,12 @@ import numpy as np
 import pytest
 
 from streamrl.benchmarks import RLExperience
-from streamrl.checks import Count, count, finite
+from streamrl.checks import Count, count, finite, integer
 from streamrl.core_env import Discrete, FrameStack, TimeLimit, wrap
 from streamrl.envs import BanditParams, CartPole, CartPoleParams, GridScene, InvalidParams
 from streamrl.evaluation import WindowedScalar
 from streamrl.nn import Adam, Mlp, Sgd
-from streamrl.plugins import EwcPlugin
+from streamrl.plugins import EwcPlugin, ReplayPlugin
 from streamrl.task_stream import (
     EveryNEpisodes,
     EveryNSteps,
@@ -23,6 +24,7 @@ from streamrl.task_stream import (
     build_task,
 )
 from streamrl.training import (
+    A2cStrategy,
     DqnStrategy,
     Episodes,
     InvalidEpisodeCount,
@@ -32,6 +34,22 @@ from streamrl.training import (
     TrainingBudget,
 )
 from streamrl.vec_env import VectorizedEnv
+
+
+def test_integer_accepts_integers_from_its_lower_bound():
+    for value in (-5, 0, np.int64(-3), 10**30):
+        assert integer(value, "k") is value
+    for value in (0, 3, np.uint8(2)):
+        assert integer(value, "seed", low=0) is value
+
+
+def test_integer_messages():
+    for value in (2.5, True, np.bool_(False), "3", None, float("nan")):
+        message = f"^k must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidParams, match=message):
+            integer(value, "k", InvalidParams)
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        integer(-1, "seed", low=0)
 
 
 def test_count_accepts_integers_of_one_and_more():
@@ -78,6 +96,11 @@ def tiny_dqn(**kwargs):
     return DqnStrategy(model, Adam(1e-3), TrainingBudget(1, Steps(1)), **kwargs)
 
 
+def tiny_a2c(**kwargs):
+    model = Mlp([4, 3], heads={"policy_logits": 2, "value": 1})
+    return A2cStrategy(model, Adam(1e-3), TrainingBudget(1, Steps(1)), **kwargs)
+
+
 def grid_scene(**kwargs):
     return GridScene(**{"width": 3, "height": 3, "goal": (2, 2), **kwargs})
 
@@ -113,6 +136,7 @@ COUNT_ARGUMENTS = {
     "MaxEpisodes": ("MaxEpisodes(n)", MaxEpisodes, TaskStreamConfigError),
     "EveryNSteps": ("EveryNSteps(n)", EveryNSteps, TaskStreamConfigError),
     "EveryNEpisodes": ("EveryNEpisodes(n)", EveryNEpisodes, TaskStreamConfigError),
+    "Mlp.sizes": ("sizes[1]", lambda n: Mlp([4, n, 2]), ValueError),
 }
 
 FINITE_ARGUMENTS = {
@@ -126,6 +150,33 @@ FINITE_ARGUMENTS = {
                    TaskStreamConfigError),
     "Sgd": ("lr", Sgd, ValueError),
     "Adam": ("lr", Adam, ValueError),
+    "Adam.beta1": ("beta1", lambda x: Adam(1e-3, beta1=x), ValueError),
+    "Adam.beta2": ("beta2", lambda x: Adam(1e-3, beta2=x), ValueError),
+    "Adam.eps": ("eps", lambda x: Adam(1e-3, eps=x), ValueError),
+    "RLBaseStrategy.gamma": ("gamma", lambda x: tiny_dqn(gamma=x), ValueError),
+    "DqnStrategy.eps_start": ("eps_start", lambda x: tiny_dqn(eps_start=x), ValueError),
+    "DqnStrategy.eps_end": ("eps_end", lambda x: tiny_dqn(eps_end=x), ValueError),
+    "DqnStrategy.eps_decay_fraction":
+        ("eps_decay_fraction", lambda x: tiny_dqn(eps_decay_fraction=x), ValueError),
+    "A2cStrategy.value_coef": ("value_coef", lambda x: tiny_a2c(value_coef=x), ValueError),
+    "A2cStrategy.entropy_coef": ("entropy_coef", lambda x: tiny_a2c(entropy_coef=x), ValueError),
+    "ReplayPlugin.mix_ratio": ("mix_ratio", lambda x: ReplayPlugin(mix_ratio=x), ValueError),
+}
+
+# (argument, its constructor): each is an integer >= 0
+SEED_ARGUMENTS = {
+    "RLBaseStrategy.env_seed": ("env_seed", lambda n: tiny_dqn(env_seed=n)),
+    "RLBaseStrategy.eval_env_seed": ("eval_env_seed", lambda n: tiny_dqn(eval_env_seed=n)),
+}
+
+# (argument, its constructor, finite values out of its range, the range the message names)
+RANGED_ARGUMENTS = {
+    "Adam.lr": ("lr", Adam, [0, -1e-3], "> 0"),
+    "Adam.beta1": ("beta1", lambda x: Adam(1e-3, beta1=x), [1.0, -0.1, 2], "in [0, 1)"),
+    "Adam.beta2": ("beta2", lambda x: Adam(1e-3, beta2=x), [1.0, 2.0, -1e-9], "in [0, 1)"),
+    "Adam.eps": ("eps", lambda x: Adam(1e-3, eps=x), [0.0, -1.0], "> 0"),
+    "RLBaseStrategy.gamma": ("gamma", lambda x: tiny_dqn(gamma=x), [1.5, -0.01], "in [0, 1]"),
+    "ReplayPlugin.mix_ratio": ("mix_ratio", lambda x: ReplayPlugin(mix_ratio=x), [2, -0.5], "in [0, 1]"),
 }
 
 
@@ -155,3 +206,25 @@ def test_every_finite_argument_refuses_what_is_no_finite_number(site, value):
 def test_every_finite_argument_accepts_a_numpy_float(site):
     _, construct, _ = FINITE_ARGUMENTS[site]
     construct(np.float64(0.5))
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, True, "3"], ids=repr)
+@pytest.mark.parametrize("site", list(SEED_ARGUMENTS))
+def test_every_seed_argument_refuses_what_is_no_integer_of_zero_or_more(site, value):
+    name, construct = SEED_ARGUMENTS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        construct(value)
+
+
+@pytest.mark.parametrize("site", list(RANGED_ARGUMENTS))
+def test_every_ranged_argument_refuses_a_finite_number_out_of_its_range(site):
+    name, construct, values, bounds = RANGED_ARGUMENTS[site]
+    for value in values:
+        message = f"^{re.escape(name)} must be {re.escape(bounds)}, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            construct(value)
+
+
+def test_adam_accepts_the_ends_of_its_ranges():
+    adam = Adam(1e-3, beta1=0, beta2=0.0, eps=5e-324)
+    assert (adam.beta1, adam.beta2, adam.eps) == (0.0, 0.0, 5e-324)

@@ -10,8 +10,9 @@ import yaml
 
 from streamrl import cli
 from streamrl.cli import main
+from streamrl.nn import Adam, Mlp
 from streamrl.plugins import EwcPlugin, NaivePlugin, ReplayPlugin
-from streamrl.training import A2cStrategy, DqnStrategy, RLBaseStrategy
+from streamrl.training import A2cStrategy, DqnStrategy, RLBaseStrategy, Steps, TrainingBudget
 from test_cli import at, base_config, task_stream, wrap, write_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -101,6 +102,48 @@ def test_schema_defaults_are_the_constructor_defaults(kind):
     # the kind, and the network's keys, which the strategy gets built
     unshared = {"name", "lr", "hidden"} if RLBaseStrategy in classes else {"name"}
     assert set(schema) - set(library) == unshared
+
+
+PROBES = [0, -1, 2.5, True, "3", float("nan"), float("inf")]
+
+
+def fed_constructor(kind: str, key: str):
+    """The call that a key of a strategy or plugin section feeds: `lr` makes
+    the Adam, a `hidden` entry the Mlp, and any other key goes by name to the
+    kind's constructor. None for a key that feeds none of them."""
+    classes = CONSTRUCTORS[kind]
+    if key == "lr":
+        return Adam
+    if key == "hidden":
+        return lambda width: Mlp([4, width, 2])
+    if key not in constructor_defaults(*classes):
+        return None
+    if RLBaseStrategy not in classes:
+        return lambda value: classes[0](**{key: value})
+    heads = {"q_values": 2} if classes[0] is DqnStrategy else {"policy_logits": 2, "value": 1}
+    return lambda value: classes[0](Mlp([4, sum(heads.values())], heads=heads), Adam(1e-3),
+                                    TrainingBudget(1, Steps(1)), **{key: value})
+
+
+@pytest.mark.parametrize("kind, key", [(kind, key) for kind, section in SCHEMA_SECTIONS.items()
+                                       for key in section.fields if key != "name"])
+def test_schema_refusals_are_the_constructor_refusals(kind, key):
+    """A strategy or plugin built in code refuses every value that the config
+    walk refuses for the key feeding that argument, with a ValueError."""
+    construct = fed_constructor(kind, key)
+    assert construct is not None, f"{kind}.{key} feeds no known constructor; map it"
+    check = SCHEMA_SECTIONS[kind].fields[key][0]
+    accepted = []
+    for value in PROBES:
+        try:
+            check([value] if key == "hidden" else value, f"{kind}.{key}")
+        except cli.ConfigError:
+            try:
+                construct(value)
+            except ValueError:
+                continue
+            accepted.append(value)
+    assert accepted == [], f"the config walk refuses {kind}.{key} = {accepted}; the constructor does not"
 
 
 def schema_names() -> set:

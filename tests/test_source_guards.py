@@ -287,9 +287,10 @@ def test_the_literal_comparison_scan_finds_what_it_should():
         (3, ".walk"), (3, ".walk"), (5, ".walk"), (10, ".Main.main"), (10, ".Main.main")]
 
 
-# the commit before the shared argument checks of checks.py
+# the commit before the shared argument checks of checks.py, and the modules
+# whose own checks that commit kept
 BEFORE_SHARED_CHECKS = "ac614bbfd8a17580d2e09695d4bf6d6a96e2e831"
-CHECK_MODULES = ("checks.py", "cli.py")
+KEPT_AT_THAT_COMMIT = ("checks.py", "cli.py")
 
 
 def hand_written_checks(source: str) -> list[tuple[int, str]]:
@@ -312,11 +313,11 @@ def hand_written_checks(source: str) -> list[tuple[int, str]]:
 
 
 def test_argument_checks_go_through_the_checks_module():
-    """checks.count and checks.finite hold the count and finite-number rules;
-    cli.py keeps its schema checks, which report key paths."""
+    """checks.integer, checks.count and checks.finite hold the integer, count
+    and finite-number rules; the config walk calls them with its key paths."""
     found = [
         f"{path.relative_to(PACKAGE)}:{line} {mark}"
-        for path in sorted(PACKAGE.rglob("*.py")) if path.name not in CHECK_MODULES
+        for path in sorted(PACKAGE.rglob("*.py")) if path.name != "checks.py"
         for line, mark in hand_written_checks(path.read_text())
     ]
     assert found == [], f"hand-written argument checks; call streamrl.checks instead: {found}"
@@ -343,7 +344,7 @@ def test_the_hand_written_check_scan_finds_the_copies_the_checks_module_replaced
         pytest.skip(f"no git history with commit {BEFORE_SHARED_CHECKS[:7]} here")
     found = Counter()
     for name in listed.stdout.split():
-        if name.endswith(".py") and Path(name).name not in CHECK_MODULES:
+        if name.endswith(".py") and Path(name).name not in KEPT_AT_THAT_COMMIT:
             source = subprocess.run(["git", "-C", str(root), "show", f"{BEFORE_SHARED_CHECKS}:{name}"],
                                     capture_output=True, text=True, check=True, timeout=60).stdout
             found.update((name.removeprefix("src/streamrl/"), mark)

@@ -1,6 +1,7 @@
 """Strategy engine: rollout/update loop, hooks, DQN family, A2C."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -575,6 +576,22 @@ def test_dqn_requires_q_head():
 def test_gamma_validated():
     with pytest.raises(ValueError):
         DqnStrategy(dqn_model(), Adam(1e-3), TrainingBudget(1, Steps(1)), gamma=1.5)
+
+
+@pytest.mark.parametrize("condition", [5, MaxEpisodes(5), None], ids=repr)
+def test_training_budget_refuses_a_rollout_condition_that_is_not_steps_or_episodes(condition):
+    message = f"^rollout_condition must be Steps or Episodes, got {re.escape(repr(condition))}$"
+    with pytest.raises(TypeError, match=message):
+        TrainingBudget(3, condition)
+
+
+def test_a_strategy_built_without_a_collector_records_into_its_own():
+    strat = DqnStrategy(dqn_model(), Adam(1e-3), TrainingBudget(1, Steps(1)))
+    assert type(strat.metrics) is MetricsCollector and strat.metrics.loggers == []
+    stream = [RLExperience(env_factory=SPEC_A.build, task_label=0, n_envs=1)]
+    (result,) = strat.evaluate(stream, 3)
+    assert strat.metrics.windowed_mean("ep_return", "eval") == pytest.approx(result.mean_return)
+    assert strat.metrics.phase == "train"
 
 
 def test_training_deterministic_bitwise():
