@@ -536,7 +536,7 @@ def load_config(path) -> Experiment:
         raise ConfigError(f"config: cannot read {path}: {err}")
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, ValueError) as err:  # ValueError: an integer too long, a bad date
         raise ConfigError(f"config: YAML parse error: {err}")
     return walk_config(raw)
 

@@ -14,15 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import count, finite
+from .checks import count, finite, integer
 from .nn import LengthMismatch
 from .training.base import StrategyPlugin, Transitions
 from .training.dqn import ReplayBuffer
 
-# Rows per Fisher pass. As for EVAL_LANES, numpy's OpenBLAS (0.3.31) runs a
-# 64x64 layer's GEMM on 2 threads from batch 128 up. One 512-row pass raised
-# the a2c benchmark's peak RSS from 40.2 to 42.0 MiB on a 2-vCPU host; 64-row
-# passes keep it at 40.2.
+# Rows per Fisher pass. numpy's OpenBLAS (0.3.31) runs a 64x64 layer's GEMM on
+# 2 threads from batch 128 up, which EVAL_LANES (96) also stays under. One
+# 512-row pass raised the a2c benchmark's peak RSS from 40.2 to 42.0 MiB on a
+# 2-vCPU host; 64-row passes keep it at 40.2.
 FISHER_CHUNK = 64
 
 
@@ -167,7 +167,7 @@ class ReplayPlugin(StrategyPlugin):
     def __init__(self, capacity: int = 10_000, mix_ratio: float = 0.5, seed: int = 0):
         if not 0.0 <= finite(mix_ratio, "mix_ratio") <= 1.0:
             raise ValueError(f"mix_ratio must be in [0, 1], got {mix_ratio!r}")
-        self.memory = ReplayBuffer(capacity, seed=seed)
+        self.memory = ReplayBuffer(capacity, seed=integer(seed, "seed", low=0))
         self.mix_ratio = float(mix_ratio)
         self._rng = np.random.default_rng(seed + 1)
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..checks import finite
+from ..checks import finite, integer
 from ..nn import mse_loss, policy_gradient_loss, policy_losses, softmax
 from .base import EmptyRollout, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
@@ -69,7 +69,7 @@ class A2cStrategy(RLBaseStrategy):
         self.n_actions = model.heads["policy_logits"]
         self.value_coef = float(finite(value_coef, "value_coef"))
         self.entropy_coef = float(finite(entropy_coef, "entropy_coef"))
-        self._action_rng = np.random.default_rng(action_seed)
+        self._action_rng = np.random.default_rng(integer(action_seed, "action_seed", low=0))
 
     def sample_rollout_action(self, obs_batch: np.ndarray) -> np.ndarray:
         logits = self.model.forward(obs_batch)["policy_logits"]

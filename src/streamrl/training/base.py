@@ -13,7 +13,8 @@ firing plugin hooks around each stage:
        after_training_exp) x E
     after_training
 
-plus before_eval_exp/after_eval_exp around each evaluation experience.
+plus before_eval_exp/after_eval_exp around the booking of each evaluation
+experience, which comes after its lane set was played (see evaluate).
 Plugins see the live strategy object: between before_update and after_update
 they may add penalties to `strategy.loss` and analytic gradient contributions
 to `strategy.grad_accum`, both of which the concrete strategy folds into its
@@ -41,10 +42,10 @@ from ..vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
 # Eval episodes that run side by side, one greedy forward over all of them per
 # step. CPU time is the cost that counts, and numpy's OpenBLAS (0.3.31) runs a
 # 64x64 layer's GEMM on 2 threads from batch 128 up: on a 2-vCPU host, a
-# [4, 64, 64, 3] forward measured CPU/wall 2.0 at batches 128 and 200 and at
-# most 1.0 at 64 and below (45 us of CPU at batch 32, 182 us at 128). 32 stays
-# well under that threshold.
-EVAL_LANES = 32
+# [4, 64, 64, 3] forward measured CPU/wall 2.0 at batches 128 and 200 and 1.0
+# at 112 and below (40 us of CPU at batch 96, 112 us at 128). 96 stays under
+# that threshold and holds a 3-task eval phase of 30 episodes per task.
+EVAL_LANES = 96
 
 
 class EmptyStream(ValueError):
@@ -268,6 +269,8 @@ class RLBaseStrategy:
         self.env_seed = checks.integer(env_seed, "env_seed", low=0)
         self.eval_env_seed = checks.integer(eval_env_seed, "eval_env_seed", low=0)
         self.metrics = MetricsCollector() if metrics is None else metrics
+        if vec_mode not in ("serial", "parallel"):
+            raise ValueError(f"vec_mode must be 'serial' or 'parallel', got {vec_mode!r}")
         self.vec_mode = vec_mode
         self.plugins: list[StrategyPlugin] = []
         # state visible to plugins
@@ -455,78 +458,109 @@ class RLBaseStrategy:
     ) -> list[EvalResult]:
         """Greedy policy, no learning: n_episodes per eval experience, episode
         k on a fresh env reset with eval_env_seed + EPISODE_SEED_STRIDE * k, so
-        each episode depends only on the weights and its seed. Up to EVAL_LANES
-        episodes run side by side with one greedy_action call per step; a
-        factory that returns one env twice plays them one at a time. Records
-        and results come in episode order."""
+        each episode depends only on the weights and its seed. Each lane set
+        (see _lane_sets) is played first, with eval_experience its first
+        experience; then each of its experiences fires before_eval_exp, books
+        its episodes and EvalResult, and fires after_eval_exp."""
         checks.count(n_episodes, "n_episodes", InvalidEpisodeCount)
         saved = (self.metrics.phase, self.metrics.experience_index)
         results: list[EvalResult] = []
-        for exp in eval_stream:
-            self.eval_experience = exp
-            self._fire("before_eval_exp")
-            self.metrics.phase = "eval"
-            self.metrics.experience_index = exp.experience_index
-            self.metrics.reset_phase_windows("eval")
-            returns, lengths = self._play_greedy(exp, n_episodes)
-            for episode_return, length in zip(returns, lengths):
-                self.metrics.record_episode(episode_return, length)
-            result = EvalResult(
-                experience_index=exp.experience_index,
-                task_label=exp.task_label,
-                mean_return=float(np.mean(returns)),
-                std_return=float(np.std(returns)),
-                mean_length=float(np.mean(lengths)),
-            )
-            results.append(result)
-            self.metrics.record_custom("eval_return", result.mean_return)
-            self.metrics.record_custom("eval_return_std", result.std_return)
-            self.metrics.record_custom("eval_length", result.mean_length)
-            self._fire("after_eval_exp")
+        for lane_set in self._lane_sets(eval_stream):
+            self.eval_experience = lane_set[0][0]
+            played = self._play_greedy(lane_set, n_episodes)
+            for (exp, _), (returns, lengths) in zip(lane_set, played):
+                self.eval_experience = exp
+                self._fire("before_eval_exp")
+                self.metrics.phase = "eval"
+                self.metrics.experience_index = exp.experience_index
+                self.metrics.reset_phase_windows("eval")
+                for episode_return, length in zip(returns, lengths):
+                    self.metrics.record_episode(episode_return, length)
+                result = EvalResult(
+                    experience_index=exp.experience_index,
+                    task_label=exp.task_label,
+                    mean_return=float(np.mean(returns)),
+                    std_return=float(np.std(returns)),
+                    mean_length=float(np.mean(lengths)),
+                )
+                results.append(result)
+                self.metrics.record_custom("eval_return", result.mean_return)
+                self.metrics.record_custom("eval_return_std", result.std_return)
+                self.metrics.record_custom("eval_length", result.mean_length)
+                self._fire("after_eval_exp")
         self.metrics.phase, self.metrics.experience_index = saved
         self.eval_experience = None
         return results
 
-    def _play_greedy(self, exp: RLExperience, n_episodes: int) -> tuple[list[float], list[int]]:
-        """Returns and lengths of n_episodes greedy episodes, by episode index.
-        A lane is one running episode; a finished lane takes the next episode."""
-        where = f"eval experience {exp.experience_index}"
-        returns, lengths = [0.0] * n_episodes, [0] * n_episodes
-        envs = [exp.env_factory() for _ in range(min(n_episodes, 2))]
-        # a factory that returns one env twice (a shared TaskStreamEnv) gets one lane
-        width = 1 if envs[-1] is envs[0] else min(n_episodes, EVAL_LANES)
-        envs = envs[:width] + [exp.env_factory() for _ in range(width - 2)]
-        space, seed = envs[0].action_space, self.eval_env_seed
-        step_lanes = lane_stepper(envs)
-        # lane i plays episode ks[i] on envs[i] and last saw obs[i]
-        ks = list(range(width))
-        obs = np.array([env.reset(seed=seed + EPISODE_SEED_STRIDE * k) for k, env in zip(ks, envs)])
-        next_episode = width
-        while ks:
+    @staticmethod
+    def _lane_sets(eval_stream: Sequence[RLExperience]):
+        """Runs of consecutive experiences, as lists of (experience, its first
+        two envs), whose factories return a fresh env of one exact class. A
+        factory that returns one env twice (the task stream's shared
+        TaskStreamEnv, which each call switches to its task) makes a set of
+        its own, played before the next factory is called."""
+        lane_set: list = []
+        for exp in eval_stream:
+            envs = [exp.env_factory(), exp.env_factory()]
+            if lane_set and (envs[1] is envs[0] or type(envs[0]) is not type(lane_set[0][1][0])):
+                yield lane_set
+                lane_set = []
+            lane_set.append((exp, envs))
+            if envs[1] is envs[0]:
+                yield lane_set
+                lane_set = []
+        if lane_set:
+            yield lane_set
+
+    def _play_greedy(self, lane_set: list, n_episodes: int) -> list[tuple[list[float], list[int]]]:
+        """Each experience's episode returns and lengths. Job j * n_episodes + k
+        is episode k of experience j, on its k-th env; up to EVAL_LANES jobs
+        run as lanes, one for a shared env, and a finished lane takes the next."""
+        where = [f"eval experience {exp.experience_index}" for exp, _ in lane_set]
+        spaces = [envs[0].action_space for _, envs in lane_set]
+        n_jobs, seed = len(lane_set) * n_episodes, self.eval_env_seed
+        returns, lengths = [0.0] * n_jobs, [0] * n_jobs
+        width = 1 if lane_set[0][1][1] is lane_set[0][1][0] else min(n_jobs, EVAL_LANES)
+
+        def start(job):  # the env that plays job, and its first observation
+            (exp, envs), k = lane_set[job // n_episodes], job % n_episodes
+            env = envs[k] if k < 2 else exp.env_factory()
+            return env, env.reset(seed=seed + EPISODE_SEED_STRIDE * k)
+
+        # lane i plays job jobs[i] on envs[i] and last saw obs[i]
+        jobs = list(range(width))
+        envs, rows = map(list, zip(*map(start, jobs)))
+        obs, step_lanes, next_job = np.array(rows), lane_stepper(envs), width
+        space = spaces[0] if spaces.count(spaces[0]) == len(spaces) else None
+        while jobs:
             try:
                 actions = self.greedy_action(obs).tolist()
             except NonFinite as err:
-                raise NonFinite(f"{where}: {err}") from err
-            if len(actions) != len(ks):
-                raise ValueError(f"{where}: need {len(ks)} actions, got {len(actions)}")
-            if not all(map(space.contains, actions)):  # every check before any lane steps
-                k, action = next((k, a) for k, a in zip(ks, actions) if not space.contains(a))
-                raise ActionOutOfSpace(f"{where}, episode {k}: action {action!r} not in {space}")
+                raise NonFinite(f"{where[0]}: {err}") from err
+            if len(actions) != len(jobs):
+                raise ValueError(f"{where[0]}: need {len(jobs)} actions, got {len(actions)}")
+            if space is None or not all(map(space.contains, actions)):  # before any lane steps
+                for job, action in zip(jobs, actions):
+                    j, k = divmod(job, n_episodes)
+                    if not spaces[j].contains(action):
+                        raise ActionOutOfSpace(
+                            f"{where[j]}, episode {k}: action {action!r} not in {spaces[j]}")
             obs, rewards, dones = step_lanes(envs, actions)
-            for k, reward in zip(ks, rewards):
+            for job, reward in zip(jobs, rewards):
                 reward = float(reward)
                 if not math.isfinite(reward):  # before any return or metric
-                    raise ValueError(f"{where}: non-finite reward {reward!r}")
-                returns[k] += reward
-                lengths[k] += 1
-            if any(dones):  # a finished lane takes the next episode while any is left
-                finished = list(compress(range(len(ks)), dones))
-                left = n_episodes - next_episode
+                    raise ValueError(f"{where[job // n_episodes]}: non-finite reward {reward!r}")
+                returns[job] += reward
+                lengths[job] += 1
+            if any(dones):  # a finished lane takes the next job while any is left
+                finished = list(compress(range(len(jobs)), dones))
+                left = n_jobs - next_job
                 for lane in finished[:left]:
-                    ks[lane], envs[lane] = next_episode, exp.env_factory()
-                    obs[lane] = envs[lane].reset(seed=seed + EPISODE_SEED_STRIDE * next_episode)
-                    next_episode += 1
-                live = [lane for lane in range(len(ks)) if lane not in finished[left:]]
-                ks, envs, obs = [ks[i] for i in live], [envs[i] for i in live], obs[live]
+                    jobs[lane] = next_job
+                    envs[lane], obs[lane] = start(next_job)
+                    next_job += 1
+                live = [lane for lane in range(len(jobs)) if lane not in finished[left:]]
+                jobs, envs, obs = [jobs[i] for i in live], [envs[i] for i in live], obs[live]
                 step_lanes = lane_stepper(envs) if envs else None
-        return returns, lengths
+        return [(returns[first:first + n_episodes], lengths[first:first + n_episodes])
+                for first in range(0, n_jobs, n_episodes)]

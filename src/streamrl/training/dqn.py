@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from ..benchmarks import RLExperience
-from ..checks import count, finite
+from ..checks import count, finite, integer
 from ..nn import huber_loss
 from .base import InsufficientReplay, RLBaseStrategy, Rollout, TrainingBudget, Transitions
 
@@ -189,9 +189,9 @@ class DqnStrategy(RLBaseStrategy):
         self.eps_start = float(finite(eps_start, "eps_start"))
         self.eps_end = float(finite(eps_end, "eps_end"))
         self.eps_decay_fraction = float(finite(eps_decay_fraction, "eps_decay_fraction"))
-        self.replay = ReplayBuffer(replay_capacity, seed=replay_seed)
+        self.replay = ReplayBuffer(replay_capacity, seed=integer(replay_seed, "replay_seed", low=0))
         self.target_model = model.clone()
-        self._action_rng = np.random.default_rng(action_seed)
+        self._action_rng = np.random.default_rng(integer(action_seed, "action_seed", low=0))
         self._updates_since_sync = 0
         self._eps_decay_steps = 1
 

@@ -167,6 +167,10 @@ FINITE_ARGUMENTS = {
 SEED_ARGUMENTS = {
     "RLBaseStrategy.env_seed": ("env_seed", lambda n: tiny_dqn(env_seed=n)),
     "RLBaseStrategy.eval_env_seed": ("eval_env_seed", lambda n: tiny_dqn(eval_env_seed=n)),
+    "DqnStrategy.action_seed": ("action_seed", lambda n: tiny_dqn(action_seed=n)),
+    "DqnStrategy.replay_seed": ("replay_seed", lambda n: tiny_dqn(replay_seed=n)),
+    "A2cStrategy.action_seed": ("action_seed", lambda n: tiny_a2c(action_seed=n)),
+    "ReplayPlugin.seed": ("seed", lambda n: ReplayPlugin(seed=n)),
 }
 
 # (argument, its constructor, finite values out of its range, the range the message names)
@@ -214,6 +218,20 @@ def test_every_seed_argument_refuses_what_is_no_integer_of_zero_or_more(site, va
     name, construct = SEED_ARGUMENTS[site]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
         construct(value)
+
+
+@pytest.mark.parametrize("site", list(SEED_ARGUMENTS))
+def test_every_seed_argument_accepts_zero_and_a_numpy_integer(site):
+    _, construct = SEED_ARGUMENTS[site]
+    construct(0)
+    construct(np.int64(7))
+
+
+@pytest.mark.parametrize("mode", ["bogus", "Serial", None, 1])
+@pytest.mark.parametrize("make", [tiny_dqn, tiny_a2c], ids=["dqn", "a2c"])
+def test_a_strategy_refuses_an_unknown_vec_mode_when_built(make, mode):
+    with pytest.raises(ValueError, match=f"^vec_mode must be 'serial' or 'parallel', got {re.escape(repr(mode))}$"):
+        make(vec_mode=mode)
 
 
 @pytest.mark.parametrize("site", list(RANGED_ARGUMENTS))

@@ -50,7 +50,12 @@ def base_config(out_dir):
 
 def write_config(tmp_path, config, name="config.yaml"):
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(config))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # so that a config can hold an int that YAML refuses to read
+    try:
+        path.write_text(yaml.safe_dump(config))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return path
 
 
@@ -415,6 +420,8 @@ INVALID_CONFIGS = [
     ("rollout-shape", at("budget.rollout", 5), "budget.rollout"),
     ("rollout-kind", at("budget.rollout", {"seconds": 5}), "budget.rollout"),
     ("rollout-count", at("budget.rollout", {"episodes": 0}), "budget.rollout"),
+    # this one once failed in the YAML reader with a ValueError (exit 3)
+    ("seed-5000-digits", at("seeds.env", 10**5000), "config: YAML parse error: Exceeds the limit"),
 ]
 
 

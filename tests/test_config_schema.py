@@ -133,17 +133,42 @@ def test_schema_refusals_are_the_constructor_refusals(kind, key):
     construct = fed_constructor(kind, key)
     assert construct is not None, f"{kind}.{key} feeds no known constructor; map it"
     check = SCHEMA_SECTIONS[kind].fields[key][0]
+    accepted = refused_by_the_walk_only(lambda v: check([v] if key == "hidden" else v, f"{kind}.{key}"),
+                                        construct)
+    assert accepted == [], f"the config walk refuses {kind}.{key} = {accepted}; the constructor does not"
+
+
+def refused_by_the_walk_only(check, construct) -> list:
+    """The PROBES that the walk's `check` refuses and `construct` accepts."""
     accepted = []
     for value in PROBES:
         try:
-            check([value] if key == "hidden" else value, f"{kind}.{key}")
+            check(value)
         except cli.ConfigError:
             try:
                 construct(value)
             except ValueError:
                 continue
             accepted.append(value)
-    assert accepted == [], f"the config walk refuses {kind}.{key} = {accepted}; the constructor does not"
+    return accepted
+
+
+# (kind, the `seeds` key, the constructor argument that the walk feeds from it)
+SEED_FEEDS = [(kind, key, argument) for kind in ("dqn", "double_dqn", "a2c")
+              for key, argument in (("env", "env_seed"), ("env", "eval_env_seed"),
+                                    ("sampling", "action_seed"))]
+SEED_FEEDS += [("dqn", "sampling", "replay_seed"), ("double_dqn", "sampling", "replay_seed"),
+               ("replay", "sampling", "seed")]
+
+
+@pytest.mark.parametrize("kind, key, argument", SEED_FEEDS)
+def test_seed_refusals_are_the_constructor_refusals(kind, key, argument):
+    """Every seed argument that a `seeds` key feeds refuses, with a
+    ValueError, what the walk refuses for that key."""
+    check = cli._CONFIG["seeds"][0].fields[key][0]
+    construct = fed_constructor(kind, argument)
+    accepted = refused_by_the_walk_only(lambda value: check(value, f"seeds.{key}"), construct)
+    assert accepted == [], f"the config walk refuses seeds.{key} = {accepted}; {kind}'s {argument} does not"
 
 
 def schema_names() -> set:

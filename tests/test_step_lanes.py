@@ -260,7 +260,7 @@ EVAL_CASES = {  # name: (a fresh factory, obs_dim, n_actions)
 }
 
 
-@pytest.mark.parametrize("n_episodes", [1, 31, 32, 33])
+@pytest.mark.parametrize("n_episodes", [1, 31, 32, 33, EVAL_LANES + 1])
 @pytest.mark.parametrize("case", list(EVAL_CASES))
 def test_lane_eval_equals_the_tuple_lane_loop(case, n_episodes):
     """Lanes whose refills change the lane set: cart-poles on alternating

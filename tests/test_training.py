@@ -17,7 +17,9 @@ from streamrl.core_env import (
     TimeLimit,
     wrap,
 )
-from streamrl.envs import GRID_MOVES, Bandit, BanditParams, CartPoleParams, CartPole, GridScene, GridWorld
+from streamrl.envs import (
+    GRID_MOVES, Bandit, BanditParams, CartPoleParams, CartPole, GridScene, GridWorld, parse_scene,
+)
 from streamrl.evaluation import MetricsCollector
 from streamrl.nn import (
     Adam,
@@ -887,9 +889,17 @@ def test_rollout_rows_do_not_alias_an_env_buffer():
 
 
 class EpisodeLog(MetricsCollector):
+    """A collector that keeps the episodes it books and every record it emits."""
+
     def __init__(self):
-        super().__init__()
-        self.episodes = []
+        super().__init__(loggers=[self])
+        self.episodes, self.records = [], []
+
+    def emit(self, record):
+        self.records.append(record)
+
+    def close(self):
+        pass
 
     def record_episode(self, episode_return, length):
         self.episodes.append((episode_return, length))
@@ -1220,13 +1230,67 @@ LANE_CASES = {
 }
 
 
+def lane_sets(stream):
+    """(experiences, shared) of each lane set of the stream, by the rule:
+    consecutive experiences whose envs are of one exact class, from factories
+    that return a fresh env on each call; a factory that returns one env twice
+    is a set of its own. Calls each factory twice."""
+    sets = []
+    for exp in stream:
+        env, again = exp.env_factory(), exp.env_factory()
+        key = (type(env), env is again)
+        if sets and env is not again and sets[-1][0] == key:
+            sets[-1][1] += 1
+        else:
+            sets.append([key, 1])
+    return [(size, shared) for (_, shared), size in sets]
+
+
+def set_widths(stream, n_episodes):
+    """The lane count of each lane set: one for a shared env, else one per
+    job up to EVAL_LANES."""
+    return [1 if shared else min(size * n_episodes, EVAL_LANES) for size, shared in lane_sets(stream)]
+
+
+class SubGrid(GridWorld):
+    """A gridworld of another class, so it plays in a lane set of its own."""
+
+
+def stream_of(*factories):
+    return [RLExperience(env_factory=factory, task_label=i, n_envs=1, experience_index=i)
+            for i, factory in enumerate(factories)]
+
+
+# the walled two-task gridworld stream of acceptance criterion 6
+MAP_A = "S.#..\n..#..\n..#..\n..#..\n.G#.."
+MAP_B = "..#.S\n..#..\n..#..\n..#..\n..#G."
+
+
+def walled_grid(text):
+    return lambda: GridWorld(parse_scene(text, max_steps=12, step_reward=-0.1, goal_reward=10.0))
+
+
+# name: (eval stream, obs_dim, n_actions, its lane sets as (experiences, shared))
+MERGED_CASES = {
+    "cartpole-poles": (lambda: stream_of(*(
+        lambda h=h: CartPole(CartPoleParams(max_steps=20, pole_half_length=h))
+        for h in (0.5, 1.0, 0.25))), 4, 2, [(3, False)]),
+    "walled-grids": (lambda: stream_of(walled_grid(MAP_A), walled_grid(MAP_B)), 25, 4, [(2, False)]),
+    "grid-and-subclass": (lambda: stream_of(
+        lambda: GridWorld(GridScene(5, 5, max_steps=12)),
+        lambda: SubGrid(GridScene(5, 5, max_steps=12))), 25, 4, [(1, False), (1, False)]),
+    "task-stream-eval": (lambda: task_stream_scenario().eval_stream, 9, 4, [(2, False)]),
+    "task-stream-shared": (lambda: task_stream_scenario().train_stream, 9, 4, [(1, True), (1, True)]),
+}
+
+
 def assert_lanes_match_sequential(strat, stream, n_episodes):
     expected_episodes, expected_results = sequential_eval(strat, stream, n_episodes)
     episodes, results, batches = lane_eval(strat, stream, n_episodes)
     assert episodes == expected_episodes
     assert all(type(r) is float and type(n) is int for r, n in episodes)
     assert results == expected_results
-    assert max(batches) == min(n_episodes, EVAL_LANES)
+    assert max(batches) == max(set_widths(stream, n_episodes))
     return episodes
 
 
@@ -1267,6 +1331,10 @@ def test_obs_normalize_eval_episode_equals_the_episode_played_alone():
     assert episodes == alone
 
 
+class SubCartPole(CartPole):
+    """A cart-pole of another class, so it plays in a lane set of its own."""
+
+
 class CountingGrid(GridWorld):
     steps_taken = 0
 
@@ -1284,6 +1352,47 @@ def test_out_of_space_greedy_action_refused_before_any_lane_steps(monkeypatch):
     assert CountingGrid.steps_taken == 0
 
 
+def test_each_lane_action_is_checked_against_its_own_experiences_space(monkeypatch):
+    """Two remapped grids of one wrapper class play as one set; action 2 is
+    in the first experience's space and not in the second's."""
+    strat = eval_strategy("dqn", 25, 4)
+    monkeypatch.setattr(strat, "greedy_action", lambda obs: np.full(len(obs), 2))
+    monkeypatch.setattr(CountingGrid, "steps_taken", 0)
+    stream = stream_of(lambda: wrap(CountingGrid(GridScene(5, 5)), ActionRemap.from_dict({0: 3, 1: 1, 2: 0})),
+                       lambda: wrap(CountingGrid(GridScene(5, 5)), ActionRemap.from_dict({0: 0, 1: 1})))
+    assert lane_sets(stream) == [(2, False)]
+    with pytest.raises(ActionOutOfSpace, match=r"^eval experience 1, episode 0: action 2 not in Discrete\(n=2\)"):
+        strat.evaluate(stream, 3)
+    assert CountingGrid.steps_taken == 0
+
+
+class GridPayingNanAt(GridWorld):
+    """A grid whose step number `nan_step` pays a NaN reward."""
+
+    def __init__(self, scene, nan_step=None):
+        super().__init__(scene)
+        self.nan_step = nan_step
+
+    def step(self, action):
+        result = super().step(action)
+        return replace(result, reward=float("nan")) if self._steps == self.nan_step else result
+
+
+def test_non_finite_eval_reward_names_its_lanes_experience_before_its_set_books_any_record(tmp_path):
+    from streamrl.evaluation import JsonlLogger
+
+    scene = GridScene(5, 5)
+    logger = JsonlLogger(tmp_path / "metrics.jsonl")
+    strat = DqnStrategy(grid_q_table_model(scene), Adam(1e-3), TrainingBudget(1, Steps(1)),
+                        metrics=MetricsCollector(window=10, loggers=[logger]))
+    stream = stream_of(lambda: GridPayingNanAt(scene), lambda: GridPayingNanAt(scene, nan_step=3))
+    assert lane_sets(stream) == [(2, False)]
+    with pytest.raises(ValueError, match="^eval experience 1: non-finite reward nan"):
+        strat.evaluate(stream, 2)
+    logger.close()
+    assert (tmp_path / "metrics.jsonl").read_text() == ""  # experience 0 shares the set
+
+
 def test_greedy_action_count_must_match_the_lanes(monkeypatch):
     strat = eval_strategy("dqn", 25, 4)
     monkeypatch.setattr(strat, "greedy_action", lambda obs: np.zeros(len(obs) - 1, int))
@@ -1291,13 +1400,14 @@ def test_greedy_action_count_must_match_the_lanes(monkeypatch):
         strat.evaluate(one_stream(lambda: GridWorld(GridScene(5, 5))), 5)
 
 
-def tuple_lane_play_greedy(strat, exp, n_episodes):
-    """_play_greedy as lanes first ran it: a list of (episode, env, obs)
-    tuples, np.stack of the observations, one action check per lane, and a
-    closure that starts each episode."""
+def tuple_lane_play_greedy(strat, exp, n_episodes, probes):
+    """_play_greedy as lanes first ran it, one experience at a time: a list
+    of (episode, env, obs) tuples, np.stack of the observations, one action
+    check per lane, and a closure that starts each episode. `probes` are the
+    experience's first two envs, which its lane set has made."""
     where = f"eval experience {exp.experience_index}"
     returns, lengths = [0.0] * n_episodes, [0] * n_episodes
-    envs = [exp.env_factory() for _ in range(min(n_episodes, 2))]
+    envs = probes[:min(n_episodes, 2)]
     width = 1 if envs[-1] is envs[0] else min(n_episodes, EVAL_LANES)
     envs = envs[:width] + [exp.env_factory() for _ in range(width - 2)]
     space = envs[0].action_space
@@ -1335,7 +1445,10 @@ def tuple_lane_play_greedy(strat, exp, n_episodes):
 
 
 def tuple_lane_eval(strat, eval_stream, n_episodes):
-    strat._play_greedy = lambda exp, n: tuple_lane_play_greedy(strat, exp, n)
+    """lane_eval with each experience of a lane set played on its own lanes
+    by tuple_lane_play_greedy."""
+    strat._play_greedy = lambda lane_set, n: [tuple_lane_play_greedy(strat, exp, n, probes)
+                                              for exp, probes in lane_set]
     try:
         return lane_eval(strat, eval_stream, n_episodes)
     finally:
@@ -1347,8 +1460,11 @@ def tuple_lane_eval(strat, eval_stream, n_episodes):
 def test_lane_eval_matches_the_tuple_lane_loop(case, kind):
     make_stream, obs_dim, n_actions = LANE_CASES[case]
     strat = eval_strategy(kind, obs_dim, n_actions)
-    got = lane_eval(strat, make_stream(), 33)
-    assert got == tuple_lane_eval(strat, make_stream(), 33)
+    stream = make_stream()
+    got, want = lane_eval(strat, stream, 33), tuple_lane_eval(strat, make_stream(), 33)
+    assert got[:2] == want[:2]  # episodes and results
+    if len(stream) == 1:  # a set of one experience also makes the oracle's calls
+        assert got[2] == want[2]
     assert all(type(r) is float and type(n) is int for r, n in got[0])
 
 
@@ -1362,22 +1478,95 @@ def test_lane_eval_matches_the_tuple_lane_loop_at_every_width(case, n_episodes):
     assert len(episodes) == n_episodes
 
 
+@pytest.mark.parametrize("n_episodes", [1, 31, 32, 33, 200])
+@pytest.mark.parametrize("case", list(MERGED_CASES))
+def test_lane_sets_match_the_per_task_oracles(case, n_episodes):
+    """A lane set plays all its experiences' episodes side by side. Episodes,
+    records and results are those of playing each experience on its own, one
+    episode at a time (sequential_eval) and on lanes of its own
+    (tuple_lane_play_greedy); the widest greedy batch is the set's job count,
+    up to EVAL_LANES."""
+    make_stream, obs_dim, n_actions, sets = MERGED_CASES[case]
+    assert lane_sets(make_stream()) == sets
+    strat = eval_strategy("a2c" if n_episodes % 2 else "dqn", obs_dim, n_actions)
+    episodes = assert_lanes_match_sequential(strat, make_stream(), n_episodes)
+    assert len(episodes) == sum(size for size, _ in sets) * n_episodes
+    got = lane_eval(strat, make_stream(), n_episodes)
+    got_records = strat.metrics.records
+    want = tuple_lane_eval(strat, make_stream(), n_episodes)
+    assert got[:2] == want[:2]
+    assert got_records == strat.metrics.records
+    assert [r.phase for r in got_records] == ["eval"] * len(got_records)
+
+
+class EvalEventLog(StrategyPlugin):
+    """Logs each eval hook, and each greedy_action call, with the index of
+    the strategy's eval_experience at that moment."""
+
+    def __init__(self, strat):
+        self.events = []
+        greedy = strat.greedy_action
+
+        def logged(obs):
+            self.log(strat, "act")
+            return greedy(obs)
+
+        strat.greedy_action = logged
+
+    def log(self, strategy, event):
+        index = strategy.eval_experience.experience_index
+        if not self.events or self.events[-1] != (event, index) or event != "act":
+            self.events.append((event, index))
+
+    def before_eval_exp(self, strategy):
+        self.log(strategy, "before_eval_exp")
+
+    def after_eval_exp(self, strategy):
+        self.log(strategy, "after_eval_exp")
+
+
+def test_eval_hooks_see_their_own_experience_after_its_lane_set_played():
+    """Greedy calls see the set's first experience as eval_experience; each
+    hook sees its own experience, in stream order, after the set played."""
+    stream = stream_of(cartpole, cartpole, SubCartPole, cartpole)
+    strat = eval_strategy("dqn", 4, 2)
+    log = EvalEventLog(strat)
+    strat.plugins = [log]
+    strat.evaluate(stream, 3)
+    hooks = lambda i: [("before_eval_exp", i), ("after_eval_exp", i)]  # noqa: E731
+    assert log.events == [("act", 0), *hooks(0), *hooks(1), ("act", 2), *hooks(2),
+                          ("act", 3), *hooks(3)]
+    assert strat.eval_experience is None
+
+
 def lane_schedule(lengths, width):
     """The row count of every greedy_action call when `width` lanes play
-    episodes of these lengths: lanes start with episodes 0..width-1, and a
-    lane whose episode ends takes the next unplayed one, in episode order."""
-    left = list(lengths[:width])  # steps each lane's episode has still to play
-    next_episode, rows = width, []
+    jobs of these lengths: lanes start with jobs 0..width-1, and a lane whose
+    job ends takes the next unplayed one, in job order."""
+    left = list(lengths[:width])  # steps each lane's job has still to play
+    next_job, rows = width, []
     while left:
         rows.append(len(left))
         live = []
         for steps in left:
             if steps > 1:
                 live.append(steps - 1)
-            elif next_episode < len(lengths):
-                live.append(lengths[next_episode])
-                next_episode += 1
+            elif next_job < len(lengths):
+                live.append(lengths[next_job])
+                next_job += 1
         left = live
+    return rows
+
+
+def job_schedule(stream, lengths, n_episodes):
+    """lane_schedule of each lane set in turn. A set's jobs are its
+    (experience, episode) pairs in stream order, then episode order, which is
+    the order of `lengths`, the lengths of the episodes evaluate() booked."""
+    rows, first = [], 0
+    for (size, _), width in zip(lane_sets(stream), set_widths(stream, n_episodes)):
+        jobs = size * n_episodes
+        rows += lane_schedule(lengths[first:first + jobs], width)
+        first += jobs
     return rows
 
 
@@ -1387,7 +1576,17 @@ def test_lane_schedule_refills_in_episode_order():
     assert lane_schedule([1, 1, 1], 5) == [3]
 
 
-SCHEDULE_CASES = [(case, 33) for case in LANE_CASES] + [("cartpole", n) for n in (1, 31, 32, 200)]
+def test_job_schedule_follows_the_lane_sets():
+    stream = stream_of(cartpole, cartpole)
+    assert job_schedule(stream, [3, 1, 2, 1], 2) == [4, 2, 1]  # one set of 4 jobs
+    stream = stream_of(cartpole, cartpole, SubCartPole)
+    assert job_schedule(stream, [3, 1, 2, 1, 1, 2], 2) == [4, 2, 1, 2, 1]
+    assert job_schedule(task_stream_scenario().train_stream, [2, 1, 1, 3], 2) == [1] * 7
+
+
+SCHEDULE_CASES = ([(case, 33) for case in LANE_CASES] + [("cartpole", n) for n in (1, 31, 32, 200)]
+                  + [(case, n) for case in ("cartpole-poles", "grid-and-subclass", "task-stream-shared")
+                     for n in (1, 32, 33)])
 
 
 @pytest.mark.parametrize("case, n_episodes", SCHEDULE_CASES,
@@ -1395,16 +1594,12 @@ SCHEDULE_CASES = [(case, 33) for case in LANE_CASES] + [("cartpole", n) for n in
 def test_greedy_action_runs_once_per_lockstep_step_of_the_lane_schedule(case, n_episodes):
     """perfbench runs its eval yardstick on a cadence of greedy_action calls,
     so the calls and their row counts are part of what the eval benchmark
-    measures: one call per lockstep step, with one row per running lane."""
-    make_stream, obs_dim, n_actions = LANE_CASES[case]
+    measures: one call per lockstep step of each lane set, with one row per
+    running (experience, episode) job."""
+    make_stream, obs_dim, n_actions = {**LANE_CASES, **MERGED_CASES}[case][:3]
     stream = make_stream()
     episodes, _, batches = lane_eval(eval_strategy("dqn", obs_dim, n_actions), stream, n_episodes)
-    lengths = [n for _, n in episodes]
-    expected = []
-    for i in range(len(stream)):
-        expected += lane_schedule(lengths[i * n_episodes:(i + 1) * n_episodes],
-                                  min(n_episodes, EVAL_LANES))
-    assert batches == expected
+    assert batches == job_schedule(make_stream(), [n for _, n in episodes], n_episodes)
 
 
 def test_shared_env_lane_schedule_is_one_row_per_step():
