@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .checks import count
+from .checks import count, integer
 from .core_env import Environment, WrapperSpec, wrap_all
 from .envs import CartPole, CartPoleParams, InvalidParams
 
@@ -39,6 +39,8 @@ class RLExperience:
 
     def __post_init__(self) -> None:
         count(self.n_envs, "n_envs")
+        integer(self.task_label, "task_label", low=0)
+        integer(self.experience_index, "experience_index", low=0)
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,8 @@ class Explicit:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        indices = tuple(int(integer(i, "order index", BadOrderIndex)) for i in self.indices)
+        object.__setattr__(self, "indices", indices)
 
 
 @dataclass(frozen=True)

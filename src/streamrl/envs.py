@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checks import count, finite
+from .checks import count, finite, integer
 from .core_env import BoxSpace, Discrete, Environment, StepResult
 
 
@@ -168,12 +168,13 @@ class GridScene:
     max_steps: int = 200
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "walls", frozenset(tuple(w) for w in self.walls))
+        object.__setattr__(self, "walls", frozenset(_cell(w, "walls cell") for w in self.walls))
         for name in ("width", "height", "max_steps"):
             count(getattr(self, name), name, InvalidParams)
         for name in ("step_reward", "goal_reward"):
             finite(getattr(self, name), name, InvalidParams)
-        for name, cell in (("start", self.start), ("goal", self.goal)):
+        for name in ("start", "goal"):
+            object.__setattr__(self, name, cell := _cell(getattr(self, name), name))
             if not self.in_bounds(cell):
                 raise InvalidParams(f"{name} {cell} outside {self.width}x{self.height} grid")
             if cell in self.walls:
@@ -217,6 +218,13 @@ class GridScene:
                     seen.add(nxt)
                     queue.append(nxt)
         return False
+
+
+def _cell(cell, name: str) -> tuple[int, int]:
+    """`cell` as two ints if it is a pair of integers, not bools; else InvalidParams."""
+    if not isinstance(cell, (tuple, list)) or len(cell) != 2:
+        raise InvalidParams(f"{name} must be a pair of integers, got {cell!r}")
+    return tuple(int(integer(v, f"{name} coordinate", InvalidParams)) for v in cell)
 
 
 def parse_scene(text: str, **overrides) -> GridScene:

@@ -94,7 +94,7 @@ class EwcPlugin(StrategyPlugin):
         self._recent.clear()
 
     def after_rollout(self, strategy) -> None:
-        self._recent.extend(strategy.rollout.steps())
+        self._recent.extend(strategy.rollout.steps)
 
     def before_update(self, strategy) -> None:
         if not self.state.anchors:
@@ -172,7 +172,7 @@ class ReplayPlugin(StrategyPlugin):
         self._rng = np.random.default_rng(seed + 1)
 
     def after_rollout(self, strategy) -> None:
-        self.memory.extend(strategy.rollout.steps())
+        self.memory.extend(strategy.rollout.steps)
 
     def before_update(self, strategy) -> None:
         batch = strategy.update_batch

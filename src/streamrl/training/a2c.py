@@ -93,7 +93,7 @@ class A2cStrategy(RLBaseStrategy):
         # Bootstrap values for every actor's final step, before the main forward pass
         # (forward() caches activations for backward()). Time-major row t * n + a is
         # actor a's step t, so (T, n) reshapes, transposed, read actor-major.
-        steps, n = rollout.steps(), rollout.n_actors
+        steps, n = rollout.steps, rollout.n_actors
         tail_values = self.model.forward(steps.next_obs[-n:])["value"][:, 0]
         rewards, dones = (column.reshape(-1, n).T.tolist() for column in (steps.reward, steps.done))
         returns = _nstep_returns(rewards, dones, tail_values.tolist(), self.gamma)

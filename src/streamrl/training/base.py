@@ -15,11 +15,11 @@ firing plugin hooks around each stage:
 
 plus before_eval_exp/after_eval_exp around the booking of each evaluation
 experience, which comes after its lane set was played (see evaluate).
-Plugins see the live strategy object: between before_update and after_update
-they may add penalties to `strategy.loss` and analytic gradient contributions
-to `strategy.grad_accum`, both of which the concrete strategy folds into its
-optimizer step. `strategy.update_batch` is already prepared when
-before_update fires so plugins can rewrite it in place.
+Plugins see the live strategy object. `strategy.rollout.steps` is joined when
+after_rollout fires; between before_update and after_update plugins may add
+penalties to `strategy.loss` and analytic gradients to `strategy.grad_accum`,
+which the strategy folds into its optimizer step. `strategy.update_batch` is
+prepared when before_update fires, so plugins can rewrite it in place.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class EmptyRollout(ValueError):
 
 class InvalidEpisodeCount(ValueError):
     """evaluate() needs at least one episode per experience."""
-
-
-class AppendAfterMaterialize(RuntimeError):
-    """Rollout views were taken; the rollout is frozen."""
 
 
 class InsufficientReplay(RuntimeError):
@@ -123,36 +119,19 @@ class Transitions:
             column[rows] = values
 
 
+@dataclass(frozen=True)
 class Rollout:
-    """The transitions of n_actors lockstep actors, appended one vectorized
-    step (a row per actor) at a time and joined, and checked, into time-major
-    columns when first viewed. Viewing freezes the rollout: further appends
-    raise AppendAfterMaterialize.
-    """
+    """The transitions of n_actors lockstep actors, joined once by
+    collect_rollout: row t * n_actors + a of `steps` is actor a's step t."""
 
-    def __init__(self, n_actors: int, task_label: int = 0):
-        self.n_actors = checks.count(n_actors, "n_actors")
-        self.task_label = task_label
-        self._rows: list[tuple] = []
-        self._steps: Optional[Transitions] = None
+    n_actors: int
+    steps: Transitions
 
-    def append(self, obs, action, reward, done, next_obs) -> None:
-        """One vectorized step; each argument holds one row per actor."""
-        if self._steps is not None:
-            raise AppendAfterMaterialize("batch views already materialized")
-        self._rows.append((obs, action, reward, done, next_obs))
+    def __post_init__(self) -> None:
+        checks.count(self.n_actors, "n_actors")
 
     def __len__(self) -> int:
-        return len(self._rows) * self.n_actors
-
-    def steps(self) -> Transitions:
-        """Time-major rows: all actors at t=0, then t=1, ..."""
-        if self._steps is None:
-            if not self._rows:
-                raise EmptyRollout("cannot materialize an empty rollout")
-            columns = [np.concatenate(column) for column in zip(*self._rows)]
-            self._steps = Transitions(*columns, np.full(len(self), self.task_label))
-        return self._steps
+        return len(self.steps)
 
 
 class Steps(checks.Count):
@@ -179,8 +158,8 @@ class StrategyPlugin:
     """No-op callbacks; subclasses override the hooks they care about.
 
     Every hook receives the strategy so plugins can read/mutate its public
-    state (model, optimizer, rollout, update_batch, loss, grad_accum,
-    experience, ...). Plugins run in registration order.
+    state (model, optimizer, rollout (joined before after_rollout), update_batch,
+    loss, grad_accum, experience, ...). Plugins run in registration order.
     """
 
     def before_training(self, strategy) -> None:
@@ -341,10 +320,10 @@ class RLBaseStrategy:
             getattr(plugin, hook)(self)
 
     def collect_rollout(self, venv: VectorizedEnv, condition: Steps | Episodes) -> Rollout:
-        """Gathers transitions until the condition is met. The observation
-        carried in self.current_obs persists across calls, so consecutive
+        """Gathers transitions until the condition is met and joins them once
+        into a Rollout. self.current_obs persists across calls, so consecutive
         rollouts within an experience are seamless."""
-        rollout = Rollout(venv.n_actors, self.experience.task_label)
+        rows: list[tuple] = []  # (obs, action, reward, done, next_obs), a row per actor
         vec_steps = 0
         episodes_finished = 0
         while True:
@@ -354,7 +333,7 @@ class RLBaseStrategy:
             if not all(map(math.isfinite, reward_list)):  # before any return or metric
                 where = f"experience {self.experience.experience_index}, update {self.update_index}"
                 raise ValueError(f"{where}, rollout: non-finite reward in {reward_list!r}")
-            rollout.append(self.current_obs, actions, rewards, dones, final_obs)
+            rows.append((self.current_obs, actions, rewards, dones, final_obs))
             # Python floats: the same IEEE float64 adds as a numpy accumulator
             self._ep_return = [ret + r for ret, r in zip(self._ep_return, reward_list)]
             self._ep_length = [length + 1 for length in self._ep_length]
@@ -371,7 +350,9 @@ class RLBaseStrategy:
             self.total_env_steps += venv.n_actors
             self.metrics.global_step = self.total_env_steps
             if (vec_steps if isinstance(condition, Steps) else episodes_finished) >= condition.n:
-                return rollout
+                columns = [np.concatenate(column) for column in zip(*rows)]
+                labels = np.full(len(rows) * venv.n_actors, self.experience.task_label)
+                return Rollout(venv.n_actors, Transitions(*columns, labels))
 
     def train(
         self,
@@ -465,31 +446,33 @@ class RLBaseStrategy:
         checks.count(n_episodes, "n_episodes", InvalidEpisodeCount)
         saved = (self.metrics.phase, self.metrics.experience_index)
         results: list[EvalResult] = []
-        for lane_set in self._lane_sets(eval_stream):
-            self.eval_experience = lane_set[0][0]
-            played = self._play_greedy(lane_set, n_episodes)
-            for (exp, _), (returns, lengths) in zip(lane_set, played):
-                self.eval_experience = exp
-                self._fire("before_eval_exp")
-                self.metrics.phase = "eval"
-                self.metrics.experience_index = exp.experience_index
-                self.metrics.reset_phase_windows("eval")
-                for episode_return, length in zip(returns, lengths):
-                    self.metrics.record_episode(episode_return, length)
-                result = EvalResult(
-                    experience_index=exp.experience_index,
-                    task_label=exp.task_label,
-                    mean_return=float(np.mean(returns)),
-                    std_return=float(np.std(returns)),
-                    mean_length=float(np.mean(lengths)),
-                )
-                results.append(result)
-                self.metrics.record_custom("eval_return", result.mean_return)
-                self.metrics.record_custom("eval_return_std", result.std_return)
-                self.metrics.record_custom("eval_length", result.mean_length)
-                self._fire("after_eval_exp")
-        self.metrics.phase, self.metrics.experience_index = saved
-        self.eval_experience = None
+        try:
+            for lane_set in self._lane_sets(eval_stream):
+                self.eval_experience = lane_set[0][0]
+                played = self._play_greedy(lane_set, n_episodes)
+                for (exp, _), (returns, lengths) in zip(lane_set, played):
+                    self.eval_experience = exp
+                    self._fire("before_eval_exp")
+                    self.metrics.phase = "eval"
+                    self.metrics.experience_index = exp.experience_index
+                    self.metrics.reset_phase_windows("eval")
+                    for episode_return, length in zip(returns, lengths):
+                        self.metrics.record_episode(episode_return, length)
+                    result = EvalResult(
+                        experience_index=exp.experience_index,
+                        task_label=exp.task_label,
+                        mean_return=float(np.mean(returns)),
+                        std_return=float(np.std(returns)),
+                        mean_length=float(np.mean(lengths)),
+                    )
+                    results.append(result)
+                    self.metrics.record_custom("eval_return", result.mean_return)
+                    self.metrics.record_custom("eval_return_std", result.std_return)
+                    self.metrics.record_custom("eval_length", result.mean_length)
+                    self._fire("after_eval_exp")
+        finally:  # also when play, a check or a hook raises
+            self.metrics.phase, self.metrics.experience_index = saved
+            self.eval_experience = None
         return results
 
     @staticmethod

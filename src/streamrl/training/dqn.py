@@ -238,7 +238,7 @@ class DqnStrategy(RLBaseStrategy):
         return np.argmax(q, axis=1)
 
     def prepare_update_batch(self, rollout: Rollout) -> Optional[Transitions]:
-        self.replay.extend(rollout.steps())
+        self.replay.extend(rollout.steps)
         if len(self.replay) < self.batch_size:
             return None
         return self.replay.sample(self.batch_size)

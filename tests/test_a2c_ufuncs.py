@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from streamrl.nn import Adam, Mlp, mse_loss, policy_losses, softmax
-from streamrl.training import A2cStrategy, Rollout, Steps, TrainingBudget, compute_nstep_returns
-from test_transitions import by_actor
+from streamrl.training import A2cStrategy, Steps, TrainingBudget, compute_nstep_returns
+from test_transitions import by_actor, rollout_of
 
 ACTIONS = range(2, 10)
 BATCHES = (1, 4, 20, 33)
@@ -195,13 +195,14 @@ def test_a2c_update_equals_the_parent_update_bitwise(dones, shape, k):
         if update == 3:
             for model in models:
                 model.weights[-1][:k] *= 2000.0  # logits up to hundreds: probabilities of 0
-        rollout = Rollout(n_actors)
+        rows = []
         for t in range(T):
             obs = rng.normal(size=(n_actors, 4))
             rewards = rng.choice([-0.0, 1.0, -1.5], size=n_actors) * rng.normal(size=n_actors)
             done = np.array([DONES[dones](a, t, T) for a in range(n_actors)])
-            rollout.append(obs, rng.integers(0, k, size=n_actors), rewards, done,
-                           obs + rng.normal(size=obs.shape))
+            rows.append((obs, rng.integers(0, k, size=n_actors), rewards, done,
+                         obs + rng.normal(size=obs.shape)))
+        rollout = rollout_of(n_actors, rows)
         accum = rng.normal(size=models[0].param_count) * (update % 2)
         for strat in strats:
             strat.loss, strat.grad_accum = 0.0, accum.copy()

@@ -1,14 +1,14 @@
 """The shared argument rules of streamrl.checks, and every public constructor
-that takes a count, a seed or a finite number refusing what the rules refuse,
-and a number out of its range, with the argument's name in the message and
-its module's error class."""
+that takes a count, a seed, a label, an index or a finite number refusing
+what the rules refuse, and a number out of its range, with the argument's
+name in the message and its module's error class."""
 
 import re
 
 import numpy as np
 import pytest
 
-from streamrl.benchmarks import RLExperience
+from streamrl.benchmarks import BadOrderIndex, Explicit, RLExperience
 from streamrl.checks import Count, count, finite, integer
 from streamrl.core_env import Discrete, FrameStack, TimeLimit, wrap
 from streamrl.envs import BanditParams, CartPole, CartPoleParams, GridScene, InvalidParams
@@ -32,6 +32,7 @@ from streamrl.training import (
     Rollout,
     Steps,
     TrainingBudget,
+    Transitions,
 )
 from streamrl.vec_env import VectorizedEnv
 
@@ -121,7 +122,7 @@ COUNT_ARGUMENTS = {
     "WindowedScalar": ("window", WindowedScalar, ValueError),
     "RLExperience": ("n_envs", lambda n: RLExperience(CartPole, 0, n_envs=n), ValueError),
     "VectorizedEnv": ("n_actors", vectorized_env, ValueError),
-    "Rollout": ("n_actors", Rollout, ValueError),
+    "Rollout": ("n_actors", lambda n: Rollout(n, Transitions.zeros((0,), (4,))), ValueError),
     "TrainingBudget": ("updates_per_experience", lambda n: TrainingBudget(n, Steps(5)), ValueError),
     "evaluate": ("n_episodes", lambda n: tiny_dqn().evaluate([], n), InvalidEpisodeCount),
     "ReplayBuffer": ("capacity", ReplayBuffer, ValueError),
@@ -171,6 +172,10 @@ SEED_ARGUMENTS = {
     "DqnStrategy.replay_seed": ("replay_seed", lambda n: tiny_dqn(replay_seed=n)),
     "A2cStrategy.action_seed": ("action_seed", lambda n: tiny_a2c(action_seed=n)),
     "ReplayPlugin.seed": ("seed", lambda n: ReplayPlugin(seed=n)),
+    # not seeds, but the same rule: a task label and a position in the stream
+    "RLExperience.task_label": ("task_label", lambda n: RLExperience(CartPole, n)),
+    "RLExperience.experience_index":
+        ("experience_index", lambda n: RLExperience(CartPole, 0, experience_index=n)),
 }
 
 # (argument, its constructor, finite values out of its range, the range the message names)
@@ -225,6 +230,19 @@ def test_every_seed_argument_accepts_zero_and_a_numpy_integer(site):
     _, construct = SEED_ARGUMENTS[site]
     construct(0)
     construct(np.int64(7))
+
+
+@pytest.mark.parametrize("value", [1.5, 0.2, True, np.True_, "1", None], ids=repr)
+def test_explicit_refuses_an_order_index_that_is_no_integer(value):
+    message = f"^order index must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(BadOrderIndex, match=message):
+        Explicit((0, value))
+
+
+def test_explicit_stores_numpy_integer_indices_as_int():
+    order = Explicit((np.int64(1), 0, np.int32(2)))
+    assert order.indices == (1, 0, 2)
+    assert all(type(i) is int for i in order.indices)
 
 
 @pytest.mark.parametrize("mode", ["bogus", "Serial", None, 1])

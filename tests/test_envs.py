@@ -339,6 +339,29 @@ def test_scene_invariants():
         )
 
 
+@pytest.mark.parametrize("field, value, name", [
+    ("start", (1.5, 0), "start coordinate"),
+    ("start", (0, np.float64(1.0)), "start coordinate"),
+    ("start", 0, "start"),
+    ("goal", (True, 4), "goal coordinate"),
+    ("goal", (4.0, 4), "goal coordinate"),
+    ("goal", (4, 4, 0), "goal"),
+    ("goal", "44", "goal"),
+    ("walls", frozenset({(1.5, 2)}), "walls cell coordinate"),
+    ("walls", [(2, "2")], "walls cell coordinate"),
+    ("walls", [3], "walls cell"),
+], ids=repr)
+def test_scene_refuses_a_cell_that_is_no_pair_of_integers(field, value, name):
+    with pytest.raises(InvalidParams, match=f"^{name} must be "):
+        GridScene(5, 5, **{field: value})
+
+
+def test_scene_stores_integer_cells_as_int_pairs():
+    scene = GridScene(5, 5, walls=[[2, np.int64(2)]], start=(np.int64(1), 0), goal=[4, 4])
+    assert (scene.start, scene.goal, scene.walls) == ((1, 0), (4, 4), frozenset({(2, 2)}))
+    assert all(type(v) is int for cell in (scene.start, scene.goal, *scene.walls) for v in cell)
+
+
 def test_one_hot_layout_row_major():
     obs = one_hot_cell((2, 1), 5, 5)
     assert obs.shape == (25,)

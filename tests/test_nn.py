@@ -22,8 +22,7 @@ from streamrl.nn import (
     policy_losses,
     softmax,
 )
-from streamrl.training import Rollout
-from test_transitions import by_actor
+from test_transitions import by_actor, rollout_of
 
 
 def identity_net(n=2):
@@ -302,12 +301,12 @@ def matmul_backprop(net, layer_outs, output_grads, squared):
 
 def a2c_tail_obs(n_actors, obs_dim, rng):
     """per_actor.next_obs[:, -1], the strided input of A2C's tail values."""
-    rollout = Rollout(n_actors)
+    rows = []
     for _ in range(5):
         obs = rng.normal(size=(n_actors, obs_dim))
-        rollout.append(obs, np.zeros(n_actors, dtype=np.int64), np.zeros(n_actors),
-                       np.zeros(n_actors, dtype=bool), obs + 1.0)
-    tail = by_actor(rollout).next_obs[:, -1]
+        rows.append((obs, np.zeros(n_actors, dtype=np.int64), np.zeros(n_actors),
+                     np.zeros(n_actors, dtype=bool), obs + 1.0))
+    tail = by_actor(rollout_of(n_actors, rows)).next_obs[:, -1]
     assert n_actors == 1 or not tail.flags.c_contiguous
     return tail
 

@@ -195,10 +195,7 @@ def test_ewc_before_update_equals_the_old_composition_bitwise(n_anchors, prior):
 
 
 def run_fisher(plugin, strat, rewards):
-    rollout = Rollout(1)
-    for r in rewards:
-        rollout.append(*flat_step(r).columns[:5])
-    strat.rollout = rollout
+    strat.rollout = Rollout(1, flat_steps(rewards))
     plugin.before_training_exp(strat)
     plugin.after_rollout(strat)
     plugin.after_training_exp(strat)
@@ -392,12 +389,11 @@ def test_replay_empty_memory_is_identity():
 
 def test_replay_leaves_rollout_batches_alone():
     plugin = seeded_replay(mix_ratio=1.0, seed=0)
-    rollout = Rollout(1)
-    rollout.append(*flat_step(7.0).columns[:5])
+    rollout = Rollout(1, flat_step(7.0))
     strat = FakeStrategy(tiny_model(), batch=rollout, task_label=0)
     plugin.before_update(strat)
     assert strat.update_batch is rollout
-    assert rollout.steps()[0].obs[0] == 7.0
+    assert rollout.steps[0].obs[0] == 7.0
 
 
 def test_replay_skips_none_batch():
@@ -421,11 +417,8 @@ def test_replay_reproducible_across_instances():
 
 def test_replay_collects_rollouts():
     plugin = ReplayPlugin(capacity=100, mix_ratio=0.5, seed=0)
-    rollout = Rollout(2)
-    for t in range(3):
-        rollout.append(*flat_steps([10 * a + t for a in range(2)]).columns[:5])
     strat = FakeStrategy(tiny_model(), task_label=0)
-    strat.rollout = rollout
+    strat.rollout = Rollout(2, flat_steps([10 * a + t for t in range(3) for a in range(2)]))
     plugin.after_rollout(strat)
     assert len(plugin.memory) == 6
 
@@ -506,7 +499,7 @@ class WindowRecorder(StrategyPlugin):
         self.steps = []
 
     def after_rollout(self, strategy):
-        self.steps.extend(strategy.rollout.steps())
+        self.steps.extend(strategy.rollout.steps)
 
 
 def brute_force_q_fisher(model, anchor, steps):
@@ -586,7 +579,7 @@ def test_batched_fisher_matches_the_per_sample_loop(kind, activation, n, monkeyp
     plugin = EwcPlugin(lam=1.0, fisher_sample_count=n)
     plugin.before_training_exp(strategy)
     for lo, hi in ((0, 25), (25, n + 40)):  # the second rollout wraps the window's ring
-        strategy.rollout = SimpleNamespace(steps=lambda lo=lo, hi=hi: stream[lo:hi])
+        strategy.rollout = Rollout(1, stream[lo:hi])
         plugin.after_rollout(strategy)
     passes, forward = [], Mlp.forward
 

@@ -35,7 +35,6 @@ from streamrl.plugins import EwcPlugin
 from streamrl.task_stream import MaxEpisodes, build_task, task_stream_benchmark_generator
 from streamrl.training import (
     A2cStrategy,
-    AppendAfterMaterialize,
     DqnStrategy,
     EmptyRollout,
     EmptyStream,
@@ -55,7 +54,7 @@ from streamrl.training.base import EVAL_LANES, HOOKS
 from streamrl.training.dqn import ReplayBuffer
 from streamrl.vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
 from test_nn import old_entropy_loss, old_mse_loss, old_policy_gradient_loss, old_softmax
-from test_transitions import by_actor
+from test_transitions import by_actor, rollout_of
 
 SPEC_A = EnvSpec("grid_a", lambda: GridWorld(GridScene(5, 5)))
 SPEC_B = EnvSpec("grid_b", lambda: GridWorld(GridScene(5, 5, goal=(0, 4))))
@@ -223,25 +222,60 @@ def test_nstep_returns_equal_the_old_numpy_loop_bitwise():
 
 
 def test_rollout_time_major_layout():
-    rollout = Rollout(2)
-    for t in range(2):
-        rollout.append(*make_steps([10 * a + t for a in range(2)]).columns[:5])
-    flat = rollout.steps()
+    rollout = rollout_of(2, [make_steps([10 * a + t for a in range(2)]).columns[:5] for t in range(2)])
+    flat = rollout.steps
     assert [s.obs[0] for s in flat] == [0.0, 10.0, 1.0, 11.0]
-    assert np.array_equal(rollout.steps().obs[:, 0], np.array([0.0, 10.0, 1.0, 11.0]))
+    assert np.array_equal(rollout.steps.obs[:, 0], np.array([0.0, 10.0, 1.0, 11.0]))
 
 
-def test_rollout_append_after_materialize():
-    rollout = Rollout(1)
-    rollout.append(*make_step().columns[:5])
-    _ = rollout.steps()
-    with pytest.raises(AppendAfterMaterialize):
-        rollout.append(*make_step().columns[:5])
+@pytest.mark.parametrize("condition", [Steps(4), Episodes(2)], ids=repr)
+@pytest.mark.parametrize("kind", ["dqn", "a2c"])
+def test_every_after_rollout_sees_the_joined_rollout_its_update_consumes(kind, condition):
+    """collect_rollout joins each rollout once: when after_rollout fires, its
+    steps are Transitions, row t * n_actors + a being actor a's step t, with
+    the experience's task label, and the update reads that very object."""
+    n_actors, acted, joined, consumed = 3, [], [], []  # acted: (obs, actions) per step
 
+    class Recording(DqnStrategy if kind == "dqn" else A2cStrategy):
+        def sample_rollout_action(self, obs_batch):
+            actions = super().sample_rollout_action(obs_batch)
+            acted.append((obs_batch.copy(), actions.copy()))
+            return actions
 
-def test_rollout_empty_materialize():
-    with pytest.raises(EmptyRollout):
-        _ = Rollout(1).steps()
+        def apply_update(self, batch):
+            if kind == "a2c":
+                consumed.append(batch)
+            super().apply_update(batch)
+
+    class JoinedRolloutCheck(StrategyPlugin):
+        def after_rollout(self, strategy):
+            rollout, steps = strategy.rollout, strategy.rollout.steps
+            assert type(steps) is Transitions and rollout.n_actors == n_actors
+            assert len(steps) == len(acted) * n_actors
+            for t, (obs, actions) in enumerate(acted):
+                for a in range(n_actors):
+                    assert steps.obs[t * n_actors + a].tobytes() == obs[a].tobytes()
+                    assert steps.action[t * n_actors + a] == actions[a]
+            assert steps.task_label.dtype == np.int64
+            assert steps.task_label.tolist() == [strategy.experience.task_label] * len(steps)
+            acted.clear()
+            joined.append(rollout)
+
+    if kind == "dqn":
+        strat = Recording(dqn_model(obs_dim=4, n_actions=2), Adam(1e-3),
+                          TrainingBudget(3, condition), batch_size=4)
+        extend = strat.replay.extend
+        strat.replay.extend = lambda batch: (consumed.append(batch), extend(batch))
+    else:
+        strat = Recording(a2c_model(), Adam(1e-3), TrainingBudget(3, condition))
+    specs = [EnvSpec(f"cp{i}", lambda h=h: CartPole(CartPoleParams(pole_half_length=h)))
+             for i, h in enumerate((0.5, 1.0))]
+    strat.train(gym_benchmark_generator(specs, 2, Explicit((1, 0)), n_actors), [JoinedRolloutCheck()])
+    assert [r.steps.task_label[0] for r in joined] == [1, 1, 1, 0, 0, 0]
+    if kind == "dqn":
+        assert all(batch is rollout.steps for batch, rollout in zip(consumed, joined, strict=True))
+    else:
+        assert all(batch is rollout for batch, rollout in zip(consumed, joined, strict=True))
 
 
 def test_step_validation():
@@ -434,7 +468,7 @@ class ObsContinuitySpy(StrategyPlugin):
         self._last = None
 
     def after_rollout(self, strategy):
-        steps = strategy.rollout.steps()
+        steps = strategy.rollout.steps
         if self._last is not None:
             self.boundaries.append((self._last, steps[0]))
         self._last = steps[-1]
@@ -737,15 +771,15 @@ def test_a2c_loss_composition():
                         gamma=0.9, value_coef=0.5, entropy_coef=0.01)
 
     rng = np.random.default_rng(6)
-    rollout = Rollout(2)
-    per_actor = [[], []]  # (obs, action, reward, next_obs) per step, per actor
+    per_actor, rows = [[], []], []  # (obs, action, reward, next_obs) per step, per actor
     for t in range(2):
         for a in range(2):
             per_actor[a].append((rng.normal(size=3), int(rng.integers(2)),
                                  float(rng.normal()), rng.normal(size=3)))
         row = [steps[t] for steps in per_actor]
         obs, actions, rewards, next_obs = (np.array(column) for column in zip(*row))
-        rollout.append(obs, actions, rewards, np.zeros(2, dtype=bool), next_obs)
+        rows.append((obs, actions, rewards, np.zeros(2, dtype=bool), next_obs))
+    rollout = rollout_of(2, rows)
     strat.loss = 0.0
     strat.grad_accum = np.zeros(model.param_count)
     strat.apply_update(rollout)
@@ -816,15 +850,16 @@ def test_a2c_update_equals_the_old_composition_bitwise(saturated, activation, n_
     strats = [A2cStrategy(model, Adam(0.05), TrainingBudget(1, Steps(5)), gamma=0.9)
               for model in models]
     for update in range(6):
-        rollout = Rollout(n_actors)
+        rows = []
         for t in range(5):
             obs = rng.normal(size=(n_actors, 4))
             rewards = rng.choice([-0.0, 1.0, -1.5], size=n_actors)
             done = np.array([A2C_DONES[dones](a, t) for a in range(n_actors)])
-            rollout.append(obs, rng.integers(0, 3, size=n_actors), rewards, done,
-                           obs + rng.normal(size=obs.shape))
+            rows.append((obs, rng.integers(0, 3, size=n_actors), rewards, done,
+                         obs + rng.normal(size=obs.shape)))
+        rollout = rollout_of(n_actors, rows)
         if saturated:
-            probs = softmax(models[0].forward(rollout.steps().obs)["policy_logits"])
+            probs = softmax(models[0].forward(rollout.steps.obs)["policy_logits"])
             assert (probs == 0.0).any()
         accum = rng.normal(size=models[0].param_count) * (update % 2)
         for strat in strats:
@@ -838,7 +873,7 @@ def test_a2c_update_equals_the_old_composition_bitwise(saturated, activation, n_
 def test_a2c_empty_rollout_rejected():
     strat = A2cStrategy(a2c_model(), Adam(1e-3), TrainingBudget(1, Steps(1)))
     with pytest.raises(EmptyRollout):
-        strat.apply_update(Rollout(1))
+        strat.apply_update(Rollout(1, Transitions.zeros((0,), (4,))))
 
 
 def test_a2c_trains_deterministically_on_cartpole():
@@ -878,7 +913,7 @@ def test_rollout_rows_do_not_alias_an_env_buffer():
     def last_rollout(factory):
         strat = DqnStrategy(dqn_model(), Adam(1e-3), TrainingBudget(1, Steps(8)), batch_size=64)
         strat.train(gym_benchmark_generator([EnvSpec("g", factory)], 1, Explicit((0,)), 2), [])
-        return strat.rollout.steps()
+        return strat.rollout.steps
 
     shared = last_rollout(SharedBufferGrid)
     fresh = last_rollout(lambda: GridWorld(GridScene(5, 5, max_steps=3)))
@@ -1142,6 +1177,33 @@ def test_non_finite_eval_reward_names_the_eval_experience_before_any_record(tmp_
     lines = (tmp_path / "metrics.jsonl").read_text().splitlines()
     assert any('"phase": "eval"' in line for line in lines)  # experience 0 was booked
     assert not any("NaN" in line for line in lines)
+
+
+class RaisesAfterEvalExp(StrategyPlugin):
+    def after_eval_exp(self, strategy):
+        raise RuntimeError("plugin failed")
+
+
+@pytest.mark.parametrize("fault", ["nan-reward", "after_eval_exp"])
+def test_evaluate_restores_its_state_when_it_raises(fault):
+    """Experience 0 is booked (phase "eval") before the fault, and evaluate
+    still leaves eval_experience, phase and experience_index as it found them."""
+    scene = GridScene(5, 5)
+    strat = DqnStrategy(grid_q_table_model(scene), Adam(1e-3), TrainingBudget(1, Steps(1)))
+    strat.metrics.phase, strat.metrics.experience_index = "train", 4
+    stream = [RLExperience(env_factory=lambda: GridWorld(scene), task_label=0, n_envs=1,
+                           experience_index=0),
+              RLExperience(env_factory=lambda: GridPayingNanOnStep3(scene), task_label=1,
+                           n_envs=1, experience_index=1)]
+    if fault == "nan-reward":
+        with pytest.raises(ValueError, match="^eval experience 1: non-finite reward nan"):
+            strat.evaluate(stream, 2)
+    else:
+        strat.plugins = [RaisesAfterEvalExp()]
+        with pytest.raises(RuntimeError, match="^plugin failed$"):
+            strat.evaluate(stream[:1], 2)
+    assert strat.eval_experience is None
+    assert (strat.metrics.phase, strat.metrics.experience_index) == ("train", 4)
 
 
 def test_non_finite_training_reward_names_experience_and_update():

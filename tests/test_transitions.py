@@ -25,7 +25,14 @@ def by_actor(rollout: Rollout) -> Transitions:
     """The rollout's actor-major columns, of shape [n_actors, T, ...]: a
     fancy-indexed copy of its time-major steps, the reference that A2C's
     reshaped views are checked against."""
-    return rollout.steps()[np.arange(len(rollout)).reshape(-1, rollout.n_actors).T]
+    return rollout.steps[np.arange(len(rollout)).reshape(-1, rollout.n_actors).T]
+
+
+def rollout_of(n_actors: int, rows, task_label: int = 0) -> Rollout:
+    """The Rollout that collect_rollout joins from vectorized steps, each an
+    (obs, action, reward, done, next_obs) tuple of one row per actor."""
+    columns = [np.concatenate(column) for column in zip(*rows)]
+    return Rollout(n_actors, Transitions(*columns, np.full(len(rows) * n_actors, task_label)))
 
 
 FIELDS = ("obs", "action", "reward", "done", "next_obs", "task_label")
@@ -135,11 +142,12 @@ def test_clear_restarts_at_slot_zero():
 
 
 def test_rollout_time_major_and_actor_major_orders():
-    rollout = Rollout(3, task_label=5)
+    rows = []
     for t in range(4):
         obs = np.array([[10.0 * a + t, 0.0] for a in range(3)])
-        rollout.append(obs, np.full(3, t), np.arange(3.0), np.zeros(3, dtype=bool), obs + 1)
-    flat = rollout.steps()
+        rows.append((obs, np.full(3, t), np.arange(3.0), np.zeros(3, dtype=bool), obs + 1))
+    rollout = rollout_of(3, rows, task_label=5)
+    flat = rollout.steps
     assert flat.obs[:, 0].tolist() == [10.0 * a + t for t in range(4) for a in range(3)]
     assert flat.task_label.tolist() == [5] * 12
     per_actor = by_actor(rollout)
@@ -155,10 +163,9 @@ def test_rollout_time_major_and_actor_major_orders():
     (np.zeros(2), np.zeros((2, 4)), "next_obs shape"),
 ])
 def test_rollout_rejects_non_finite_reward_and_shape_mismatch(reward, next_obs, message):
-    rollout = Rollout(2)
-    rollout.append(np.zeros((2, 3)), np.zeros(2, dtype=int), reward, np.zeros(2, bool), next_obs)
+    row = (np.zeros((2, 3)), np.zeros(2, dtype=int), reward, np.zeros(2, bool), next_obs)
     with pytest.raises(ValueError, match=message):
-        rollout.steps()
+        rollout_of(2, [row])
 
 
 class NanRewardGrid(GridWorld):
@@ -406,13 +413,13 @@ def test_ewc_window_is_the_last_k_rows_oldest_first_after_wrap():
     rng = np.random.default_rng(8)
     stream = []
     for n_steps in (3, 4, 2, 5):  # 14 vectorized steps x 2 actors into 8 rows
-        rollout = Rollout(2)
+        rows = []
         for _ in range(n_steps):
             step = random_batch(rng, 2)
-            rollout.append(step.obs, step.action, step.reward, step.done, step.next_obs)
-        strategy.rollout = rollout
+            rows.append((step.obs, step.action, step.reward, step.done, step.next_obs))
+        strategy.rollout = rollout = rollout_of(2, rows)
         plugin.after_rollout(strategy)
-        stream.extend(as_rows(rollout.steps()))
+        stream.extend(as_rows(rollout.steps))
     plugin.after_training_exp(strategy)
     assert_rows_equal(strategy.seen, stream[-8:])
 
