@@ -48,7 +48,8 @@ from .core_env import (
     TimeLimit,
 )
 from .envs import Bandit, BanditParams, CartPole, CartPoleParams, GridScene, GridWorld, parse_scene
-from .evaluation import ForgettingMatrix, JsonlLogger, MetricsCollector, read_metrics_jsonl
+from .evaluation import (
+    ForgettingMatrix, JsonlLogger, MalformedMetrics, MetricsCollector, read_metrics_jsonl)
 from .nn import Adam, Mlp
 from .plugins import EwcPlugin, NaivePlugin, ReplayPlugin
 from .task_stream import (
@@ -673,7 +674,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(args.config, args.checkpoint)
         return cmd_plot_data(args.metrics, args.metric_name, args.phase)
-    except (ConfigError, CheckpointError) as err:
+    except (ConfigError, CheckpointError, MalformedMetrics) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except FileNotFoundError as err:

@@ -34,9 +34,6 @@ class IncompatibleSpace(EnvError):
     """A wrapper was applied to an environment whose spaces don't support it."""
 
 
-_INTEGERS = (int, np.integer)
-
-
 @dataclass(frozen=True)
 class Discrete:
     """Action/observation space of n distinct integer actions 0..n-1."""
@@ -47,8 +44,8 @@ class Discrete:
         count(self.n, "Discrete(n)")
 
     def contains(self, action) -> bool:
-        # numpy integers compare with Python ints exactly, so no int() is needed
-        return isinstance(action, _INTEGERS) and 0 <= action < self.n
+        # a bool is no action; numpy integers compare with Python ints exactly
+        return (type(action) is int or isinstance(action, np.integer)) and 0 <= action < self.n
 
 
 @dataclass(frozen=True)

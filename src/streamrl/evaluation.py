@@ -25,6 +25,10 @@ class NonFiniteValue(ValueError):
     """A metric value was NaN or infinite."""
 
 
+class MalformedMetrics(ValueError):
+    """A metrics.jsonl line is not one JSON record of the MetricRecord fields."""
+
+
 @dataclass(frozen=True, init=False)
 class MetricRecord:
     global_step: int
@@ -63,7 +67,7 @@ class ForgettingMatrix:
     """R[j][i] = mean eval return on task i after training experience j."""
 
     def __init__(self, n_eval_tasks: int):
-        self.n_eval_tasks = n_eval_tasks
+        self.n_eval_tasks = count(n_eval_tasks, "n_eval_tasks")
         self.rows: list[list[float]] = []
 
     def add_row(self, returns) -> None:
@@ -163,9 +167,12 @@ class CsvLogger:
 def read_metrics_jsonl(path) -> list[MetricRecord]:
     records = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             if line.strip():
-                records.append(MetricRecord(**json.loads(line)))
+                try:
+                    records.append(MetricRecord(**json.loads(line)))
+                except (ValueError, TypeError) as err:  # not JSON, or not a record's fields
+                    raise MalformedMetrics(f"{path}: line {number} is no metric record: {err}") from err
     return records
 
 
@@ -195,7 +202,7 @@ class MetricsCollector:
     """
 
     def __init__(self, window: int = 10, loggers=()):
-        self.window = window
+        self.window = count(window, "window")
         self.loggers = list(loggers)
         self.global_step = 0
         self.experience_index = 0

@@ -167,9 +167,9 @@ class ReplayPlugin(StrategyPlugin):
     def __init__(self, capacity: int = 10_000, mix_ratio: float = 0.5, seed: int = 0):
         if not 0.0 <= finite(mix_ratio, "mix_ratio") <= 1.0:
             raise ValueError(f"mix_ratio must be in [0, 1], got {mix_ratio!r}")
-        self.memory = ReplayBuffer(capacity, seed=integer(seed, "seed", low=0))
+        self.memory = ReplayBuffer(capacity)
         self.mix_ratio = float(mix_ratio)
-        self._rng = np.random.default_rng(seed + 1)
+        self._rng = np.random.default_rng(integer(seed, "seed", low=0) + 1)
 
     def after_rollout(self, strategy) -> None:
         self.memory.extend(strategy.rollout.steps)
@@ -196,7 +196,7 @@ class ReplayPlugin(StrategyPlugin):
         slots = self._rng.integers(0, n_candidates, size=n_replace)
         slots += shifts[0] if len(shifts) == 1 else (  # one run: the usual case
             np.array(shifts)[np.array(ends).searchsorted(slots, side="right")])
-        self.memory.copy_rows(slots, batch, rows)
+        batch.put(rows, self.memory.rows(slots))
 
     # -- checkpoint integration -------------------------------------------
 
@@ -211,7 +211,7 @@ class ReplayPlugin(StrategyPlugin):
 
     def load_state_sections(self, sections: dict[str, np.ndarray]) -> None:
         meta = sections["replay/meta"]
-        self.memory = ReplayBuffer(int(meta[0]), seed=0)
+        self.memory = ReplayBuffer(int(meta[0]))
         self.mix_ratio = float(meta[1])
         n = int(meta[2])
         if n:  # the ring's int and bool columns take the float64 sections

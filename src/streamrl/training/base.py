@@ -37,7 +37,7 @@ from ..core_env import ActionOutOfSpace, lane_stepper
 from ..core_env import deserialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 from ..evaluation import MetricsCollector
 from ..nn import NonFinite, _all_finite
-from ..vec_env import EPISODE_SEED_STRIDE, VectorizedEnv
+from ..vec_env import VectorizedEnv, episode_seed
 
 # Eval episodes that run side by side, one greedy forward over all of them per
 # step. CPU time is the cost that counts, and numpy's OpenBLAS (0.3.31) runs a
@@ -366,65 +366,69 @@ class RLBaseStrategy:
         if scenario.n_experiences == 0:
             raise EmptyStream("scenario has no training experiences")
         self.training = True
-        self._fire("before_training")
-        reports: list[ExperienceReport] = []
-        evals: list[tuple[EvalResult, ...]] = []
-        for exp in scenario.train_stream:
-            self.experience = exp
-            self.metrics.phase = "train"
-            self.metrics.experience_index = exp.experience_index
-            self.metrics.reset_phase_windows("train")
-            venv = VectorizedEnv(
-                exp.env_factory, exp.n_envs, base_seed=self.env_seed, mode=self.vec_mode
-            )
-            self.venv = venv
-            phase = "rollout"
-            try:
-                self.current_obs = venv.reset()
-                self._ep_return = [0.0] * exp.n_envs
-                self._ep_length = [0] * exp.n_envs
-                self._exp_episode_returns = []
-                self.env_steps_this_exp = 0
-                self.updates_applied_this_exp = 0
-                self.updates_skipped_this_exp = 0
-                self.on_experience_start(exp)
-                self._fire("before_training_exp")
-                for u in range(self.budget.updates_per_experience):
-                    self.update_index = u
-                    phase = "rollout"
-                    self._fire("before_rollout")
-                    self.rollout = self.collect_rollout(venv, self.budget.rollout_condition)
-                    self._fire("after_rollout")
-                    phase = "update"
-                    self.loss = 0.0
-                    self.grad_accum = np.zeros(self.model.param_count)
-                    self.update_batch = self.prepare_update_batch(self.rollout)
-                    self._fire("before_update")
-                    self.apply_update(self.update_batch)
-                    self._fire("after_update")
-                    self.global_update_index += 1
-                phase = "fisher"  # where regularization plugins measure importance
-                self._fire("after_training_exp")
-            except NonFinite as err:
-                where = f"experience {exp.experience_index}, update {self.update_index}, {phase}"
-                raise NonFinite(f"{where}: {err}") from err
-            finally:
-                venv.close()
-                self.venv = None
-            reports.append(
-                ExperienceReport(
-                    experience_index=exp.experience_index,
-                    task_label=exp.task_label,
-                    env_steps=self.env_steps_this_exp,
-                    updates_applied=self.updates_applied_this_exp,
-                    updates_skipped=self.updates_skipped_this_exp,
-                    episodes_completed=len(self._exp_episode_returns),
-                    episode_returns=tuple(self._exp_episode_returns),
-                    final_loss=float(self.loss),
+        try:
+            self._fire("before_training")
+            reports: list[ExperienceReport] = []
+            evals: list[tuple[EvalResult, ...]] = []
+            for exp in scenario.train_stream:
+                self.experience = exp
+                self.metrics.phase = "train"
+                self.metrics.experience_index = exp.experience_index
+                self.metrics.reset_phase_windows("train")
+                venv = VectorizedEnv(
+                    exp.env_factory, exp.n_envs, base_seed=self.env_seed, mode=self.vec_mode
                 )
-            )
-            if eval_stream is not None:
-                evals.append(tuple(self.evaluate(eval_stream, eval_episodes)))
+                self.venv = venv
+                phase = "rollout"
+                try:
+                    self.current_obs = venv.reset()
+                    self._ep_return = [0.0] * exp.n_envs
+                    self._ep_length = [0] * exp.n_envs
+                    self._exp_episode_returns = []
+                    self.env_steps_this_exp = 0
+                    self.updates_applied_this_exp = 0
+                    self.updates_skipped_this_exp = 0
+                    self.on_experience_start(exp)
+                    self._fire("before_training_exp")
+                    for u in range(self.budget.updates_per_experience):
+                        self.update_index = u
+                        phase = "rollout"
+                        self._fire("before_rollout")
+                        self.rollout = self.collect_rollout(venv, self.budget.rollout_condition)
+                        self._fire("after_rollout")
+                        phase = "update"
+                        self.loss = 0.0
+                        self.grad_accum = np.zeros(self.model.param_count)
+                        self.update_batch = self.prepare_update_batch(self.rollout)
+                        self._fire("before_update")
+                        self.apply_update(self.update_batch)
+                        self._fire("after_update")
+                        self.global_update_index += 1
+                    phase = "fisher"  # where regularization plugins measure importance
+                    self._fire("after_training_exp")
+                except NonFinite as err:
+                    where = f"experience {exp.experience_index}, update {self.update_index}, {phase}"
+                    raise NonFinite(f"{where}: {err}") from err
+                finally:
+                    venv.close()
+                    self.venv = None
+                reports.append(
+                    ExperienceReport(
+                        experience_index=exp.experience_index,
+                        task_label=exp.task_label,
+                        env_steps=self.env_steps_this_exp,
+                        updates_applied=self.updates_applied_this_exp,
+                        updates_skipped=self.updates_skipped_this_exp,
+                        episodes_completed=len(self._exp_episode_returns),
+                        episode_returns=tuple(self._exp_episode_returns),
+                        final_loss=float(self.loss),
+                    )
+                )
+                if eval_stream is not None:
+                    evals.append(tuple(self.evaluate(eval_stream, eval_episodes)))
+        except BaseException:  # no stale training state when an experience raises
+            self.training, self.experience = False, None
+            raise
         self.training = False
         self._fire("after_training")
         return TrainingReport(
@@ -438,8 +442,8 @@ class RLBaseStrategy:
         self, eval_stream: Sequence[RLExperience], n_episodes: int
     ) -> list[EvalResult]:
         """Greedy policy, no learning: n_episodes per eval experience, episode
-        k on a fresh env reset with eval_env_seed + EPISODE_SEED_STRIDE * k, so
-        each episode depends only on the weights and its seed. Each lane set
+        k on a fresh env reset with episode_seed(eval_env_seed, 0, k), so each
+        episode depends only on the weights and its seed. Each lane set
         (see _lane_sets) is played first, with eval_experience its first
         experience; then each of its experiences fires before_eval_exp, books
         its episodes and EvalResult, and fires after_eval_exp."""
@@ -508,7 +512,7 @@ class RLBaseStrategy:
         def start(job):  # the env that plays job, and its first observation
             (exp, envs), k = lane_set[job // n_episodes], job % n_episodes
             env = envs[k] if k < 2 else exp.env_factory()
-            return env, env.reset(seed=seed + EPISODE_SEED_STRIDE * k)
+            return env, env.reset(seed=episode_seed(seed, 0, k))
 
         # lane i plays job jobs[i] on envs[i] and last saw obs[i]
         jobs = list(range(width))

@@ -37,16 +37,15 @@ from .base import InsufficientReplay, RLBaseStrategy, Rollout, TrainingBudget, T
 
 class ReplayBuffer:
     """Fixed-capacity ring of transition columns with FIFO eviction and
-    uniform sampling. The k-th transition stored since the last clear() goes
-    to slot k % capacity, so once the ring is full each new transition
-    overwrites the oldest one."""
+    uniform sampling with the caller's generator. The k-th transition stored
+    since the last clear() goes to slot k % capacity, so once the ring is full
+    each new transition overwrites the oldest one."""
 
-    def __init__(self, capacity: int, seed: int = 0):
+    def __init__(self, capacity: int):
         self.capacity = count(capacity, "capacity")
         self._slots = Transitions.zeros((0,), ())  # allocated by the first extend()
         self._size = 0
         self._next = 0
-        self._rng = np.random.default_rng(seed)
         # [task label, count] of each run of stored transitions that share a
         # label, in the order they were stored, oldest first; see label_runs()
         self._runs: deque[list] | None = None
@@ -89,21 +88,16 @@ class ReplayBuffer:
             else:
                 self._runs.append([label, count])
 
-    def sample(self, batch_size: int) -> Transitions:
+    def sample(self, batch_size: int, rng: np.random.Generator) -> Transitions:
         if self._size < batch_size:
             raise InsufficientReplay(
                 f"buffer holds {self._size} < batch_size {batch_size}"
             )
-        return self.rows(self._rng.integers(0, self._size, size=batch_size))
+        return self.rows(rng.integers(0, self._size, size=batch_size))
 
     def rows(self, slots: np.ndarray) -> Transitions:
         """Copies of the transitions in the given slots."""
         return self._slots[slots]
-
-    def copy_rows(self, slots: np.ndarray, target: Transitions, rows: np.ndarray) -> None:
-        """Writes the transitions in the given slots over target's rows."""
-        for column, stored in zip(target.columns, self._slots.columns):
-            column[rows] = stored[slots]
 
     def items(self) -> Transitions:
         """The stored transitions in slot order, as views into the ring."""
@@ -189,7 +183,8 @@ class DqnStrategy(RLBaseStrategy):
         self.eps_start = float(finite(eps_start, "eps_start"))
         self.eps_end = float(finite(eps_end, "eps_end"))
         self.eps_decay_fraction = float(finite(eps_decay_fraction, "eps_decay_fraction"))
-        self.replay = ReplayBuffer(replay_capacity, seed=integer(replay_seed, "replay_seed", low=0))
+        self.replay = ReplayBuffer(replay_capacity)
+        self._replay_rng = np.random.default_rng(integer(replay_seed, "replay_seed", low=0))
         self.target_model = model.clone()
         self._action_rng = np.random.default_rng(integer(action_seed, "action_seed", low=0))
         self._updates_since_sync = 0
@@ -241,7 +236,7 @@ class DqnStrategy(RLBaseStrategy):
         self.replay.extend(rollout.steps)
         if len(self.replay) < self.batch_size:
             return None
-        return self.replay.sample(self.batch_size)
+        return self.replay.sample(self.batch_size, self._replay_rng)
 
     def apply_update(self, batch: Optional[Transitions]) -> None:
         if batch is None:

@@ -32,14 +32,9 @@ from .core_env import serialize_obs  # noqa: F401  traced by name; see ROADMAP i
 EPISODE_SEED_STRIDE = 1_000_000
 
 
-class _Actor:
-    """One env replica and where it is in its seeding schedule."""
-
-    def __init__(self, factory: Callable[[], Environment], index: int, base_seed: int):
-        self.env = factory()
-        self.index = index
-        self.base_seed = base_seed
-        self.episode_index = 0
+def episode_seed(base_seed: int, lane: int, episode: int) -> int:
+    """The reset seed of lane `lane`'s episode `episode`, both counted from 0."""
+    return base_seed + lane + EPISODE_SEED_STRIDE * episode
 
 
 class ActorCrashed(RuntimeError):
@@ -81,11 +76,11 @@ class VectorizedEnv:
         self.mode = mode
         self._conns, self._procs = [], []
         if mode == "serial":
-            self.actors = [_Actor(env_factory, i, base_seed) for i in range(n_actors)]
-            self._envs = [actor.env for actor in self.actors]
-            self._step_lanes = lane_stepper(self._envs)
-            template = self._envs[0]
-            replica = self._envs[1] if n_actors > 1 else None
+            self.envs = [env_factory() for _ in range(n_actors)]
+            self._episodes = [0] * n_actors  # each lane's episode index
+            self._step_lanes = lane_stepper(self.envs)
+            template = self.envs[0]
+            replica = self.envs[1] if n_actors > 1 else None
         else:
             template, replica = env_factory(), env_factory()
         if replica is template:  # a shared env (TaskStreamEnv) runs only as one serial actor
@@ -117,11 +112,9 @@ class VectorizedEnv:
         error carries the `lane` of the actor it came from."""
         rows = []
         for lane in lanes:
-            actor = self.actors[lane]
-            actor.episode_index = actor.episode_index + 1 if next_episode else 0
-            seed = actor.base_seed + actor.index + EPISODE_SEED_STRIDE * actor.episode_index
+            episode = self._episodes[lane] = self._episodes[lane] + 1 if next_episode else 0
             try:
-                rows.append(actor.env.reset(seed=seed))
+                rows.append(self.envs[lane].reset(seed=episode_seed(self.base_seed, lane, episode)))
             except Exception as err:
                 err.lane = lane
                 raise
@@ -136,7 +129,7 @@ class VectorizedEnv:
                 raise ActionOutOfSpace(f"actor {i}: action {action!r} not in {self.action_space}")
         if self.mode == "parallel":
             return tuple(map(np.concatenate, zip(*self._exchange(actions))))
-        obs, rewards, dones = self._step_lanes(self._envs, actions)
+        obs, rewards, dones = self._step_lanes(self.envs, actions)
         final_obs = obs.copy()  # the stepped rows; obs takes each finished actor's next start
         if any(dones):
             finished = list(compress(range(self.n_actors), dones))

@@ -12,7 +12,7 @@ from streamrl.benchmarks import BadOrderIndex, Explicit, RLExperience
 from streamrl.checks import Count, count, finite, integer
 from streamrl.core_env import Discrete, FrameStack, TimeLimit, wrap
 from streamrl.envs import BanditParams, CartPole, CartPoleParams, GridScene, InvalidParams
-from streamrl.evaluation import WindowedScalar
+from streamrl.evaluation import ForgettingMatrix, MetricsCollector, WindowedScalar
 from streamrl.nn import Adam, Mlp, Sgd
 from streamrl.plugins import EwcPlugin, ReplayPlugin
 from streamrl.task_stream import (
@@ -120,6 +120,8 @@ COUNT_ARGUMENTS = {
     "GridScene.height": ("height", lambda n: grid_scene(height=n), InvalidParams),
     "GridScene.max_steps": ("max_steps", lambda n: grid_scene(max_steps=n), InvalidParams),
     "WindowedScalar": ("window", WindowedScalar, ValueError),
+    "MetricsCollector": ("window", MetricsCollector, ValueError),
+    "ForgettingMatrix": ("n_eval_tasks", ForgettingMatrix, ValueError),
     "RLExperience": ("n_envs", lambda n: RLExperience(CartPole, 0, n_envs=n), ValueError),
     "VectorizedEnv": ("n_actors", vectorized_env, ValueError),
     "Rollout": ("n_actors", lambda n: Rollout(n, Transitions.zeros((0,), (4,))), ValueError),

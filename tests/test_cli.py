@@ -658,6 +658,24 @@ def test_plot_data_empty_filter_header_only(tmp_path, capsys):
     assert capsys.readouterr().out == "step,value\n"
 
 
+GOOD_RECORD = ('{"global_step": 1, "experience_index": 0, "phase": "train", '
+               '"metric_name": "epsilon", "value": 0.5}')
+
+
+@pytest.mark.parametrize("bad, why", [
+    ("not json", "Expecting value"),
+    ('{"global_step": 2, "step_metric": "epsilon", "value": 0.5}', "unexpected keyword"),
+])
+def test_plot_data_refuses_a_malformed_line_naming_path_and_line(tmp_path, capsys, bad, why):
+    path = tmp_path / "metrics.jsonl"
+    path.write_text(f"{GOOD_RECORD}\n\n{bad}\n")
+    assert main(["plot-data", str(path), "epsilon"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: line 3 is no metric record: ")
+    assert why in captured.err and "runtime error" not in captured.err
+
+
 # ---------------------------------------------------------------------------
 # packaging
 # ---------------------------------------------------------------------------

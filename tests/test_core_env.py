@@ -47,9 +47,11 @@ def test_discrete_membership():
     np.uint8(0), np.uint64(3), np.uint64(2**64 - 1), np.float64(1.0), np.bool_(True), np.array(1),
 ])
 def test_discrete_membership_equals_the_int_conversion(action):
-    """contains compares an integer with n directly; it once converted it with int() first."""
+    """contains compares an integer with n directly; it once converted it with
+    int() first. A bool is no action."""
     assert bool(Discrete(4).contains(action)) == (
-        isinstance(action, (int, np.integer)) and 0 <= int(action) < 4)
+        isinstance(action, (int, np.integer)) and not isinstance(action, bool)
+        and 0 <= int(action) < 4)
 
 
 def test_discrete_rejects_nonpositive_n():

@@ -428,7 +428,7 @@ def test_grid_steps_equal_the_old_move_rule_from_every_cell(seed):
                                 max_steps=int(rng.integers(1, 4)))
     new, old = GridWorld(scene), OldGridWorld(scene)
     for cell in [(x, y) for y in range(scene.height) for x in range(scene.width)]:
-        for action in (0, 1, 2, 3, np.int64(2), True):
+        for action in (0, 1, 2, 3, np.int64(2), np.int8(1)):
             new.reset(), old.reset()
             new._pos = old._pos = cell
             assert_same_step(new.step(action), old.step(action))

@@ -469,6 +469,28 @@ def test_replay_state_sections_empty_memory():
     assert fresh.memory.capacity == 7
 
 
+def generators(obj) -> list[str]:
+    return [name for name, value in vars(obj).items() if isinstance(value, np.random.Generator)]
+
+
+def test_only_the_objects_that_draw_hold_a_generator():
+    """DQN's sampler and the replay plugin's picker own the generators; no
+    ring holds one, also after a checkpoint reload."""
+    dqn = DqnStrategy(Mlp([25, 4], heads={"q_values": 4}), Adam(1e-3),
+                      TrainingBudget(1, Steps(1)), replay_seed=9)
+    replay, ewc = ReplayPlugin(capacity=5, seed=4), EwcPlugin(fisher_sample_count=3)
+    replay.memory.extend(flat_step(1.0))
+    assert dqn._replay_rng.bit_generator.state == np.random.default_rng(9).bit_generator.state
+    assert replay._rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+    reloaded_replay, reloaded_ewc = ReplayPlugin(), EwcPlugin()
+    reloaded_replay.load_state_sections(replay.state_sections())
+    reloaded_ewc.load_state_sections(ewc.state_sections())
+    for ring in (dqn.replay, replay.memory, ewc._recent, reloaded_replay.memory,
+                 reloaded_ewc._recent):
+        assert generators(ring) == []
+    assert generators(reloaded_ewc) == [] and generators(ewc) == []
+
+
 # ---------------------------------------------------------------------------
 # Plugins riding a real training run
 # ---------------------------------------------------------------------------

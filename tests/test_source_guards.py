@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import streamrl
+from streamrl.vec_env import EPISODE_SEED_STRIDE
 
 PACKAGE = Path(streamrl.__file__).resolve().parent
 MAX_LINE = 105
@@ -98,13 +99,13 @@ def scoped_matches(source: str, matches) -> list[tuple[int, str]]:
     return found
 
 
-def grid_moves_reads(source: str) -> list[tuple[int, str]]:
-    """(line, enclosing def/class path) of each place `source` reads
-    GRID_MOVES: by name, as a module attribute, or in an import."""
+def name_reads(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, enclosing def/class path) of each place `source` reads the
+    module-level `name`: by name, as a module attribute, or in an import."""
     return scoped_matches(source, lambda node: (
-        isinstance(node, ast.Name) and node.id == "GRID_MOVES" and isinstance(node.ctx, ast.Load)
-        or isinstance(node, ast.Attribute) and node.attr == "GRID_MOVES"
-        or isinstance(node, ast.alias) and node.name == "GRID_MOVES"))
+        isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Attribute) and node.attr == name
+        or isinstance(node, ast.alias) and node.name == name))
 
 
 def test_grid_moves_is_read_only_where_the_move_table_is_built():
@@ -114,7 +115,7 @@ def test_grid_moves_is_read_only_where_the_move_table_is_built():
     reads = {
         (path.relative_to(PACKAGE).as_posix(), scope)
         for path in sorted(PACKAGE.rglob("*.py"))
-        for _, scope in grid_moves_reads(path.read_text())
+        for _, scope in name_reads(path.read_text(), "GRID_MOVES")
     }
     assert reads == {("envs.py", ".GridScene._move_table")}
 
@@ -128,7 +129,7 @@ def test_the_grid_moves_scan_finds_what_it_should():
         "    def f(self):\n"
         "        return envs.GRID_MOVES, GRID_MOVES[0]\n"
     )
-    assert grid_moves_reads(source) == [(1, ""), (6, ".A.f"), (6, ".A.f")]
+    assert name_reads(source, "GRID_MOVES") == [(1, ""), (6, ".A.f"), (6, ".A.f")]
 
 
 def moves_reads(source: str) -> list[tuple[int, str]]:
@@ -160,6 +161,20 @@ def test_the_cart_pole_equations_are_written_once():
         text, lambda node: isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
         and isinstance(node.value, ast.Name) and node.value.id == "math")}
     assert trig == {("envs.py", "._cartpole_step")}
+
+
+def test_the_episode_seed_rule_is_written_once():
+    """vec_env.episode_seed holds the episode-seed rule; training's auto-resets
+    and evaluation's fresh envs call it, so a second copy of the stride
+    arithmetic, by name or as a literal, cannot come back unseen."""
+    texts = {path.relative_to(PACKAGE).as_posix(): path.read_text()
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    reads = {(name, scope) for name, text in texts.items()
+             for _, scope in name_reads(text, "EPISODE_SEED_STRIDE")}
+    assert reads == {("vec_env.py", ".episode_seed")}
+    literals = {(name, scope) for name, text in texts.items() for _, scope in scoped_matches(
+        text, lambda node: isinstance(node, ast.Constant) and node.value == EPISODE_SEED_STRIDE)}
+    assert literals == {("vec_env.py", "")}  # the constant's definition
 
 
 def test_the_moves_scan_finds_what_it_should():

@@ -71,9 +71,9 @@ def test_cartpole_lanes_equal_per_env_steps_bitwise():
     assert lane_stepper(lanes) == CartPole.step_lanes
     ends, episodes = set(), [0] * len(lanes)
     for step in range(600):
-        kind = step % 3  # int, np.int64 and bool actions
+        kind = step % 3  # int, np.int64 and np.int8 actions
         draw = rng.integers(2, size=len(lanes))
-        actions = [int(a) if kind == 0 else np.int64(a) if kind == 1 else bool(a) for a in draw]
+        actions = [int(a) if kind == 0 else np.int64(a) if kind == 1 else np.int8(a) for a in draw]
         dones = assert_lanes_equal_steps(lanes, twins, actions)
         for i in np.flatnonzero(dones):
             assert lanes[i]._state == twins[i]._state
@@ -309,12 +309,14 @@ def test_a_finished_lane_in_the_middle_leaves_every_lane_unmoved(make):
 def test_a_bad_action_leaves_every_actor_unmoved(make):
     venv = VectorizedEnv(make, 3, base_seed=0)
     venv.reset()
-    before = lane_states([actor.env for actor in venv.actors])
+    before = lane_states(venv.envs)
     with pytest.raises(ActionOutOfSpace, match="^actor 2: action 7 not in"):
         venv.step([1, 0, 7])
     with pytest.raises(ActionOutOfSpace, match="^actor 1: action -1 not in"):
         venv.step(np.array([1, -1, 0]))
-    assert lane_states([actor.env for actor in venv.actors]) == before
+    with pytest.raises(ActionOutOfSpace, match="^actor 0: action True not in"):
+        venv.step([True, False, 0])  # a bool is no action
+    assert lane_states(venv.envs) == before
 
 
 @pytest.mark.parametrize("case", ["cartpole", "gridworld"])

@@ -636,11 +636,11 @@ class CellAtExperienceEdges(StrategyPlugin):
         self.starts, self.stops = [], []
 
     def before_training_exp(self, strategy):
-        self.starts.append(strategy.venv.actors[0].env.position)
+        self.starts.append(strategy.venv.envs[0].position)
         assert np.array_equal(strategy.current_obs[0], one_hot_cell(self.starts[-1], 3, 3))
 
     def after_training_exp(self, strategy):
-        self.stops.append(strategy.venv.actors[0].env.position)
+        self.stops.append(strategy.venv.envs[0].position)
 
 
 def swapping_stream():

@@ -293,7 +293,7 @@ def test_step_validation():
 
 
 def test_replay_fifo_eviction():
-    buf = ReplayBuffer(3, seed=0)
+    buf = ReplayBuffer(3)
     for i in range(5):
         buf.extend(make_step(value=float(i)))
     assert len(buf) == 3
@@ -302,12 +302,12 @@ def test_replay_fifo_eviction():
 
 
 def test_replay_sample_uniform_with_replacement():
-    buf = ReplayBuffer(4, seed=3)
+    buf, rng = ReplayBuffer(4), np.random.default_rng(3)
     for i in range(4):
         buf.extend(make_step(value=float(i)))
     counts = np.zeros(4)
     for _ in range(400):
-        for s in buf.sample(4):
+        for s in buf.sample(4, rng):
             counts[int(s.obs[0])] += 1
     total = counts.sum()
     chi2 = float((((counts - total / 4) ** 2) / (total / 4)).sum())
@@ -315,10 +315,10 @@ def test_replay_sample_uniform_with_replacement():
 
 
 def test_replay_insufficient():
-    buf = ReplayBuffer(10, seed=0)
+    buf = ReplayBuffer(10)
     buf.extend(make_step())
     with pytest.raises(InsufficientReplay):
-        buf.sample(2)
+        buf.sample(2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -1212,6 +1212,32 @@ def test_non_finite_training_reward_names_experience_and_update():
     scn = gym_benchmark_generator([SPEC_A, spec], 2, Explicit((0, 1)))
     with pytest.raises(ValueError, match=r"^experience 1, update 1, rollout: non-finite reward in \[nan\]"):
         strat.train(scn, [])
+
+
+class RaisesAfterUpdate(StrategyPlugin):
+    def after_update(self, strategy):
+        raise RuntimeError("plugin failed")
+
+
+@pytest.mark.parametrize("fault", [None, "nan-reward", "after_update"])
+def test_train_restores_its_state_when_an_experience_raises(fault):
+    """A raise leaves training False and no experience, as evaluate's finally
+    does; a normal return keeps the last experience."""
+    strat = DqnStrategy(dqn_model(), Adam(1e-3), TrainingBudget(3, Steps(2)), batch_size=64)
+    spec = EnvSpec("nan", lambda: GridPayingNanOnStep3(GridScene(5, 5)))
+    if fault == "nan-reward":
+        scn = gym_benchmark_generator([SPEC_A, spec], 2, Explicit((0, 1)))
+        with pytest.raises(ValueError, match="^experience 1, update 1, rollout: non-finite"):
+            strat.train(scn, [])
+    elif fault == "after_update":
+        scn = gym_benchmark_generator([SPEC_A], 1, Explicit((0,)))
+        with pytest.raises(RuntimeError, match="^plugin failed$"):
+            strat.train(scn, [RaisesAfterUpdate()])
+    else:
+        scn = gym_benchmark_generator([SPEC_A, SPEC_A], 2, Explicit((0, 1)))
+        strat.train(scn, [])
+    assert strat.training is False and strat.venv is None
+    assert strat.experience is (None if fault else scn.train_stream[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ def filled(capacity, batch_sizes, seed=0):
     """A ring and the reference fed the same random batches, plus every row
     fed, in order."""
     rng = np.random.default_rng(seed)
-    ring, reference = ReplayBuffer(capacity, seed=seed), ListRing(capacity, seed=seed)
+    ring, reference = ReplayBuffer(capacity), ListRing(capacity, seed=seed)
     stream = []
     for n in batch_sizes:
         batch = random_batch(rng, n)
@@ -105,7 +105,7 @@ def filled(capacity, batch_sizes, seed=0):
 
 def test_fifo_eviction_and_slot_order_after_wrap():
     rng = np.random.default_rng(1)
-    ring, reference = ReplayBuffer(7, seed=0), ListRing(7, seed=0)
+    ring, reference = ReplayBuffer(7), ListRing(7, seed=0)
     # batches that fill, wrap at every offset, and overrun the whole ring
     for n in (3, 2, 4, 1, 7, 5, 9, 0, 6, 15, 2):
         batch = random_batch(rng, n)
@@ -117,8 +117,9 @@ def test_fifo_eviction_and_slot_order_after_wrap():
 
 def test_sample_matches_reference_rows_for_the_same_seed():
     ring, reference, _ = filled(50, [20, 20, 20, 13], seed=4)
+    rng = np.random.default_rng(4)  # the reference's seed
     for batch_size in (1, 32, 50, 7):
-        assert_rows_equal(ring.sample(batch_size), reference.sample(batch_size))
+        assert_rows_equal(ring.sample(batch_size, rng), reference.sample(batch_size))
 
 
 @pytest.mark.parametrize("batch_sizes", [[5], [4, 4, 4, 4], [3, 11], [13, 2, 1]])
@@ -387,23 +388,6 @@ def test_run_index_after_a_checkpoint_reload_equals_the_eager_index(tmp_path):
         fresh.memory.extend(batch)
         reloaded.extend(batch.task_label.tolist())
     assert fresh.memory.label_runs() == reloaded.label_runs()
-
-
-def test_copy_rows_writes_what_put_of_the_copied_rows_writes():
-    ring, _, _ = filled(40, [25, 30], seed=5)
-    rng = np.random.default_rng(6)
-    for slots, rows in [
-        (rng.integers(0, 40, size=16), rng.choice(32, size=16, replace=False)),
-        (np.array([3, 3, 39, 0]), np.array([31, 0, 5, 6])),  # a slot drawn twice
-        (np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
-    ]:
-        batch = random_batch(rng, 32)
-        want = batch[np.arange(32)]
-        want.put(rows, ring.rows(slots))
-        ring.copy_rows(slots, batch, rows)
-        for got_column, want_column in zip(batch.columns, want.columns):
-            assert got_column.dtype == want_column.dtype
-            assert got_column.tobytes() == want_column.tobytes()
 
 
 def test_ewc_window_is_the_last_k_rows_oldest_first_after_wrap():

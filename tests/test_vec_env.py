@@ -218,25 +218,25 @@ def test_final_obs_holds_terminal_rows_and_equals_obs_elsewhere():
     assert np.flatnonzero(final_obs[1]).tolist() == [10]
 
 
-def old_actor_step(actor, action):
+def old_actor_step(env, base_seed, lane, episodes, action):
     """The per-actor step VectorizedEnv ran before lane-batched steps:
-    (obs, reward, done, final_obs), auto-resetting a finished actor."""
-    result = actor.env.step(action)
+    (obs, reward, done, final_obs), auto-resetting a finished actor;
+    episodes[lane] is the episode index of actor `lane`."""
+    result = env.step(action)
     obs = final = result.obs
     if result.done:
         final = np.array(final)
-        actor.episode_index += 1
-        obs = actor.env.reset(
-            seed=actor.base_seed + actor.index + EPISODE_SEED_STRIDE * actor.episode_index
-        )
+        episodes[lane] += 1
+        obs = env.reset(seed=base_seed + lane + EPISODE_SEED_STRIDE * episodes[lane])
     return obs, result.reward, result.done, final
 
 
-def old_vec_step(venv, actions):
+def old_vec_step(venv, actions, episodes):
     """Serial VectorizedEnv.step as it was before final_obs became a copy of
     obs when no actor is done: a second np.array over the same rows."""
     actions = actions.tolist() if isinstance(actions, np.ndarray) else actions
-    results = [old_actor_step(actor, a) for actor, a in zip(venv.actors, actions)]
+    results = [old_actor_step(env, venv.base_seed, lane, episodes, a)
+               for lane, (env, a) in enumerate(zip(venv.envs, actions))]
     obs, rewards, dones, final_obs = zip(*results)
     rewards, dones = np.array(rewards, dtype=np.float64), np.array(dones, dtype=bool)
     return np.array(obs), rewards, dones, np.array(final_obs)
@@ -249,9 +249,9 @@ def test_step_rows_equal_the_old_assembly_bitwise(factory, n):
     plan = rng.integers(0, factory().action_space.n, size=(300, n))
     new, old = VectorizedEnv(factory, n, base_seed=3), VectorizedEnv(factory, n, base_seed=3)
     assert new.reset().tobytes() == old.reset().tobytes()
-    done_steps = 0
+    done_steps, episodes = 0, [0] * n
     for actions in plan:
-        got, want = new.step(actions), old_vec_step(old, actions)
+        got, want = new.step(actions), old_vec_step(old, actions, episodes)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
         done_steps += bool(got[2].any())
@@ -290,7 +290,7 @@ def test_out_of_range_action_names_actor_before_any_actor_steps():
         venv.step(np.array([0, 1, 4]))
     with pytest.raises(ActionOutOfSpace, match="actor 1"):
         venv.step([0, -1, 0])
-    assert [actor.env.steps for actor in venv.actors] == [0, 0, 0]
+    assert [env.steps for env in venv.envs] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("factory", [limited_grid_factory, cartpole_factory])
@@ -360,7 +360,7 @@ def test_worker_killed_between_steps_is_named(two_cpus):
 def test_factory_returning_one_instance_is_refused_for_two_replicas(monkeypatch):
     shared = grid_factory()
     with VectorizedEnv(lambda: shared, 1) as venv:  # one in-process actor may share
-        assert venv.actors[0].env is shared
+        assert venv.envs[0] is shared
     monkeypatch.setattr(vec_env.mp, "get_context", None)  # no worker may start
     for n, mode in [(2, "serial"), (1, "parallel"), (3, "parallel")]:
         with pytest.raises(ValueError, match="new env for every replica"):
