@@ -75,13 +75,14 @@ def load_checkpoint(path) -> tuple[dict, dict[str, np.ndarray]]:
         if offset + nbytes > len(raw):
             raise CheckpointError(f"section {entry['name']!r} truncated")
         try:
-            sections[entry["name"]] = np.frombuffer(
-                raw, dtype=np.float64, count=count, offset=offset
-            ).reshape(entry["shape"]).copy()
+            section = np.frombuffer(raw, dtype=np.float64, count=count, offset=offset)
+            sections[entry["name"]] = section.reshape(entry["shape"]).copy()
         except ValueError as err:  # a shape numpy cannot build, such as [0, 2**63]
             raise CheckpointError(
                 f"section {entry['name']!r}: numpy cannot build shape {entry['shape']}: {err}"
             ) from err
+        if not np.isfinite(section).all():
+            raise CheckpointError(f"{path}: section {entry['name']!r} holds a non-finite value")
         offset += nbytes
     return header["arch"], sections
 

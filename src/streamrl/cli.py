@@ -532,8 +532,8 @@ def walk_config(raw: dict) -> Experiment:
 
 def load_config(path) -> Experiment:
     try:
-        text = Path(path).read_text()
-    except OSError as err:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"config: cannot read {path}: {err}")
     try:
         raw = yaml.safe_load(text)

@@ -151,14 +151,82 @@ class Environment(ABC):
             raise ActionOutOfSpace(f"action {action!r} not in {self.action_space}")
 
 
-def lane_stepper(envs):
-    """The step_lanes for one lane set: a class's own, which checks that every
-    lane is active before any moves, when every lane is exactly that class and
-    its step is still the `_lane_step` it was defined with; else the default."""
-    cls = type(envs[0])
-    if cls.step is cls.__dict__.get("_lane_step") and all(type(env) is cls for env in envs):
-        return cls.step_lanes
-    return Environment.step_lanes
+# The width from which a lane set of a kernel class with `lane_columns`
+# (CartPole) keeps its lanes' state in numpy columns. On a 2-vCPU Xeon VM a
+# cart-pole LaneSet.step took 6.8 / 20.6 / 27.2 / 105.7 us at 4 / 16 / 24 / 96
+# lanes on the per-lane loop and 25.4 / 24.1 / 24.0 / 28.8 us as columns.
+COLUMN_LANES = 24
+
+
+class LaneSet:
+    """Lane i plays envs[i], and one call steps every lane.
+
+    start(lane, env, seed) resets env, which takes the lane's place when it is
+    another env, and returns its first row. step(actions) returns (obs rows,
+    rewards, dones) in lane order as step_lanes does (the columns give
+    arrays); the caller has checked each action, and the lanes share one
+    observation shape. drop(lanes) takes lanes out and keeps the others in order.
+
+    The one selection rule: when every lane is exactly one class whose step is
+    still the `_lane_step` it was defined with, the lanes step through that
+    class's step_lanes, which checks every lane is active before any moves;
+    else through the per-env default. It is applied again when a lane takes
+    an env of another class and when lanes are dropped. At COLUMN_LANES or
+    more such lanes, a class with `lane_columns` keeps their state in that
+    object instead: a lane's env gets its state back when the lane is
+    dropped or replaced."""
+
+    def __init__(self, envs):
+        self.envs, self._columns = list(envs), None
+        self._select()
+
+    def _select(self) -> None:
+        self._release()
+        cls = type(self.envs[0]) if self.envs else Environment
+        kernel = cls.step is cls.__dict__.get("_lane_step")
+        kernel = kernel and all(type(env) is cls for env in self.envs)
+        self._step_lanes = cls.step_lanes if kernel else Environment.step_lanes
+        if kernel and len(self.envs) >= COLUMN_LANES and hasattr(cls, "lane_columns"):
+            self._columns = cls.lane_columns(self.envs)
+
+    def _release(self) -> None:
+        """Every lane's state back to its env; the lanes step per lane."""
+        if self._columns is not None:
+            for lane, env in enumerate(self.envs):
+                self._columns.store(lane, env)
+            self._columns = None
+
+    def start(self, lane: int, env: Environment, seed) -> np.ndarray:
+        old = self.envs[lane]
+        if type(env) is not type(old):
+            self._release()
+        elif self._columns is not None and env is not old:
+            self._columns.store(lane, old)
+        self.envs[lane] = env
+        row = env.reset(seed=seed)
+        if self._columns is not None:
+            self._columns.load(lane, env)
+        elif type(env) is not type(old):
+            self._select()
+        return row
+
+    def step(self, actions) -> tuple:
+        if self._columns is not None:
+            return self._columns.step(self.envs, actions)
+        if isinstance(actions, np.ndarray):
+            actions = actions.tolist()
+        return self._step_lanes(self.envs, actions)
+
+    def drop(self, lanes) -> None:
+        gone = set(lanes)
+        keep = [lane for lane in range(len(self.envs)) if lane not in gone]
+        if self._columns is not None:
+            for lane in gone:
+                self._columns.store(lane, self.envs[lane])
+            self._columns.keep(keep)
+        self.envs = [self.envs[lane] for lane in keep]
+        if self._columns is None or len(keep) < COLUMN_LANES:
+            self._select()
 
 
 # ---------------------------------------------------------------------------

@@ -59,27 +59,70 @@ class CartPoleParams:
         return replace(self, **changes)
 
 
-def _cartpole_step(state, action, steps: int, p: CartPoleParams):
+_PUSH = (-1.0, 1.0)  # the force's sign for cart-pole actions 0 (left) and 1 (right)
+_PUSH_COLUMN = np.array(_PUSH)
+
+
+def _cartpole_step(state, push, steps, constants, sin, cos):
     """The cart-pole equations, once: (next state, done, x_acc, theta_acc) of
-    Euler step number `steps` from `state`, with the pre-update accelerations."""
+    Euler step number `steps` from `state` under the action's _PUSH, with the
+    pre-update accelerations, for a CartPoleParams.constants. One lane's Python
+    floats step with math.sin and math.cos; numpy columns of state rows,
+    pushes, step counts and constants step with np.sin and np.cos, to the
+    same bits."""
     x, x_dot, theta, theta_dot = state
     gravity, force_mag, total_mass, polemass_length, half_length, pole_mass, dt, \
-        x_threshold, theta_threshold, max_steps = p.constants
-    force = force_mag if action == 1 else -force_mag
-    sin, cos = math.sin(theta), math.cos(theta)
+        x_threshold, theta_threshold, max_steps = constants
+    force = force_mag * push  # exact: force_mag times 1.0 or -1.0
+    sin, cos = sin(theta), cos(theta)
     temp = (force + polemass_length * theta_dot * theta_dot * sin) / total_mass
     theta_acc = (gravity * sin - cos * temp) / (
         half_length * (4.0 / 3.0 - pole_mass * cos * cos / total_mass)
     )
     x_acc = temp - polemass_length * theta_acc * cos / total_mass
     x, theta = x + dt * x_dot, theta + dt * theta_dot
-    done = abs(x) > x_threshold or abs(theta) > theta_threshold or steps >= max_steps
+    done = (abs(x) > x_threshold) | (abs(theta) > theta_threshold) | (steps >= max_steps)
     return [x, x_dot + dt * x_acc, theta, theta_dot + dt * theta_acc], done, x_acc, theta_acc
 
 
 def cartpole_derivatives(state, action: int, p: CartPoleParams):
     """Accelerations (xacc, thetaacc) of the standard cart-pole equations."""
-    return _cartpole_step(state, action, 0, p)[2:]
+    return _cartpole_step(state, _PUSH[action], 0, p.constants, math.sin, math.cos)[2:]
+
+
+class _CartPoleColumns:
+    """The state of a set of cart-pole lanes (see core_env.LaneSet) as numpy
+    columns: (n, 4) state rows, step counts, done flags, and the lanes'
+    CartPoleParams.constants as a (10, n) block."""
+
+    def __init__(self, envs):
+        self.state = np.array([env._state for env in envs], dtype=np.float64)
+        self.steps = np.array([env._steps for env in envs], dtype=np.int64)
+        self.done = np.array([env._done for env in envs], dtype=bool)
+        self.constants = np.array([env.params.constants for env in envs], dtype=np.float64).T.copy()
+
+    def load(self, lane: int, env: "CartPole") -> None:
+        self.state[lane], self.steps[lane], self.done[lane] = env._state, env._steps, env._done
+        self.constants[:, lane] = env.params.constants
+
+    def store(self, lane: int, env: "CartPole") -> None:
+        env._state, env._steps = self.state[lane].tolist(), int(self.steps[lane])
+        env._done = bool(self.done[lane])
+
+    def keep(self, lanes: list) -> None:
+        self.state, self.steps, self.done = self.state[lanes], self.steps[lanes], self.done[lanes]
+        self.constants = self.constants[:, lanes]
+
+    def step(self, envs, actions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.done.any():  # every lane active before any lane moves
+            lane = int(self.done.argmax())
+            self.store(lane, envs[lane])
+            envs[lane]._require_active()
+        self.steps += 1
+        state, self.done, _, _ = _cartpole_step(
+            self.state.T, _PUSH_COLUMN[actions], self.steps, self.constants, np.sin, np.cos)
+        self.state = np.array(state).T  # (n, 4), each column contiguous for the next step
+        return self.state.copy(), np.ones(len(self.steps)), self.done.copy()
 
 
 CARTPOLE_ACTIONS = Discrete(2)  # push left, push right; shared by every cart-pole
@@ -123,19 +166,23 @@ class CartPole(Environment):
             self._require_active()
         self._check_action(action)
         self._steps += 1
-        self._state, self._done, _, _ = _cartpole_step(self._state, action, self._steps, self.params)
+        self._state, self._done, _, _ = _cartpole_step(
+            self._state, _PUSH[action], self._steps, self.params.constants, math.sin, math.cos)
         return StepResult(np.array(self._state), 1.0, self._done)
 
     _lane_step = step  # the step that step_lanes stands in for
+    lane_columns = _CartPoleColumns  # how a wide lane set keeps its lanes' state
 
     @classmethod
     def step_lanes(cls, envs, actions) -> tuple[np.ndarray, list, list]:
         for env in envs:  # every lane active before any lane moves
             if env._done:
                 env._require_active()
+        sin, cos = math.sin, math.cos
         for env, action in zip(envs, actions):
-            env._steps += 1
-            env._state, env._done, _, _ = _cartpole_step(env._state, action, env._steps, env.params)
+            env._steps = steps = env._steps + 1
+            env._state, env._done, _, _ = _cartpole_step(
+                env._state, _PUSH[action], steps, env.params.constants, sin, cos)
         return np.array([env._state for env in envs]), [1.0] * len(envs), [env._done for env in envs]
 
 

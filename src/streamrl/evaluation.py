@@ -164,15 +164,28 @@ class CsvLogger:
         self._fh.close()
 
 
+# the JSON types of each field as JsonlLogger writes it (a bool is no int)
+JSONL_FIELD_TYPES = {"global_step": (int,), "experience_index": (int,), "phase": (str,),
+                     "metric_name": (str,), "value": (float, int)}
+
+
 def read_metrics_jsonl(path) -> list[MetricRecord]:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.read().split("\n")  # the lines iterating fh gives, whole file decoded first
+        except UnicodeDecodeError as err:
+            raise MalformedMetrics(f"{path}: not UTF-8 text: {err}") from err
     records = []
-    with open(path) as fh:
-        for number, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    records.append(MetricRecord(**json.loads(line)))
-                except (ValueError, TypeError) as err:  # not JSON, or not a record's fields
-                    raise MalformedMetrics(f"{path}: line {number} is no metric record: {err}") from err
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                record = MetricRecord(**json.loads(line))
+                for name, types in JSONL_FIELD_TYPES.items():
+                    if type(getattr(record, name)) not in types:
+                        raise TypeError(f"{name} {getattr(record, name)!r} is no {types[0].__name__}")
+            except (ValueError, TypeError) as err:  # not JSON, not a record's fields or types
+                raise MalformedMetrics(f"{path}: line {number} is no metric record: {err}") from err
+            records.append(record)
     return records
 
 

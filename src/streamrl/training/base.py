@@ -33,7 +33,7 @@ import numpy as np
 
 from .. import checks
 from ..benchmarks import RLExperience, RLScenario
-from ..core_env import ActionOutOfSpace, lane_stepper
+from ..core_env import ActionOutOfSpace, Discrete, LaneSet
 from ..core_env import deserialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 from ..evaluation import MetricsCollector
 from ..nn import NonFinite, _all_finite
@@ -506,48 +506,54 @@ class RLBaseStrategy:
         where = [f"eval experience {exp.experience_index}" for exp, _ in lane_set]
         spaces = [envs[0].action_space for _, envs in lane_set]
         n_jobs, seed = len(lane_set) * n_episodes, self.eval_env_seed
-        returns, lengths = [0.0] * n_jobs, [0] * n_jobs
+        returns, lengths = np.zeros(n_jobs), np.zeros(n_jobs, dtype=np.int64)
         width = 1 if lane_set[0][1][1] is lane_set[0][1][0] else min(n_jobs, EVAL_LANES)
 
-        def start(job):  # the env that plays job, and its first observation
+        def env_of(job):  # the env that plays job
             (exp, envs), k = lane_set[job // n_episodes], job % n_episodes
-            env = envs[k] if k < 2 else exp.env_factory()
-            return env, env.reset(seed=episode_seed(seed, 0, k))
+            return envs[k] if k < 2 else exp.env_factory()
 
-        # lane i plays job jobs[i] on envs[i] and last saw obs[i]
-        jobs = list(range(width))
-        envs, rows = map(list, zip(*map(start, jobs)))
-        obs, step_lanes, next_job = np.array(rows), lane_stepper(envs), width
+        def start(lane, job, env):  # lane's first observation of job, played on env
+            return lanes.start(lane, env, episode_seed(seed, 0, job % n_episodes))
+
+        # lane i plays job jobs[i] on lanes.envs[i] and last saw obs[i]
+        jobs, lanes, next_job = np.arange(width), LaneSet(map(env_of, range(width))), width
+        obs = np.array([start(job, job, env) for job, env in enumerate(lanes.envs)])
         space = spaces[0] if spaces.count(spaces[0]) == len(spaces) else None
-        while jobs:
+        n = space.n if isinstance(space, Discrete) else 0
+        while len(jobs):
             try:
-                actions = self.greedy_action(obs).tolist()
+                actions = self.greedy_action(obs)
             except NonFinite as err:
                 raise NonFinite(f"{where[0]}: {err}") from err
             if len(actions) != len(jobs):
                 raise ValueError(f"{where[0]}: need {len(jobs)} actions, got {len(actions)}")
-            if space is None or not all(map(space.contains, actions)):  # before any lane steps
-                for job, action in zip(jobs, actions):
+            if not (actions.dtype.kind in "iu" and actions.ndim == 1 and 0 <= actions.min()
+                    and actions.max() < n):  # before any lane steps; names the first lane out
+                actions = actions.tolist()
+                for job, action in zip(jobs.tolist(), actions):
                     j, k = divmod(job, n_episodes)
                     if not spaces[j].contains(action):
                         raise ActionOutOfSpace(
                             f"{where[j]}, episode {k}: action {action!r} not in {spaces[j]}")
-            obs, rewards, dones = step_lanes(envs, actions)
-            for job, reward in zip(jobs, rewards):
-                reward = float(reward)
-                if not math.isfinite(reward):  # before any return or metric
-                    raise ValueError(f"{where[job // n_episodes]}: non-finite reward {reward!r}")
-                returns[job] += reward
-                lengths[job] += 1
-            if any(dones):  # a finished lane takes the next job while any is left
-                finished = list(compress(range(len(jobs)), dones))
+            obs, rewards, dones = lanes.step(actions)
+            rewards, dones = np.asarray(rewards, dtype=np.float64), np.asarray(dones)
+            finite = np.isfinite(rewards)
+            if not finite.all():  # before any return or metric
+                lane = int(finite.argmin())
+                reward = rewards[lane].item()
+                raise ValueError(f"{where[jobs[lane] // n_episodes]}: non-finite reward {reward!r}")
+            returns[jobs] += rewards
+            lengths[jobs] += 1
+            if dones.any():  # a finished lane takes the next job while any is left
+                finished = np.flatnonzero(dones).tolist()
                 left = n_jobs - next_job
                 for lane in finished[:left]:
                     jobs[lane] = next_job
-                    envs[lane], obs[lane] = start(next_job)
+                    obs[lane] = start(lane, next_job, env_of(next_job))
                     next_job += 1
-                live = [lane for lane in range(len(jobs)) if lane not in finished[left:]]
-                jobs, envs, obs = [jobs[i] for i in live], [envs[i] for i in live], obs[live]
-                step_lanes = lane_stepper(envs) if envs else None
-        return [(returns[first:first + n_episodes], lengths[first:first + n_episodes])
+                if gone := finished[left:]:
+                    lanes.drop(gone)
+                    jobs, obs = np.delete(jobs, gone), np.delete(obs, gone, axis=0)
+        return [(returns[first:first + n_episodes].tolist(), lengths[first:first + n_episodes].tolist())
                 for first in range(0, n_jobs, n_episodes)]

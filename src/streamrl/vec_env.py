@@ -8,7 +8,9 @@ dones and final_obs, one row per actor. final_obs equals obs except on
 auto-reset, where obs starts the next episode and final_obs holds the true
 terminal observation.
 
-Serial mode steps the actors in-process; parallel mode splits them into
+Serial mode steps the actors in-process as one core_env.LaneSet (from
+COLUMN_LANES cart-pole actors up, their state lives in its numpy columns, not
+in the env objects); parallel mode splits them into
 min(N, usable CPUs) contiguous shards, one worker process and one message per
 shard per call; both give bitwise-identical rows in actor order. A worker's
 error or death raises ActorCrashed naming the actor. A pool of two or more
@@ -26,7 +28,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .checks import count
-from .core_env import ActionOutOfSpace, Environment, lane_stepper
+from .core_env import ActionOutOfSpace, Environment, LaneSet
 from .core_env import serialize_obs  # noqa: F401  traced by name; see ROADMAP item 1
 
 EPISODE_SEED_STRIDE = 1_000_000
@@ -76,9 +78,9 @@ class VectorizedEnv:
         self.mode = mode
         self._conns, self._procs = [], []
         if mode == "serial":
-            self.envs = [env_factory() for _ in range(n_actors)]
+            self._lanes = LaneSet(env_factory() for _ in range(n_actors))
+            self.envs = self._lanes.envs  # never replaced or dropped: actor i keeps env i
             self._episodes = [0] * n_actors  # each lane's episode index
-            self._step_lanes = lane_stepper(self.envs)
             template = self.envs[0]
             replica = self.envs[1] if n_actors > 1 else None
         else:
@@ -114,7 +116,8 @@ class VectorizedEnv:
         for lane in lanes:
             episode = self._episodes[lane] = self._episodes[lane] + 1 if next_episode else 0
             try:
-                rows.append(self.envs[lane].reset(seed=episode_seed(self.base_seed, lane, episode)))
+                seed = episode_seed(self.base_seed, lane, episode)
+                rows.append(self._lanes.start(lane, self.envs[lane], seed))
             except Exception as err:
                 err.lane = lane
                 raise
@@ -129,7 +132,7 @@ class VectorizedEnv:
                 raise ActionOutOfSpace(f"actor {i}: action {action!r} not in {self.action_space}")
         if self.mode == "parallel":
             return tuple(map(np.concatenate, zip(*self._exchange(actions))))
-        obs, rewards, dones = self._step_lanes(self.envs, actions)
+        obs, rewards, dones = self._lanes.step(actions)
         final_obs = obs.copy()  # the stepped rows; obs takes each finished actor's next start
         if any(dones):
             finished = list(compress(range(self.n_actors), dones))

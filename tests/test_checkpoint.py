@@ -277,3 +277,14 @@ def test_repeated_section_name_rejected(tmp_path):
     path.write_bytes(MAGIC + struct.pack("<Q", len(header)) + header + struct.pack("<2d", 1.0, 2.0))
     with pytest.raises(CheckpointError, match="'params' appears twice"):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("section", ["params", "ewc/fisher_0"])
+def test_a_non_finite_section_rejected(tmp_path, section, bad):
+    path = tmp_path / "c.bin"
+    values = np.arange(6.0)
+    values[4] = bad
+    save_checkpoint(path, {}, {"params": np.ones(3), section: values})
+    with pytest.raises(CheckpointError, match=f"section '{section}' holds a non-finite value"):
+        load_checkpoint(path)

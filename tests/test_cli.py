@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: run/eval/plot-data, artifacts, exit codes."""
 
 import copy
+import json
 import math
 import re
 import struct
@@ -235,6 +236,11 @@ SPEC = "scenario.env_specs.0"
 WRAPPER = "scenario.env_specs[0].wrappers[0]"
 
 # (id, edit of base_config, the key path the error message must start with)
+def not_utf8(config):
+    """Leaves the config as it is; the test writes its file after bytes that
+    are no UTF-8 (a UTF-16 byte order mark)."""
+
+
 INVALID_CONFIGS = [
     # each of these once failed as a runtime error (exit 3)
     ("remap-key", wrap({"action_remap": {"a": 0}}), f"{WRAPPER}.action_remap"),
@@ -422,6 +428,8 @@ INVALID_CONFIGS = [
     ("rollout-count", at("budget.rollout", {"episodes": 0}), "budget.rollout"),
     # this one once failed in the YAML reader with a ValueError (exit 3)
     ("seed-5000-digits", at("seeds.env", 10**5000), "config: YAML parse error: Exceeds the limit"),
+    # and this one in the file reader with a UnicodeDecodeError (exit 3)
+    ("not-utf-8", not_utf8, "config: cannot read"),
 ]
 
 
@@ -435,6 +443,8 @@ def test_invalid_config_exit_2_before_any_artifact(tmp_path, capsys, edit, key_p
     config = base_config(out)
     edit(config)
     cfg = write_config(tmp_path, config)
+    if edit is not_utf8:
+        cfg.write_bytes(b"\xff\xfe" + cfg.read_bytes())
     assert main(["run", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key_path}")
     assert not out.exists()
@@ -662,9 +672,21 @@ GOOD_RECORD = ('{"global_step": 1, "experience_index": 0, "phase": "train", '
                '"metric_name": "epsilon", "value": 0.5}')
 
 
+def record_with(**fields):
+    return json.dumps({**json.loads(GOOD_RECORD), **fields})
+
+
 @pytest.mark.parametrize("bad, why", [
     ("not json", "Expecting value"),
     ('{"global_step": 2, "step_metric": "epsilon", "value": 0.5}', "unexpected keyword"),
+    ("[1, 2]", "argument after ** must be a mapping"),
+    (record_with(global_step="x"), "global_step 'x' is no int"),
+    (record_with(global_step=2.0), "global_step 2.0 is no int"),
+    (record_with(experience_index=True), "experience_index True is no int"),
+    (record_with(phase=None), "phase None is no str"),
+    (record_with(metric_name=3), "metric_name 3 is no str"),
+    (record_with(value="oops"), "value 'oops' is no float"),
+    (record_with(value=False), "value False is no float"),
 ])
 def test_plot_data_refuses_a_malformed_line_naming_path_and_line(tmp_path, capsys, bad, why):
     path = tmp_path / "metrics.jsonl"
@@ -674,6 +696,38 @@ def test_plot_data_refuses_a_malformed_line_naming_path_and_line(tmp_path, capsy
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path}: line 3 is no metric record: ")
     assert why in captured.err and "runtime error" not in captured.err
+
+
+def test_plot_data_refuses_a_file_that_is_no_utf8(tmp_path, capsys):
+    path = tmp_path / "metrics.jsonl"
+    path.write_bytes(b"\xff\xfe" + GOOD_RECORD.encode("utf-16-le") + b"\n")
+    assert main(["plot-data", str(path), "epsilon"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: not UTF-8 text: ")
+    assert "runtime error" not in captured.err
+
+
+def test_plot_data_reads_an_int_value_and_every_record_it_wrote(tmp_path, capsys):
+    path = tmp_path / "metrics.jsonl"
+    path.write_text(f"{record_with(global_step=3, value=2)}\n{GOOD_RECORD}\n")
+    assert main(["plot-data", str(path), "epsilon"]) == 0
+    assert capsys.readouterr().out == "step,value\n1,0.5\n3,2\n"
+
+
+def test_eval_refuses_a_checkpoint_with_a_nan_parameter(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = run_ok(tmp_path, base_config(out))
+    model, sections = load_model(out / "checkpoint.bin")
+    params = model.flatten()
+    params[1] = float("nan")
+    bad = tmp_path / "bad.bin"
+    save_checkpoint(bad, model.arch(), {"params": params, **sections})
+    capsys.readouterr()
+    assert main(["eval", str(cfg), str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {bad}: section 'params' holds a non-finite value")
+    assert "runtime error" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -151,16 +151,24 @@ def test_the_move_table_is_read_only_by_the_grid_step_rule():
 
 
 def test_the_cart_pole_equations_are_written_once():
-    """_cartpole_step holds the cart-pole equations; CartPole.step, its lane
-    kernel and cartpole_derivatives call it, so a second copy of the physics
-    cannot come back unseen."""
+    """_cartpole_step holds the cart-pole equations, for one lane's floats and
+    for numpy columns alike. CartPole.step, its lane loop and
+    cartpole_derivatives pass it math's sin and cos, and the column step
+    passes numpy's, so a second copy of the physics cannot come back unseen."""
     texts = {path.relative_to(PACKAGE).as_posix(): path.read_text()
              for path in sorted(PACKAGE.rglob("*.py"))}
-    assert [name for name, text in texts.items() for _ in range(text.count("math.sin("))] == ["envs.py"]
-    trig = {(name, scope) for name, text in texts.items() for _, scope in scoped_matches(
+    assert [name for name, text in texts.items() for _ in range(text.count("4.0 / 3.0"))] == ["envs.py"]
+    calls = {(name, scope) for name, text in texts.items() for _, scope in scoped_matches(
+        text, lambda node: isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in ("sin", "cos"))}
+    assert calls == {("envs.py", "._cartpole_step")}
+    trig = Counter((name, scope, node_module) for name, text in texts.items()
+                   for node_module in ("math", "np") for _, scope in scoped_matches(
         text, lambda node: isinstance(node, ast.Attribute) and node.attr in ("sin", "cos")
-        and isinstance(node.value, ast.Name) and node.value.id == "math")}
-    assert trig == {("envs.py", "._cartpole_step")}
+        and isinstance(node.value, ast.Name) and node.value.id == node_module))
+    assert trig == {("envs.py", ".cartpole_derivatives", "math"): 2, ("envs.py", ".CartPole.step", "math"): 2,
+                    ("envs.py", ".CartPole.step_lanes", "math"): 2,
+                    ("envs.py", "._CartPoleColumns.step", "np"): 2}
 
 
 def test_the_episode_seed_rule_is_written_once():

@@ -1,22 +1,24 @@
-"""Lane-batched env steps: each class's step_lanes against its per-env step,
-the cases that must take the per-env default, and checks before any lane moves."""
+"""Lane sets: each class's step_lanes and the cart-pole columns against the
+per-env step, the cases that must take the per-env default, and checks before
+any lane moves."""
 
 import numpy as np
 import pytest
 
-from streamrl import vec_env
+from streamrl import core_env, vec_env
 from streamrl.benchmarks import RLExperience
 from streamrl.core_env import (
     ActionOutOfSpace,
     ActionRemap,
+    COLUMN_LANES,
     Environment,
     EpisodeAlreadyDone,
     FrameStack,
+    LaneSet,
     ObservationNormalize,
     ReducedActionSet,
     RewardClip,
     TimeLimit,
-    lane_stepper,
     wrap,
 )
 from streamrl.envs import Bandit, BanditParams, CartPole, CartPoleParams, GridScene, GridWorld
@@ -28,18 +30,29 @@ from test_envs import random_walled_scene
 from test_training import eval_strategy, lane_eval, one_stream, tuple_lane_eval
 
 
+def path_of(lanes: LaneSet) -> str:
+    """How a lane set steps: "columns", a class's own step_lanes, or "default"."""
+    if lanes._columns is not None:
+        return "columns"
+    kernel = lanes._step_lanes
+    return "default" if kernel == Environment.step_lanes else kernel.__self__.__name__
+
+
 def assert_lanes_equal_steps(lanes, twins, actions):
-    """step_lanes on `lanes` and per-env step on their `twins` give the same
+    """A lane set's step and per-env step on its lanes' `twins` give the same
     row bytes, rewards and dones; returns the dones."""
-    rows, rewards, dones = lane_stepper(lanes)(lanes, actions)
+    rows, rewards, dones = lanes.step(actions)
     results = [env.step(action) for env, action in zip(twins, actions)]
     want = np.array([r.obs for r in results])
     assert rows.dtype == want.dtype and rows.shape == want.shape
     assert rows.tobytes() == want.tobytes()
-    assert rewards == [r.reward for r in results]
-    assert [type(r) for r in rewards] == [type(r.reward) for r in results]
-    assert dones == [r.done for r in results] and all(type(d) is bool for d in dones)
-    return dones
+    assert list(rewards) == [r.reward for r in results] and list(dones) == [r.done for r in results]
+    if lanes._columns is None:  # a class's step_lanes returns what its step does
+        assert [type(r) for r in rewards] == [type(r.reward) for r in results]
+        assert [type(d) for d in dones] == [type(r.done) for r in results]
+    else:
+        assert rewards.dtype == np.float64 and dones.dtype == bool
+    return np.array(dones)
 
 
 # ---------------------------------------------------------------------------
@@ -62,25 +75,29 @@ def cartpole_end(env) -> str:
     return "x" if abs(x) > p.x_threshold else "theta" if abs(theta) > p.theta_threshold else "steps"
 
 
-def test_cartpole_lanes_equal_per_env_steps_bitwise():
+@pytest.mark.parametrize("copies", [2, 6])  # 12 lanes on the per-lane loop, 36 as columns
+def test_cartpole_lanes_equal_per_env_steps_bitwise(copies):
     rng = np.random.default_rng(11)
-    lanes = [CartPole(p) for p in CARTPOLE_LANE_PARAMS * 2]
-    twins = [CartPole(p) for p in CARTPOLE_LANE_PARAMS * 2]
-    for i, (lane, twin) in enumerate(zip(lanes, twins)):
-        assert lane.reset(seed=i).tobytes() == twin.reset(seed=i).tobytes()
-    assert lane_stepper(lanes) == CartPole.step_lanes
-    ends, episodes = set(), [0] * len(lanes)
+    envs = [CartPole(p) for p in CARTPOLE_LANE_PARAMS * copies]
+    twins = [CartPole(p) for p in CARTPOLE_LANE_PARAMS * copies]
+    lanes = LaneSet(envs)
+    assert path_of(lanes) == ("CartPole" if len(envs) < COLUMN_LANES else "columns")
+    for i, (env, twin) in enumerate(zip(envs, twins)):
+        assert lanes.start(i, env, i).tobytes() == twin.reset(seed=i).tobytes()
+    ends, episodes = set(), [0] * len(envs)
     for step in range(600):
-        kind = step % 3  # int, np.int64 and np.int8 actions
-        draw = rng.integers(2, size=len(lanes))
-        actions = [int(a) if kind == 0 else np.int64(a) if kind == 1 else np.int8(a) for a in draw]
+        kind = step % 4  # int, np.int64 and np.int8 actions, and an int8 array
+        draw = rng.integers(2, size=len(envs))
+        actions = draw.astype(np.int8) if kind == 3 else [
+            int(a) if kind == 0 else np.int64(a) if kind == 1 else np.int8(a) for a in draw]
         dones = assert_lanes_equal_steps(lanes, twins, actions)
-        for i in np.flatnonzero(dones):
-            assert lanes[i]._state == twins[i]._state
-            ends.add(cartpole_end(lanes[i]))
+        for i in np.flatnonzero(dones).tolist():
+            ends.add(cartpole_end(twins[i]))
             episodes[i] += 1
-            seed = 1000 * step + int(i)
-            assert lanes[i].reset(seed=seed).tobytes() == twins[i].reset(seed=seed).tobytes()
+            seed = 1000 * step + i
+            assert lanes.start(i, envs[i], seed).tobytes() == twins[i].reset(seed=seed).tobytes()
+    lanes.drop(range(len(envs)))  # every lane's state back to its env
+    assert [env._state for env in envs] == [env._state for env in twins]
     assert ends == {"x", "theta", "steps"} and min(episodes) > 0
 
 
@@ -89,21 +106,22 @@ def test_grid_lanes_equal_per_env_steps_bitwise(seed):
     rng = np.random.default_rng(200 + seed)
     scenes = [random_walled_scene(rng, 5, 4, wall_frac=0.25, max_steps=int(rng.integers(3, 40)))
               for _ in range(3)]
-    lanes = [GridWorld(scenes[i % 3]) for i in range(7)]
+    envs = [GridWorld(scenes[i % 3]) for i in range(7)]
     twins = [GridWorld(scenes[i % 3]) for i in range(7)]
-    for lane, twin in zip(lanes, twins):
-        assert lane.reset().tobytes() == twin.reset().tobytes()
-    assert lane_stepper(lanes) == GridWorld.step_lanes
+    lanes = LaneSet(envs)
+    assert path_of(lanes) == "GridWorld"
+    for i, (env, twin) in enumerate(zip(envs, twins)):
+        assert lanes.start(i, env, None).tobytes() == twin.reset().tobytes()
     goals = limits = 0
     for step in range(1500):
-        draw = rng.integers(4, size=len(lanes))
+        draw = rng.integers(4, size=len(envs))
         actions = [int(a) if step % 2 else np.int64(a) for a in draw]
         dones = assert_lanes_equal_steps(lanes, twins, actions)
-        assert [env.position for env in lanes] == [env.position for env in twins]
-        for i in np.flatnonzero(dones):
-            goals += lanes[i].position == lanes[i].scene.goal
-            limits += lanes[i].position != lanes[i].scene.goal
-            assert lanes[i].reset().tobytes() == twins[i].reset().tobytes()
+        assert [env.position for env in envs] == [env.position for env in twins]
+        for i in np.flatnonzero(dones).tolist():
+            goals += envs[i].position == envs[i].scene.goal
+            limits += envs[i].position != envs[i].scene.goal
+            assert lanes.start(i, envs[i], None).tobytes() == twins[i].reset().tobytes()
     assert goals > 0 and limits > 0
 
 
@@ -134,7 +152,7 @@ def test_the_grid_kernel_refuses_lanes_of_two_sizes_before_any_lane_moves(order)
     lanes = [GridWorld(GridScene(side, side, goal=(side - 1, side - 1))) for side in order]
     for env in lanes:
         env.reset()
-    assert lane_stepper(lanes) == GridWorld.step_lanes
+    assert path_of(LaneSet(lanes)) == "GridWorld"
     before = lane_states(lanes)
     with pytest.raises(ValueError, match=r"grid lanes of (25 and 16|16 and 25) cells"):
         GridWorld.step_lanes(lanes, [1] * len(lanes))
@@ -144,6 +162,115 @@ def test_the_grid_kernel_refuses_lanes_of_two_sizes_before_any_lane_moves(order)
     for env in same_size:
         env.reset()
     assert GridWorld.step_lanes(same_size, [1, 1])[0].shape == (2, 25)
+
+
+class LoopLanes:
+    """The oracle of a cart-pole lane set: its envs stepped by the per-lane
+    loop (CartPole.step_lanes, or each env's step for a mixed set)."""
+
+    def __init__(self, envs):
+        self.envs = list(envs)
+
+    def start(self, lane, env, seed):
+        self.envs[lane] = env
+        return env.reset(seed=seed)
+
+    def step(self, actions):
+        exact = all(type(env) is CartPole for env in self.envs)
+        obs, rewards, dones = (CartPole if exact else Environment).step_lanes(self.envs, actions)
+        return obs, rewards, dones
+
+    def drop(self, lanes):
+        self.envs = [env for lane, env in enumerate(self.envs) if lane not in set(lanes)]
+
+
+def env_state(env):
+    return np.array(env._state).tobytes(), env._steps, env._done
+
+
+def random_cartpole(rng, subclass=0.0):
+    """A cart-pole on one of the lane params or on drawn ones; a subclass with
+    probability `subclass`."""
+    if rng.random() < 0.5:
+        params = CARTPOLE_LANE_PARAMS[rng.integers(len(CARTPOLE_LANE_PARAMS))]
+    else:
+        params = CartPoleParams(max_steps=int(rng.integers(1, 60)), force_mag=float(rng.uniform(1, 20)),
+                                pole_half_length=float(rng.uniform(0.2, 1.0)), dt=float(rng.uniform(0.01, 0.05)))
+    return (SubclassedCartPole if rng.random() < subclass else CartPole)(params)
+
+
+def twin_of(env):
+    return type(env)(env.params)
+
+
+@pytest.mark.parametrize("column_lanes", [1, COLUMN_LANES])
+@pytest.mark.parametrize("seed", range(6))
+def test_random_start_step_drop_replace_give_the_loops_bits(seed, column_lanes, monkeypatch):
+    """Random widths (1-96), mixed params, restarts, replacements (now and then
+    of another class) and drops: the lane set gives the per-lane loop's obs,
+    rewards and dones, and every env it drops or replaces, and every env at the
+    end, holds the loop's state. column_lanes 1 keeps every width in columns;
+    at COLUMN_LANES the set crosses between columns and the loop as it shrinks."""
+    monkeypatch.setattr(core_env, "COLUMN_LANES", column_lanes)
+    rng = np.random.default_rng(300 + seed)
+    width = int(rng.integers(column_lanes, 97))
+    envs = [random_cartpole(rng) for _ in range(width)]
+    twins = [twin_of(env) for env in envs]
+    lanes, loop, seen = LaneSet(envs), LoopLanes(twins), set()
+    for lane in range(width):
+        assert lanes.start(lane, envs[lane], lane).tobytes() == loop.start(lane, twins[lane], lane).tobytes()
+    for step in range(250):
+        if not lanes.envs:
+            break
+        seen.add(path_of(lanes))
+        actions = rng.integers(2, size=len(lanes.envs))
+        rows, rewards, dones = lanes.step(actions if step % 2 else actions.tolist())
+        want_rows, want_rewards, want_dones = loop.step(actions.tolist())
+        assert rows.tobytes() == want_rows.tobytes()
+        assert list(rewards) == want_rewards and list(dones) == want_dones
+        dones = np.array(dones)
+        restart = np.flatnonzero(dones).tolist()
+        live = np.flatnonzero(~dones).tolist()
+        replace = [lane for lane in live if rng.random() < 0.02]  # mid-episode
+        gone = [lane for lane in restart if rng.random() < 0.3] + [lane for lane in live if rng.random() < 0.01]
+        for lane in sorted(set(restart + replace) - set(gone)):
+            old, old_twin = lanes.envs[lane], loop.envs[lane]
+            env = old if lane in restart and rng.random() < 0.5 else random_cartpole(rng, 0.05)
+            twin = old_twin if env is old else twin_of(env)
+            seed_k = int(rng.integers(10**6))
+            assert lanes.start(lane, env, seed_k).tobytes() == loop.start(lane, twin, seed_k).tobytes()
+            assert env_state(old) == env_state(old_twin)  # written back when replaced
+        dropped = [(lanes.envs[lane], loop.envs[lane]) for lane in gone]
+        lanes.drop(gone)
+        loop.drop(gone)
+        assert [env_state(env) for env, _ in dropped] == [env_state(twin) for _, twin in dropped]
+    ends = list(zip(lanes.envs, loop.envs))
+    lanes.drop(range(len(lanes.envs)))
+    assert [env_state(env) for env, _ in ends] == [env_state(twin) for _, twin in ends]
+    assert seen == {"columns", "default"} | ({"CartPole"} if column_lanes > 1 else set())
+
+
+def test_a_wide_vectorized_cartpole_gives_the_loops_rows(monkeypatch):
+    """A serial VectorizedEnv of COLUMN_LANES or more cart-poles keeps them in
+    columns and gives the rows, auto-resets included, of the per-lane loop."""
+    def factory():
+        made.append(None)
+        return CartPole(CARTPOLE_LANE_PARAMS[len(made) % len(CARTPOLE_LANE_PARAMS)])
+
+    made = []
+    wide = VectorizedEnv(factory, 40, base_seed=5)
+    monkeypatch.setattr(core_env, "COLUMN_LANES", 10**9)
+    made = []
+    narrow = VectorizedEnv(factory, 40, base_seed=5)
+    assert (path_of(wide._lanes), path_of(narrow._lanes)) == ("columns", "CartPole")
+    assert wide.reset().tobytes() == narrow.reset().tobytes()
+    rng, finished = np.random.default_rng(8), 0
+    for _ in range(300):
+        actions = rng.integers(2, size=40)
+        got, want = wide.step(actions), narrow.step(actions)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        finished += int(got[2].sum())
+    assert finished > 40
 
 
 # ---------------------------------------------------------------------------
@@ -180,21 +307,43 @@ DEFAULT_LANES = {
 @pytest.mark.parametrize("name", list(DEFAULT_LANES))
 def test_lanes_that_are_not_exactly_a_kernel_class_take_the_default(name):
     make = DEFAULT_LANES[name]
-    lanes, twins = [make() for _ in range(4)], [make() for _ in range(4)]
-    assert lane_stepper(lanes) == Environment.step_lanes
+    envs, twins = [make() for _ in range(4)], [make() for _ in range(4)]
+    lanes = LaneSet(envs)
+    assert path_of(lanes) == "default"
     rng = np.random.default_rng(5)
-    for i, (lane, twin) in enumerate(zip(lanes, twins)):
-        assert lane.reset(seed=i).tobytes() == twin.reset(seed=i).tobytes()
+    for i, (env, twin) in enumerate(zip(envs, twins)):
+        assert lanes.start(i, env, i).tobytes() == twin.reset(seed=i).tobytes()
     for step in range(40):
-        actions = rng.integers(lanes[0].action_space.n, size=4).tolist()
-        for i in np.flatnonzero(assert_lanes_equal_steps(lanes, twins, actions)):
-            assert lanes[i].reset(seed=step).tobytes() == twins[i].reset(seed=step).tobytes()
+        actions = rng.integers(envs[0].action_space.n, size=4).tolist()
+        for i in np.flatnonzero(assert_lanes_equal_steps(lanes, twins, actions)).tolist():
+            assert lanes.start(i, envs[i], step).tobytes() == twins[i].reset(seed=step).tobytes()
 
 
 def test_a_mixed_lane_set_takes_the_default():
-    assert lane_stepper([cartpole(), SubclassedCartPole()]) == Environment.step_lanes
-    assert lane_stepper([cartpole(), wrap(cartpole(), TimeLimit(3))]) == Environment.step_lanes
-    assert lane_stepper([cartpole(), cartpole()]) == CartPole.step_lanes
+    assert path_of(LaneSet([cartpole(), SubclassedCartPole()])) == "default"
+    assert path_of(LaneSet([cartpole(), wrap(cartpole(), TimeLimit(3))])) == "default"
+    assert path_of(LaneSet([cartpole(), cartpole()])) == "CartPole"
+
+
+@pytest.mark.parametrize("width", [1, 4, COLUMN_LANES, 96])
+@pytest.mark.parametrize("make", [SubclassedCartPole, lambda: wrap(cartpole(), TimeLimit(50)), "patched"])
+def test_a_cartpole_that_is_not_exactly_the_kernel_class_steps_per_lane_at_every_width(
+        make, width, monkeypatch):
+    """Traced runs patch CartPole.step: whatever the width, the patched (or
+    subclassed, or wrapped) step is the one that runs, on every lane."""
+    calls, patched = [], make == "patched"
+    if patched:
+        original = CartPole.step
+        monkeypatch.setattr(CartPole, "step", lambda self, a: calls.append(a) or original(self, a))
+        make = cartpole
+    envs, twins = [make() for _ in range(width)], [make() for _ in range(width)]
+    lanes = LaneSet(envs)
+    assert path_of(lanes) == "default"
+    for i, (env, twin) in enumerate(zip(envs, twins)):
+        assert lanes.start(i, env, i).tobytes() == twin.reset(seed=i).tobytes()
+    actions = np.arange(width) % 2
+    assert_lanes_equal_steps(lanes, twins, actions)
+    assert calls == (actions.tolist() * 2 if patched else [])
 
 
 def test_a_patched_step_is_the_one_that_runs(monkeypatch):
@@ -208,8 +357,7 @@ def test_a_patched_step_is_the_one_that_runs(monkeypatch):
         return original(self, action)
 
     monkeypatch.setattr(GridWorld, "step", counted)
-    lanes = [GridWorld(GridScene(5, 5)) for _ in range(3)]
-    assert lane_stepper(lanes) == Environment.step_lanes
+    assert path_of(LaneSet([GridWorld(GridScene(5, 5)) for _ in range(3)])) == "default"
     with VectorizedEnv(lambda: GridWorld(GridScene(5, 5)), 3) as venv:
         venv.reset()
         venv.step([1, 2, 3])
@@ -287,21 +435,27 @@ def lane_states(envs):
     return [(env._state if isinstance(env, CartPole) else env.position, env._steps) for env in envs]
 
 
+@pytest.mark.parametrize("width", [3, COLUMN_LANES])
 @pytest.mark.parametrize("make", [cartpole, lambda: GridWorld(GridScene(5, 5))])
-def test_a_finished_lane_in_the_middle_leaves_every_lane_unmoved(make):
-    lanes = [make() for _ in range(3)]
-    for env in lanes:
+def test_a_finished_lane_in_the_middle_leaves_every_lane_unmoved(make, width):
+    envs = [make() for _ in range(width)]
+    for env in envs:
         env.reset(seed=1)
-    lanes[1]._done = True
-    before = lane_states(lanes)
+    envs[1]._done = True
+    before = lane_states(envs)
+    lanes = LaneSet(envs)
     with pytest.raises(EpisodeAlreadyDone, match="after done=True"):
-        lane_stepper(lanes)(lanes, [1, 1, 1])
-    assert lane_states(lanes) == before
-    fresh = [make(), make()]  # the second lane was never reset
-    fresh[0].reset(seed=1)
+        lanes.step([1] * width)
+    lanes.drop(range(width))  # a column set writes every lane back
+    assert lane_states(envs) == before
+    fresh = [make() for _ in range(width)]  # the second lane was never reset
+    for env in fresh[:1] + fresh[2:]:
+        env.reset(seed=1)
     before = lane_states(fresh)
+    lanes = LaneSet(fresh)
     with pytest.raises(EpisodeAlreadyDone, match="before reset"):
-        lane_stepper(fresh)(fresh, [1, 1])
+        lanes.step([1] * width)
+    lanes.drop(range(width))
     assert lane_states(fresh) == before
 
 
